@@ -225,6 +225,74 @@ TEST(Retry, WorksUnderPersistentReplay) {
 }
 
 // ---------------------------------------------------------------------------
+// RuntimeStats task counts
+// ---------------------------------------------------------------------------
+
+/// Exact RuntimeStats over a graph with a failing body, its cancelled
+/// dependents, retried bodies and inoutset redirect nodes; the counts must
+/// not depend on whether metrics collection is enabled, and reset_stats()
+/// must restart them. A redirect node that completes counts as executed,
+/// one poisoned by a failed member counts as cancelled.
+TEST(RuntimeStatsCounts, ExactWithAndWithoutMetrics) {
+  for (const bool metrics : {false, true}) {
+    SCOPED_TRACE(metrics ? "metrics on" : "metrics off");
+    Runtime rt({.num_threads = 2, .metrics = metrics});
+    int a = 0, c = 0;
+    std::atomic<int> tries{0};
+    // Fails on both attempts: one retry, then the final failure.
+    rt.submit([] { throw std::runtime_error("fail"); },
+              {Depend::out(&a)}, {.label = "fail", .max_retries = 1});
+    rt.submit([] {}, {Depend::inout(&a)}, {.label = "dep1"});
+    rt.submit([] {}, {Depend::in(&a)}, {.label = "dep2"});
+    rt.submit([] {}, {Depend::inoutset(&a)}, {.label = "set1"});
+    rt.submit([] {}, {Depend::inoutset(&a)}, {.label = "set2"});
+    // Reads the poisoned inoutset generation through a redirect node.
+    rt.submit([] {}, {Depend::in(&a)}, {.label = "reader"});
+    // Independent inoutset generation whose redirect node runs.
+    rt.submit([] {}, {Depend::inoutset(&c)}, {.label = "ok-set1"});
+    rt.submit([] {}, {Depend::inoutset(&c)}, {.label = "ok-set2"});
+    rt.submit([] {}, {Depend::in(&c)}, {.label = "ok-reader"});
+    // Succeeds on its third attempt.
+    rt.submit(
+        [&tries] {
+          if (tries.fetch_add(1) < 2) throw std::runtime_error("transient");
+        },
+        {}, {.label = "flaky", .max_retries = 2});
+    EXPECT_THROW(rt.taskwait(), TaskGroupError);
+    auto s = rt.stats();
+    EXPECT_EQ(s.tasks_created, 10u);
+    EXPECT_EQ(s.internal_nodes, 2u);
+    EXPECT_EQ(s.tasks_executed, 5u);  // 4 user tasks + the ok redirect
+    EXPECT_EQ(s.tasks_failed, 1u);
+    EXPECT_EQ(s.tasks_cancelled, 6u);  // 5 user tasks + the redirect
+    EXPECT_EQ(s.task_retries, 3u);
+
+    rt.reset_stats();
+    int b = 0, d = 0;
+    tries = 0;
+    rt.submit([] { throw std::runtime_error("fail"); }, {Depend::out(&b)},
+              {.label = "fail2"});
+    rt.submit([] {}, {Depend::in(&b)}, {.label = "dep3"});
+    rt.submit([] {}, {Depend::inoutset(&d)}, {.label = "ok-set3"});
+    rt.submit([] {}, {Depend::inoutset(&d)}, {.label = "ok-set4"});
+    rt.submit([] {}, {Depend::in(&d)}, {.label = "ok-reader2"});
+    rt.submit(
+        [&tries] {
+          if (tries.fetch_add(1) < 1) throw std::runtime_error("transient");
+        },
+        {}, {.label = "flaky2", .max_retries = 1});
+    EXPECT_THROW(rt.taskwait(), TaskGroupError);
+    s = rt.stats();
+    EXPECT_EQ(s.tasks_created, 6u);
+    EXPECT_EQ(s.internal_nodes, 1u);
+    EXPECT_EQ(s.tasks_executed, 5u);
+    EXPECT_EQ(s.tasks_failed, 1u);
+    EXPECT_EQ(s.tasks_cancelled, 1u);
+    EXPECT_EQ(s.task_retries, 1u);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Persistent-region failure interplay
 // ---------------------------------------------------------------------------
 
