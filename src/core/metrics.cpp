@@ -70,11 +70,6 @@ std::size_t MetricsRegistry::num_metrics() const {
   return infos_.size();
 }
 
-std::size_t MetricsRegistry::slots_used() const {
-  SpinGuard g(reg_lock_);
-  return next_slot_;
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::vector<Info> infos;
   {
@@ -88,13 +83,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     MetricsSnapshot::Entry e;
     e.name = info.name;
     e.kind = info.kind;
-    auto sum_slot = [this](std::uint32_t s) {
-      std::uint64_t total = 0;
-      for (const Shard& sh : shards_) {
-        total += sh.slots[s].load(std::memory_order_relaxed);
-      }
-      return total;
-    };
     switch (info.kind) {
       case MetricKind::Counter:
         e.value = sum_slot(info.slot);
@@ -117,6 +105,37 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.entries.push_back(std::move(e));
   }
   return snap;
+}
+
+MetricsSample MetricsRegistry::sample() const {
+  MetricsSample s;
+  s.t_ns = now_ns();
+  SpinGuard g(reg_lock_);
+  for (const Info& info : infos_) {
+    // Gauges wrap per shard; the two's-complement sum is the true level.
+    if (info.kind != MetricKind::Histogram) {
+      s.values.push_back(static_cast<std::int64_t>(sum_slot(info.slot)));
+    }
+  }
+  // Registration only appends, so the cached list is current exactly when
+  // its length matches.
+  if (sample_names_ == nullptr || sample_names_->size() != s.values.size()) {
+    auto names = std::make_shared<std::vector<std::string>>();
+    for (const Info& info : infos_) {
+      if (info.kind != MetricKind::Histogram) names->push_back(info.name);
+    }
+    sample_names_ = std::move(names);
+  }
+  s.names = sample_names_;
+  return s;
+}
+
+std::int64_t MetricsSample::value(std::string_view name) const {
+  if (names == nullptr) return 0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if ((*names)[i] == name) return values[i];
+  }
+  return 0;
 }
 
 // ---------------------------------------------------------------------------

@@ -3,14 +3,18 @@
 // that discovery, scheduling, persistent replay and the MPI layer all
 // write into.
 //
+// It is the runtime's one counter store: RuntimeStats, the profiler's
+// work/overhead/idle breakdown and the live-telemetry series are all read
+// from it. Counters and gauges always count; the enabled flag gates only
+// histogram samples (and, in the runtime, the clock stamps feeding them).
+//
 // Design: writes are lock-free relaxed atomic adds into per-thread shards
-// (cache-line aligned, one slot array per shard), so the hot path costs a
-// branch on the enabled flag plus one uncontended fetch_add. Slots are
-// pre-allocated at construction (kMaxSlots per shard) and never
-// reallocated, so metrics may be registered while workers are running —
-// registration only bumps a cursor under a spin lock. Reads (snapshot)
-// sum across shards; they are racy-by-design against concurrent writers,
-// which is fine for monitoring.
+// (cache-line aligned, one slot array per shard), so a counter add costs
+// one uncontended fetch_add. Slots are pre-allocated at construction
+// (kMaxSlots per shard) and never reallocated, so metrics may be
+// registered while workers are running — registration only bumps a cursor
+// under a spin lock. Reads (snapshot) sum across shards; they are
+// racy-by-design against concurrent writers, which is fine for monitoring.
 #pragma once
 
 #include <atomic>
@@ -27,7 +31,8 @@ namespace tdg {
 
 enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram };
 
-/// `TDG_METRICS` environment switch: `off`/`0`/`false` disables collection,
+/// `TDG_METRICS` environment switch: `off`/`0`/`false` disables histograms
+/// and clock stamps (counters always count),
 /// `dump` additionally emits a text report on Runtime/Universe teardown,
 /// anything else (including unset) leaves the Config default in charge.
 enum class MetricsEnvMode { Default, Off, On, Dump };
@@ -90,6 +95,18 @@ struct MetricsSnapshot {
   void write_json(std::ostream& os, int tenant = -1) const;
 };
 
+/// The registry's counter and gauge values at one instant, in registration
+/// order: one point of a live-telemetry series. Registration only appends,
+/// so the names of an older sample are a prefix of a newer sample's.
+struct MetricsSample {
+  std::uint64_t t_ns = 0;
+  std::shared_ptr<const std::vector<std::string>> names;
+  std::vector<std::int64_t> values;  ///< values[i] is metric (*names)[i]
+
+  /// Value by metric name; 0 when absent.
+  std::int64_t value(std::string_view name) const;
+};
+
 class MetricsRegistry {
  public:
   /// log2 buckets per histogram (bit widths 0..kHistBuckets-1, clamped).
@@ -123,19 +140,19 @@ class MetricsRegistry {
   /// Increment a counter. `shard` is a routing hint (the caller's thread
   /// slot); out-of-range hints are folded in.
   void add(Id id, std::uint64_t v = 1, unsigned shard = 0) {
-    if (!enabled() || !id.valid()) return;
+    if (!id.valid()) return;
     slot(shard, id.slot).fetch_add(v, std::memory_order_relaxed);
   }
 
   /// Move a gauge up or down (levels are summed across shards, so
   /// matched +1/-1 pairs from different threads still cancel).
   void gauge_add(Id id, std::int64_t v, unsigned shard = 0) {
-    if (!enabled() || !id.valid()) return;
+    if (!id.valid()) return;
     slot(shard, id.slot)
         .fetch_add(static_cast<std::uint64_t>(v), std::memory_order_relaxed);
   }
 
-  /// Record one histogram sample.
+  /// Record one histogram sample (dropped while disabled).
   void observe(Id id, std::uint64_t value, unsigned shard = 0) {
     if (!enabled() || !id.valid()) return;
     slot(shard, id.slot + bucket_of(value))
@@ -155,24 +172,25 @@ class MetricsRegistry {
     return w < kHistBuckets ? w : kHistBuckets - 1;
   }
 
-  /// Sum one registered counter/gauge slot across shards — the telemetry
-  /// sampler's cheap single-metric read (no snapshot allocation).
+  /// Sum one registered counter/gauge slot across shards — a cheap
+  /// single-metric read (no snapshot allocation).
   std::uint64_t read(Id id) const {
-    if (!id.valid()) return 0;
-    std::uint64_t total = 0;
-    for (const Shard& sh : shards_) {
-      total += sh.slots[id.slot].load(std::memory_order_relaxed);
-    }
-    return total;
+    return id.valid() ? sum_slot(id.slot) : 0;
+  }
+  /// One shard's share of a counter (per-thread breakdowns).
+  std::uint64_t read(Id id, unsigned shard) const {
+    if (!id.valid() || shard >= shards_.size()) return 0;
+    return shards_[shard].slots[id.slot].load(std::memory_order_relaxed);
   }
 
   MetricsSnapshot snapshot() const;
+  /// Every counter and gauge, summed across shards (no histograms).
+  MetricsSample sample() const;
 
   unsigned num_shards() const {
     return static_cast<unsigned>(shards_.size());
   }
   std::size_t num_metrics() const;
-  std::size_t slots_used() const;
 
  private:
   struct alignas(kCacheLine) Shard {
@@ -193,11 +211,22 @@ class MetricsRegistry {
         .slots[s];
   }
 
+  std::uint64_t sum_slot(std::uint32_t s) const {
+    std::uint64_t total = 0;
+    for (const Shard& sh : shards_) {
+      total += sh.slots[s].load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
   std::atomic<bool> enabled_;
   std::vector<Shard> shards_;
-  mutable SpinLock reg_lock_;  // guards infos_ / next_slot_
+  mutable SpinLock reg_lock_;  // guards the members below
   std::vector<Info> infos_;
   std::uint32_t next_slot_ = 0;
+  /// Counter and gauge names in sample() order, shared by the samples and
+  /// rebuilt by sample() after a registration.
+  mutable std::shared_ptr<const std::vector<std::string>> sample_names_;
 };
 
 }  // namespace tdg

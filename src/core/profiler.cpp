@@ -4,12 +4,22 @@
 
 namespace tdg {
 
-Profiler::Profiler(unsigned nthreads, bool trace_enabled)
+Profiler::Profiler(MetricsRegistry& metrics, bool trace_enabled)
     : trace_enabled_(trace_enabled),
-      acc_(std::max(1u, nthreads)),
-      trace_(std::max(1u, nthreads)) {
+      metrics_(metrics),
+      time_{metrics.counter("time.work_ns"),
+            metrics.counter("time.overhead_ns"),
+            metrics.counter("time.idle_ns")},
+      time_base_(metrics.num_shards()),
+      trace_(metrics.num_shards()) {
   for (auto& tb : trace_) tb.records.reserve(1024);
   edges_.reserve(1024);
+}
+
+Profiler::TimeNs Profiler::time_ns(unsigned thread) const {
+  return {metrics_.read(time_[kWork], thread),
+          metrics_.read(time_[kOverhead], thread),
+          metrics_.read(time_[kIdle], thread)};
 }
 
 void Profiler::record(unsigned thread, const TaskRecord& rec) {
@@ -59,28 +69,21 @@ std::vector<CommRecord> Profiler::comm_records() const {
 
 Breakdown Profiler::breakdown() const {
   Breakdown b;
-  // Sized from the accumulators at call time, not from a cached width, so
-  // a reset(nthreads) between arming and reading cannot leave per_thread
-  // stale relative to acc_.
-  b.per_thread.resize(acc_.size());
-  for (std::size_t i = 0; i < acc_.size(); ++i) {
-    b.per_thread[i].work =
-        static_cast<double>(
-            acc_[i].work_ns.load(std::memory_order_relaxed)) *
-        1e-9;
-    b.per_thread[i].overhead =
-        static_cast<double>(
-            acc_[i].overhead_ns.load(std::memory_order_relaxed)) *
-        1e-9;
-    b.per_thread[i].idle =
-        static_cast<double>(
-            acc_[i].idle_ns.load(std::memory_order_relaxed)) *
-        1e-9;
-    b.work += b.per_thread[i].work;
-    b.overhead += b.per_thread[i].overhead;
-    b.idle += b.per_thread[i].idle;
+  b.per_thread.resize(time_base_.size());
+  for (unsigned i = 0; i < time_base_.size(); ++i) {
+    const TimeNs now = time_ns(i);
+    auto secs = [&](std::size_t k) {
+      return static_cast<double>(now[k] - time_base_[i][k]) * 1e-9;
+    };
+    ThreadBreakdown& t = b.per_thread[i];
+    t.work = secs(kWork);
+    t.overhead = secs(kOverhead);
+    t.idle = secs(kIdle);
+    b.work += t.work;
+    b.overhead += t.overhead;
+    b.idle += t.idle;
   }
-  const double n = acc_.empty() ? 1.0 : static_cast<double>(acc_.size());
+  const double n = static_cast<double>(time_base_.size());
   b.avg_work = b.work / n;
   b.avg_overhead = b.overhead / n;
   b.avg_idle = b.idle / n;
@@ -112,11 +115,7 @@ void Profiler::write_gantt(std::ostream& os) const {
 }
 
 void Profiler::reset() {
-  for (auto& a : acc_) {
-    a.work_ns.store(0, std::memory_order_relaxed);
-    a.overhead_ns.store(0, std::memory_order_relaxed);
-    a.idle_ns.store(0, std::memory_order_relaxed);
-  }
+  for (unsigned i = 0; i < time_base_.size(); ++i) time_base_[i] = time_ns(i);
   for (auto& tb : trace_) tb.records.clear();
   edges_.clear();
   accesses_.clear();
@@ -126,23 +125,6 @@ void Profiler::reset() {
   // from arbitrary worker threads, so clearing without the lock (or not
   // clearing at all) would leave stale comm records attributed to flow
   // events of a graph that was just reset.
-  SpinGuard g(comm_lock_);
-  comms_.clear();
-}
-
-void Profiler::reset(unsigned nthreads) {
-  const unsigned n = std::max(1u, nthreads);
-  // Atomics are not movable; build fresh arrays and swap them in. Callers
-  // must be quiescent (documented in the header).
-  std::vector<Accum> acc(n);
-  std::vector<TraceBuf> trace(n);
-  for (auto& tb : trace) tb.records.reserve(1024);
-  acc_.swap(acc);
-  trace_.swap(trace);
-  edges_.clear();
-  accesses_.clear();
-  barriers_.clear();
-  scope_clears_.clear();
   SpinGuard g(comm_lock_);
   comms_.clear();
 }

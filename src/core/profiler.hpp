@@ -5,6 +5,7 @@
 // while ready tasks exist), idleness (outside a body with none ready).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <ostream>
@@ -13,6 +14,7 @@
 
 #include "core/common.hpp"
 #include "core/depend_types.hpp"
+#include "core/metrics.hpp"
 
 namespace tdg {
 
@@ -84,12 +86,16 @@ struct Breakdown {
   double avg_idle = 0;
 };
 
-/// Event collector. Accumulator counters are always on (a few relaxed
-/// atomic adds per scheduling decision); full task tracing is opt-in, as in
-/// the paper where tracing costs 0-5% and is bounded by DRAM capacity.
+/// Event collector. The breakdown accumulates into the metrics registry's
+/// `time.work_ns` / `time.overhead_ns` / `time.idle_ns` counters, one
+/// shard per thread slot (a relaxed add per scheduling decision); full task
+/// tracing is opt-in, as in the paper where tracing costs 0-5% and is
+/// bounded by DRAM capacity.
 class Profiler {
  public:
-  explicit Profiler(unsigned nthreads, bool trace_enabled = false);
+  /// One thread slot per registry shard. The registry must outlive the
+  /// profiler.
+  explicit Profiler(MetricsRegistry& metrics, bool trace_enabled = false);
 
   bool trace_enabled() const {
     return trace_enabled_.load(std::memory_order_relaxed);
@@ -101,21 +107,16 @@ class Profiler {
   }
 
   // --- accumulators, called from worker loops ----------------------------
-  // Relaxed atomics: each slot is written by its own thread only, but
-  // breakdown() reads them while idle workers are still accumulating.
-  // Thread indices are clamped so a caller holding a slot id from before a
-  // reset(nthreads) shrink cannot write out of bounds.
+  // `thread` is the slot and the registry shard: 0 is the producer, 1..n
+  // the pool workers.
   void add_work(unsigned thread, std::uint64_t ns) {
-    acc_[clamp_slot(thread)].work_ns.fetch_add(ns,
-                                               std::memory_order_relaxed);
+    metrics_.add(time_[kWork], ns, thread);
   }
   void add_overhead(unsigned thread, std::uint64_t ns) {
-    acc_[clamp_slot(thread)].overhead_ns.fetch_add(
-        ns, std::memory_order_relaxed);
+    metrics_.add(time_[kOverhead], ns, thread);
   }
   void add_idle(unsigned thread, std::uint64_t ns) {
-    acc_[clamp_slot(thread)].idle_ns.fetch_add(ns,
-                                               std::memory_order_relaxed);
+    metrics_.add(time_[kIdle], ns, thread);
   }
 
   /// Record a completed task instance (trace mode only).
@@ -173,32 +174,29 @@ class Profiler {
   /// label (Fig. 8 input format).
   void write_gantt(std::ostream& os) const;
 
-  /// Reset accumulators and traces (between experiment phases).
+  /// Zero the breakdown (through a baseline; the registry counters keep
+  /// counting) and drop the traces, between experiment phases.
   void reset();
-  /// Reset and resize to a new team width. Call only while no worker is
-  /// accumulating (the slot arrays are reallocated).
-  void reset(unsigned nthreads);
-
-  unsigned num_threads() const { return static_cast<unsigned>(acc_.size()); }
 
  private:
-  struct alignas(kCacheLine) Accum {
-    std::atomic<std::uint64_t> work_ns{0};
-    std::atomic<std::uint64_t> overhead_ns{0};
-    std::atomic<std::uint64_t> idle_ns{0};
-  };
+  enum : std::size_t { kWork, kOverhead, kIdle };
+  using TimeNs = std::array<std::uint64_t, 3>;
   struct alignas(kCacheLine) TraceBuf {
     std::vector<TaskRecord> records;
   };
 
   unsigned clamp_slot(unsigned thread) const {
-    return thread < acc_.size() ? thread
-                                : static_cast<unsigned>(acc_.size()) - 1;
+    return thread < trace_.size() ? thread
+                                  : static_cast<unsigned>(trace_.size()) - 1;
   }
+  /// Registry totals of one thread slot.
+  TimeNs time_ns(unsigned thread) const;
 
   std::atomic<bool> trace_enabled_;
   std::atomic<int> rank_{0};
-  std::vector<Accum> acc_;
+  MetricsRegistry& metrics_;
+  std::array<MetricsRegistry::Id, 3> time_;
+  std::vector<TimeNs> time_base_;  ///< per-slot totals at the last reset()
   std::vector<TraceBuf> trace_;
   std::vector<TraceEdge> edges_;
   std::vector<AccessRecord> accesses_;

@@ -83,6 +83,10 @@ void RuntimeMetricIds::register_into(MetricsRegistry& reg) {
   slab_fresh = reg.counter("alloc.slab_fresh");
   slab_chunks = reg.counter("alloc.slab_chunks");
   tasks_executed = reg.counter("exec.tasks");
+  redirects_executed = reg.counter("exec.redirect_nodes");
+  tasks_failed = reg.counter("exec.failed");
+  tasks_cancelled = reg.counter("exec.cancelled");
+  task_retries = reg.counter("exec.retries");
   body_ns = reg.histogram("exec.body_ns");
   queue_ns = reg.histogram("exec.queue_ns");
   replay_tasks = reg.counter("persistent.replay_tasks");
@@ -101,8 +105,8 @@ Runtime::Runtime(Config cfg)
   watchdog_.add_diagnostic(
       [this](std::string& out) { runtime_diagnostic(out); });
   // Environment overrides (see Config::metrics): TDG_METRICS gates
-  // collection, TDG_TRACE force-enables tracing and selects the teardown
-  // export format.
+  // histograms and clock stamps, TDG_TRACE force-enables tracing and
+  // selects the teardown export format.
   bool metrics_on = cfg_.metrics;
   switch (metrics_env_mode()) {
     case MetricsEnvMode::Off: metrics_on = false; break;
@@ -146,7 +150,7 @@ Runtime::Runtime(Config cfg)
   dep_map_.bind_edge_metrics(metrics_.get(),
                              {m_.edges_created, m_.edges_duplicate,
                               m_.edges_pruned, m_.internal_nodes});
-  profiler_ = std::make_unique<Profiler>(n, cfg_.trace);
+  profiler_ = std::make_unique<Profiler>(*metrics_, cfg_.trace);
   if (cfg_.race.mode != RaceMode::Off) {
     race_ = std::make_unique<RaceDetector>(cfg_.race, n);
   }
@@ -255,7 +259,7 @@ void Runtime::finalize_observability() {
       }
     }
   }
-  if (metrics_dump_ && metrics_->enabled()) {
+  if (metrics_dump_) {
     // Shared-pool tenants tag every row with their tenant id (the
     // `tenant=<id>` dimension); the pool prints the untagged aggregate at
     // its own teardown, so existing parsers keep seeing plain totals. A
@@ -289,7 +293,7 @@ Task* Runtime::allocate_task(const TaskOpts& opts) {
   void* mem = arena.allocate(tenant_id_, src);
   Task* t = new (mem) Task(
       next_task_id_.fetch_add(1, std::memory_order_relaxed), &arena, this);
-  if (metrics_->enabled()) switch (src) {
+  switch (src) {
     case TaskArena::Source::Recycled: madd(m_.slab_recycled); break;
     case TaskArena::Source::NewChunk:
       madd(m_.slab_chunks);
@@ -298,10 +302,8 @@ Task* Runtime::allocate_task(const TaskOpts& opts) {
   }
   t->opts = opts;
   if (timed_) t->t_create = now_ns();
-  if (!opts.internal) {  // redirect nodes are counted by the rules
-    ++tasks_created_;
-    madd(m_.tasks_submitted);
-  }
+  // Redirect nodes are counted by the rules.
+  if (!opts.internal) madd(m_.tasks_submitted);
   if (tls_runtime == this && batch_active_ && !opts.internal) {
     // Batched submission defers the pending/live publication to
     // end_batch (one pair of RMWs per batch). Internal redirect nodes
@@ -617,7 +619,7 @@ Runtime::BodyOutcome Runtime::run_body_with_retries(Task* t) {
         record_failure(t, std::current_exception(), attempt);
         return BodyOutcome::Failed;
       }
-      task_retries_.fetch_add(1, std::memory_order_relaxed);
+      madd(m_.task_retries);
       watchdog_.note_progress();  // a retry attempt is forward progress
       if (t->opts.retry_backoff_seconds > 0.0) {
         // The old implementation slept the backoff out right here,
@@ -704,14 +706,15 @@ void Runtime::complete_task(Task* t, unsigned thread) {
   const bool poisoned = failed || cancelled;
   if (failed) {
     // state already TaskState::Failed (set in record_failure)
-    tasks_failed_.fetch_add(1, std::memory_order_relaxed);
+    metrics_->add(m_.tasks_failed, 1, thread);
   } else if (cancelled) {
     t->state.store(TaskState::Cancelled, std::memory_order_relaxed);
-    tasks_cancelled_.fetch_add(1, std::memory_order_relaxed);
+    metrics_->add(m_.tasks_cancelled, 1, thread);
   } else {
     t->state.store(TaskState::Finished, std::memory_order_relaxed);
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-    if (!t->opts.internal) metrics_->add(m_.tasks_executed, 1, thread);
+    metrics_->add(
+        t->opts.internal ? m_.redirects_executed : m_.tasks_executed, 1,
+        thread);
   }
   if (profiler_->trace_enabled() && !t->opts.internal) {
     TaskRecord rec;
@@ -887,28 +890,26 @@ void Runtime::race_now(bool allow_throw) {
   if (race_ == nullptr) return;
   // Counter sync: the detector keeps cheap internal atomics; taskwait is
   // the natural cadence to fold the deltas into the metrics namespace.
-  if (metrics_->enabled()) {
-    const std::uint64_t checks = race_->check_count();
-    const std::uint64_t flags = race_->flag_total();
-    const std::uint64_t tracked = race_->tracked_count();
-    if (checks > race_synced_checks_) {
-      metrics_->add(m_.race_checks, checks - race_synced_checks_, 0);
-      race_synced_checks_ = checks;
-    }
-    if (flags > race_synced_flags_) {
-      metrics_->add(m_.race_flags, flags - race_synced_flags_, 0);
-      race_synced_flags_ = flags;
-    }
-    if (tracked > race_synced_tracked_) {
-      metrics_->add(m_.race_tracked, tracked - race_synced_tracked_, 0);
-      race_synced_tracked_ = tracked;
-    }
-    const std::int64_t shadow =
-        static_cast<std::int64_t>(race_->live_shadow_entries());
-    if (shadow != race_shadow_reported_) {
-      metrics_->gauge_add(m_.race_shadow, shadow - race_shadow_reported_, 0);
-      race_shadow_reported_ = shadow;
-    }
+  const std::uint64_t checks = race_->check_count();
+  const std::uint64_t flags_total = race_->flag_total();
+  const std::uint64_t tracked = race_->tracked_count();
+  if (checks > race_synced_checks_) {
+    metrics_->add(m_.race_checks, checks - race_synced_checks_, 0);
+    race_synced_checks_ = checks;
+  }
+  if (flags_total > race_synced_flags_) {
+    metrics_->add(m_.race_flags, flags_total - race_synced_flags_, 0);
+    race_synced_flags_ = flags_total;
+  }
+  if (tracked > race_synced_tracked_) {
+    metrics_->add(m_.race_tracked, tracked - race_synced_tracked_, 0);
+    race_synced_tracked_ = tracked;
+  }
+  const std::int64_t shadow =
+      static_cast<std::int64_t>(race_->live_shadow_entries());
+  if (shadow != race_shadow_reported_) {
+    metrics_->gauge_add(m_.race_shadow, shadow - race_shadow_reported_, 0);
+    race_shadow_reported_ = shadow;
   }
   std::vector<RaceFlag> flags = race_->take_flags();
   if (flags.empty()) return;
@@ -1039,7 +1040,7 @@ unsigned Runtime::current_slot() const {
 }
 
 void Runtime::arm_watchdog_baseline() {
-  if (!watchdog_.enabled() || !metrics_->enabled()) return;
+  if (!watchdog_.enabled()) return;
   MetricsSnapshot snap = metrics_->snapshot();
   SpinGuard g(wd_baseline_lock_);
   wd_baseline_ = std::move(snap);
@@ -1070,22 +1071,20 @@ void Runtime::runtime_diagnostic(std::string& out) const {
   // Counter deltas since the stalled wait was armed: a hang report that
   // shows "0 steals, 0 completions since arming" pinpoints starvation vs
   // livelock at a glance.
-  if (metrics_->enabled()) {
-    MetricsSnapshot now = metrics_->snapshot();
-    bool have_baseline = false;
-    {
-      SpinGuard g(wd_baseline_lock_);
-      if (wd_baseline_set_) {
-        now = MetricsSnapshot::delta(now, wd_baseline_);
-        have_baseline = true;
-      }
+  MetricsSnapshot now = metrics_->snapshot();
+  bool have_baseline = false;
+  {
+    SpinGuard g(wd_baseline_lock_);
+    if (wd_baseline_set_) {
+      now = MetricsSnapshot::delta(now, wd_baseline_);
+      have_baseline = true;
     }
-    std::ostringstream os;
-    now.write_text(os, /*nonzero_only=*/true);
-    out += have_baseline ? "\n  metrics delta since arming:\n"
-                         : "\n  metrics:\n";
-    out += os.str();
   }
+  std::ostringstream os;
+  now.write_text(os, /*nonzero_only=*/true);
+  out += have_baseline ? "\n  metrics delta since arming:\n"
+                       : "\n  metrics:\n";
+  out += os.str();
   SpinGuard g(events_lock_);
   std::size_t shown = 0;
   for (const auto& ev : events_) {
@@ -1105,13 +1104,16 @@ void Runtime::runtime_diagnostic(std::string& out) const {
 // ---------------------------------------------------------------------------
 
 RuntimeStats Runtime::stats() const {
+  const MetricsRegistry& m = *metrics_;
+  const RuntimeStats& base = stats_base_;
   RuntimeStats s;
-  s.tasks_created = tasks_created_;
+  s.tasks_created = m.read(m_.tasks_submitted) - base.tasks_created;
   s.internal_nodes = dep_map_.total_stats().redirect_nodes;
-  s.tasks_executed = tasks_executed_.load(std::memory_order_relaxed);
-  s.tasks_failed = tasks_failed_.load(std::memory_order_relaxed);
-  s.tasks_cancelled = tasks_cancelled_.load(std::memory_order_relaxed);
-  s.task_retries = task_retries_.load(std::memory_order_relaxed);
+  s.tasks_executed = m.read(m_.tasks_executed) +
+                     m.read(m_.redirects_executed) - base.tasks_executed;
+  s.tasks_failed = m.read(m_.tasks_failed) - base.tasks_failed;
+  s.tasks_cancelled = m.read(m_.tasks_cancelled) - base.tasks_cancelled;
+  s.task_retries = m.read(m_.task_retries) - base.task_retries;
   s.discovery = dep_map_.total_stats();
   s.discovery_begin_ns = discovery_begin_ns_;
   s.discovery_end_ns = discovery_end_ns_;
@@ -1119,14 +1121,11 @@ RuntimeStats Runtime::stats() const {
 }
 
 void Runtime::reset_stats() {
-  tasks_created_ = 0;
+  stats_base_ = RuntimeStats{};
+  stats_base_ = stats();  // raw registry counts while the base is zero
   dep_map_.reset_total_stats();
   discovery_begin_ns_ = 0;
   discovery_end_ns_ = 0;
-  tasks_executed_.store(0, std::memory_order_relaxed);
-  tasks_failed_.store(0, std::memory_order_relaxed);
-  tasks_cancelled_.store(0, std::memory_order_relaxed);
-  task_retries_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace tdg

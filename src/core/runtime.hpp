@@ -73,7 +73,11 @@ struct RuntimeMetricIds {
   Id slab_fresh;        ///< counter alloc.slab_fresh (bump-carved blocks)
   Id slab_chunks;       ///< counter alloc.slab_chunks (chunk carves)
   // execution
-  Id tasks_executed;    ///< counter exec.tasks
+  Id tasks_executed;    ///< counter exec.tasks (user tasks finished)
+  Id redirects_executed;  ///< counter exec.redirect_nodes (finished)
+  Id tasks_failed;      ///< counter exec.failed (final failures)
+  Id tasks_cancelled;   ///< counter exec.cancelled (incl. redirect nodes)
+  Id task_retries;      ///< counter exec.retries (extra attempts)
   Id body_ns;           ///< histogram exec.body_ns
   Id queue_ns;          ///< histogram exec.queue_ns (ready -> start)
   // persistent regions
@@ -90,7 +94,9 @@ struct RuntimeMetricIds {
   void register_into(MetricsRegistry& reg);
 };
 
-/// Snapshot of runtime counters (graph structure + discovery span).
+/// Snapshot of runtime counters (graph structure + discovery span). The
+/// task counts are read from the metrics registry (RuntimeMetricIds) and
+/// the discovery counts from the dependence rules.
 struct RuntimeStats {
   std::uint64_t tasks_created = 0;    ///< user tasks discovered
   std::uint64_t internal_nodes = 0;   ///< inoutset redirect nodes
@@ -136,12 +142,13 @@ class Runtime {
     ThrottleConfig throttle;
     WatchdogConfig watchdog;  ///< hang detection; disabled by default
     bool trace = false;  ///< record full task traces (Gantt etc.)
-    /// Collect runtime metrics (counters/gauges/histograms). Compiled in
-    /// either way; this only toggles collection. The TDG_METRICS
-    /// environment variable overrides it: `off` disables, `on`/`dump`
-    /// force-enable (`dump` also prints a report at teardown). TDG_TRACE
-    /// (perfetto|tsv) similarly force-enables `trace` and exports the
-    /// trace to a file when the runtime is destroyed.
+    /// Collect the timing metrics: histograms, and the clock stamps behind
+    /// them and the work/overhead/idle breakdown. Counters and gauges
+    /// always count. The TDG_METRICS environment variable overrides it:
+    /// `off` disables, `on`/`dump` force-enable (`dump` also prints a
+    /// report at teardown). TDG_TRACE (perfetto|tsv) similarly
+    /// force-enables `trace` and exports the trace to a file when the
+    /// runtime is destroyed.
     bool metrics = true;
     /// TDG soundness verification (see core/verify.hpp): Off = free; Post
     /// and Strict capture the clause/edge/barrier streams (forcing `trace`
@@ -303,7 +310,8 @@ class Runtime {
                       opts);
   }
   RuntimeStats stats() const;
-  /// Reset graph counters and the discovery span (not the profiler).
+  /// Restart the stats() counts and the discovery span from zero (through
+  /// a baseline: the registry counters and the profiler are untouched).
   void reset_stats();
   Profiler& profiler() { return *profiler_; }
   /// The unified metrics registry (see core/metrics.hpp). Components may
@@ -564,14 +572,11 @@ class Runtime {
   std::vector<CancelledTask> cancelled_;
   std::atomic<bool> has_failures_{false};
 
-  // counters (producer-written except tasks_executed)
-  std::uint64_t tasks_created_ = 0;
+  // discovery span (producer-written)
   std::uint64_t discovery_begin_ns_ = 0;
   std::uint64_t discovery_end_ns_ = 0;
-  std::atomic<std::uint64_t> tasks_executed_{0};
-  std::atomic<std::uint64_t> tasks_failed_{0};
-  std::atomic<std::uint64_t> tasks_cancelled_{0};
-  std::atomic<std::uint64_t> task_retries_{0};
+  /// Registry task counts at the last reset_stats(), subtracted by stats().
+  RuntimeStats stats_base_;
   std::atomic<std::uint64_t> next_task_id_{1};
 
   // persistent-region state (managed by PersistentRegion)

@@ -61,12 +61,12 @@ std::vector<RankTelemetry> TelemetryHub::collect() const {
       out.push_back(RankTelemetry{rank, {}});
       it = out.end() - 1;
     }
-    std::vector<TelemetrySample> samples = ring->snapshot();
+    std::vector<MetricsSample> samples = ring->snapshot();
     it->samples.insert(it->samples.end(), samples.begin(), samples.end());
   }
   for (RankTelemetry& t : out) {
     std::stable_sort(t.samples.begin(), t.samples.end(),
-                     [](const TelemetrySample& a, const TelemetrySample& b) {
+                     [](const MetricsSample& a, const MetricsSample& b) {
                        return a.t_ns < b.t_ns;
                      });
   }
@@ -93,20 +93,14 @@ void TelemetryHub::write_json(std::ostream& os,
     first_rank = false;
     os << "\n{\"rank\":" << t.rank << ",\"samples\":[";
     bool first = true;
-    for (const TelemetrySample& s : t.samples) {
+    for (const MetricsSample& s : t.samples) {
       if (!first) os << ',';
       first = false;
-      os << "\n{\"t_ns\":" << s.t_ns
-         << ",\"tasks_executed\":" << s.tasks_executed
-         << ",\"tasks_ready\":" << s.tasks_ready
-         << ",\"sends\":" << s.sends << ",\"recvs\":" << s.recvs
-         << ",\"bytes_sent\":" << s.bytes_sent
-         << ",\"allreduces\":" << s.allreduces
-         << ",\"retransmits\":" << s.retransmits
-         << ",\"dup_suppressed\":" << s.dup_suppressed
-         << ",\"giveups\":" << s.giveups
-         << ",\"drops_injected\":" << s.drops_injected
-         << ",\"ranks_failed\":" << s.ranks_failed << '}';
+      os << "\n{\"t_ns\":" << s.t_ns;
+      for (std::size_t i = 0; i < s.values.size(); ++i) {
+        os << ",\"" << (*s.names)[i] << "\":" << s.values[i];
+      }
+      os << '}';
     }
     os << "]}";
   }

@@ -1,11 +1,12 @@
 // Live telemetry aggregation: a periodic sampler (driven from the same
-// polling hook as the heartbeat detector) snapshots each rank's counters
-// into a fixed-capacity ring; the rings are registered with a process-wide
-// hub — the in-process analogue of piggybacking samples to rank 0 — which
-// Universe::run drains into Report::telemetry and, when enabled, into
-// telemetry.json on exit. The watchdog path dumps the same file on a hang,
-// so chaos-soak runs show *when* retransmits and poisonings happened, not
-// just final counts.
+// polling hook as the heartbeat detector) samples each rank's metrics
+// registry — every counter and gauge, by name — into a fixed-capacity
+// ring; the rings are registered with a process-wide hub — the in-process
+// analogue of piggybacking samples to rank 0 — which Universe::run drains
+// into Report::telemetry and, when enabled, into telemetry.json on exit.
+// The watchdog path dumps the same file on a hang, so chaos-soak runs show
+// *when* retransmits and poisonings happened, not just final counts. Each
+// JSON sample is {"t_ns": ..., "<metric name>": value, ...}.
 //
 // Environment: TDG_TELEMETRY=on|dump (off by default; dump also writes the
 // JSON file), TDG_TELEMETRY_FILE=<path> (default telemetry.json),
@@ -20,24 +21,9 @@
 #include <vector>
 
 #include "core/common.hpp"
+#include "core/metrics.hpp"
 
 namespace tdg {
-
-/// One point-in-time snapshot of a rank's counters.
-struct TelemetrySample {
-  std::uint64_t t_ns = 0;           ///< sample timestamp
-  std::uint64_t tasks_executed = 0; ///< runtime exec.tasks counter
-  std::uint64_t tasks_ready = 0;    ///< ready backlog at sample time
-  std::uint64_t sends = 0;
-  std::uint64_t recvs = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t allreduces = 0;
-  std::uint64_t retransmits = 0;    ///< universe-wide reliable retransmits
-  std::uint64_t dup_suppressed = 0; ///< universe-wide duplicate deliveries
-  std::uint64_t giveups = 0;        ///< universe-wide reliable giveups
-  std::uint64_t drops_injected = 0; ///< universe-wide injected drops
-  std::int64_t ranks_failed = 0;    ///< detector's failed-rank count
-};
 
 struct TelemetryConfig {
   bool enabled = false;
@@ -59,21 +45,17 @@ class TelemetryRing {
   explicit TelemetryRing(std::size_t capacity)
       : buf_(capacity > 0 ? capacity : 1) {}
 
-  void push(const TelemetrySample& s) {
+  void push(MetricsSample s) {
     SpinGuard g(mu_);
-    buf_[head_] = s;
+    buf_[head_] = std::move(s);
     head_ = (head_ + 1) % buf_.size();
-    if (size_ < buf_.size()) {
-      ++size_;
-    } else {
-      ++overwritten_;
-    }
+    if (size_ < buf_.size()) ++size_;
   }
 
   /// Samples oldest to newest.
-  std::vector<TelemetrySample> snapshot() const {
+  std::vector<MetricsSample> snapshot() const {
     SpinGuard g(mu_);
-    std::vector<TelemetrySample> out;
+    std::vector<MetricsSample> out;
     out.reserve(size_);
     const std::size_t start = (head_ + buf_.size() - size_) % buf_.size();
     for (std::size_t i = 0; i < size_; ++i) {
@@ -82,28 +64,17 @@ class TelemetryRing {
     return out;
   }
 
-  std::size_t size() const {
-    SpinGuard g(mu_);
-    return size_;
-  }
-  /// Samples lost to ring wrap-around.
-  std::size_t overwritten() const {
-    SpinGuard g(mu_);
-    return overwritten_;
-  }
-
  private:
   mutable SpinLock mu_;
-  std::vector<TelemetrySample> buf_;
+  std::vector<MetricsSample> buf_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
-  std::size_t overwritten_ = 0;
 };
 
 /// One rank's aggregated time-series.
 struct RankTelemetry {
   int rank = 0;
-  std::vector<TelemetrySample> samples;  ///< sorted by t_ns
+  std::vector<MetricsSample> samples;  ///< sorted by t_ns
 };
 
 /// Process-wide aggregation point. Each rank's sampler attaches its ring

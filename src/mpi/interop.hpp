@@ -62,10 +62,12 @@ struct TrackOpts {
 ///
 /// The comm-aware constructor additionally drives Comm::poll() (heartbeat
 /// publication, retransmissions, failure detection) from the hook and
-/// mirrors the universe's fault counters into the runtime metrics as
-/// comm.drops_injected / comm.kills_injected / comm.retransmits /
-/// comm.dup_suppressed / comm.reroutes and the universe.ranks_failed
-/// gauge.
+/// mirrors the rank's traffic and the universe's fault counters into the
+/// runtime metrics as comm.sends / comm.recvs / comm.bytes_sent /
+/// comm.allreduces, comm.drops_injected / comm.kills_injected /
+/// comm.retransmits / comm.dup_suppressed / comm.giveups / comm.reroutes
+/// and the universe.ranks_failed gauge. With TDG_TELEMETRY on it also
+/// samples the runtime's registry into the live-telemetry hub.
 class RequestPoller {
  public:
   explicit RequestPoller(Runtime& rt) : RequestPoller(rt, nullptr) {}
@@ -119,8 +121,8 @@ class RequestPoller {
   void maybe_sample_telemetry();
   /// Resolve a failed request: reroute, complete locally, or poison.
   void handle_failed(Tracked t);
-  /// Mirror the universe's fault/reliability counters into rt metrics
-  /// (delta since the last sync; time-gated).
+  /// Mirror the rank's traffic and the universe's fault/reliability
+  /// counters into rt metrics (delta since the last sync; time-gated).
   void sync_comm_metrics();
 
   Runtime* rt_;
@@ -128,20 +130,21 @@ class RequestPoller {
   Runtime::PollingHookToken hook_token_;
   std::uint64_t diag_token_ = 0;
   MetricsRegistry::Id m_requests_, m_collectives_, m_bytes_, m_wait_ns_;
+  MetricsRegistry::Id m_sends_, m_recvs_, m_bytes_sent_, m_allreduces_;
   MetricsRegistry::Id m_drops_, m_kills_, m_retransmits_, m_dup_sup_,
-      m_reroutes_, m_ranks_failed_;
+      m_giveups_, m_reroutes_, m_ranks_failed_;
   // Live telemetry (comm-aware pollers with TDG_TELEMETRY on): a periodic
-  // sample of this rank's counters, pushed from the polling hook into a
+  // sample of the runtime's registry, pushed from the polling hook into a
   // ring registered with the process-wide TelemetryHub.
   TelemetryConfig telem_cfg_;
   std::shared_ptr<TelemetryRing> telem_ring_;
   std::atomic<std::uint64_t> telem_last_ns_{0};
-  MetricsRegistry::Id m_exec_tasks_;
   mutable std::mutex mu_;
   std::vector<Tracked> pending_;
   std::vector<RequestSpan> done_;
   std::mutex sync_mu_;  // guards the counter baselines below
   std::uint64_t last_sync_ns_ = 0;
+  CommStats comm_base_;
   FaultStats fault_base_;
   ReliableStats rel_base_;
   int ranks_failed_base_ = 0;

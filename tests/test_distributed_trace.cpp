@@ -267,7 +267,8 @@ TEST(DistributedTrace, FlowMatchingSurvivesDuplicateInjection) {
 /// quiesce the comm ring too, or replayed iterations re-attribute stale
 /// records to fresh flow events.
 TEST(DistributedTrace, ProfilerResetDropsCommRecords) {
-  Profiler prof(2, /*trace_enabled=*/true);
+  MetricsRegistry metrics(2);
+  Profiler prof(metrics, /*trace_enabled=*/true);
   prof.record_comm(make_comm(CommRecord::Kind::Send, 0, 1, 1, 1, 10, 20, 7));
   ASSERT_EQ(prof.comm_records().size(), 1u);
   prof.reset();
@@ -324,9 +325,10 @@ TEST(Telemetry, SamplerFeedsHubAndUniverseReport) {
     // Series are time-sorted and counters monotone.
     for (std::size_t i = 1; i < t.samples.size(); ++i) {
       EXPECT_LE(t.samples[i - 1].t_ns, t.samples[i].t_ns);
-      EXPECT_LE(t.samples[i - 1].sends, t.samples[i].sends);
+      EXPECT_LE(t.samples[i - 1].value("comm.sends"),
+                t.samples[i].value("comm.sends"));
     }
-    EXPECT_GT(t.samples.back().sends, 0u);
+    EXPECT_GT(t.samples.back().value("comm.sends"), 0);
   }
   // Hub was drained into the report; a fresh drain is empty.
   EXPECT_TRUE(TelemetryHub::instance().drain().empty());
@@ -335,7 +337,7 @@ TEST(Telemetry, SamplerFeedsHubAndUniverseReport) {
   TelemetryHub::write_json(os, report.telemetry);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"rank\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"sends\":"), std::string::npos);
+  EXPECT_NE(json.find("\"comm.sends\":"), std::string::npos);
 }
 
 }  // namespace
