@@ -12,13 +12,16 @@
 #      the runtime, tests/test_sim_graph for the simulator and exact
 #      edge-list parity between the two), plain and under
 #      TDG_VERIFY=strict.
-#   5. TDG_VERIFY=strict runs of the application test suites: any
+#   5. The observability suites (tests/test_metrics, test_profiler,
+#      test_distributed_trace): the one metrics store, the §2.3.1
+#      breakdown read from it, and the live-telemetry series.
+#   6. TDG_VERIFY=strict runs of the application test suites: any
 #      conflicting access pair the discovered graph fails to order throws
 #      VerifyError at the next taskwait and fails the run.
-#   6. A TDG_RACE=sample multitenant_soak pass: the production-shaped
+#   7. A TDG_RACE=sample multitenant_soak pass: the production-shaped
 #      sampling configuration must stay flag-free under concurrent
 #      submitters on a shared pool.
-#   7. tdg-trace verify / race / tdg-lint smoke on a freshly recorded
+#   8. tdg-trace verify / race / tdg-lint smoke on a freshly recorded
 #      trace.
 #
 # Usage: scripts/ci_static.sh [build-dir]   (default: build)
@@ -36,6 +39,7 @@ cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 echo "=== [static] build ==="
 cmake --build "$dir" -j "$jobs" \
       --target test_verify test_race test_depend test_sim_graph \
+               test_metrics test_profiler test_distributed_trace \
                test_cholesky test_lulesh test_taskbench tdg-trace \
                cholesky_demo multitenant_soak
 
@@ -43,7 +47,7 @@ if command -v clang-tidy >/dev/null 2>&1; then
   echo "=== [static] clang-tidy ==="
   # Sources only; headers are covered through HeaderFilterRegex.
   clang-tidy -p "$dir" --quiet \
-      src/core/*.cpp src/mpi/*.cpp src/apps/*.cpp src/sim/*.cpp \
+      src/core/*.cpp src/mpi/*.cpp src/apps/*/*.cpp src/sim/*.cpp \
       tools/*.cpp
 else
   echo "=== [static] clang-tidy not installed; skipping lint pass ==="
@@ -60,6 +64,11 @@ echo "=== [static] dependence rules on both engines ==="
 "$dir"/tests/test_sim_graph
 TDG_VERIFY=strict "$dir"/tests/test_depend
 TDG_VERIFY=strict "$dir"/tests/test_sim_graph
+
+echo "=== [static] observability suites ==="
+"$dir"/tests/test_metrics
+"$dir"/tests/test_profiler
+"$dir"/tests/test_distributed_trace
 
 echo "=== [static] TDG_VERIFY=strict application suites ==="
 TDG_VERIFY=strict "$dir"/tests/test_cholesky

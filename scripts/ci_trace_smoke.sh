@@ -124,6 +124,10 @@ ranks = telem["ranks"]
 assert len(ranks) == 4, f"expected 4 telemetry ranks, got {len(ranks)}"
 for r in ranks:
     assert r["samples"], f"rank {r['rank']} has no telemetry samples"
+    last = r["samples"][-1]
+    for name in ("comm.sends", "exec.tasks"):
+        assert last.get(name, 0) > 0, \
+            f"rank {r['rank']}: last telemetry sample has {name} = 0"
 print(f"merged trace ok: {len(comm)} comm slices, {len(msg)} message "
       f"flows, {len(ranks)} telemetry ranks")
 EOF

@@ -137,9 +137,14 @@ TEST(Multitenant, EightSubmittersExactlyOnce) {
 // fully drained before the other even lands — so a third tenant first
 // plugs every pool worker with a spin-until-released task; the producers
 // publish underneath the plugged pool, and the first real serve decision
-// the scan makes already sees both backlogs at full depth.
+// the scan makes already sees both backlogs at full depth. The window ends
+// in-band: the task completing the kWindow-th execution reads the served
+// counts. A test thread sampling them instead can be descheduled on a busy
+// host until the heavy backlog has run dry and the light tenant has had
+// every worker to itself, which drifts the shares toward 0.5.
 TEST(Multitenant, WeightedFairStealDistribution) {
   constexpr int kTasks = 8000;
+  constexpr int kWindow = 2000;  // well before either backlog can run dry
   WorkerPool::Config pc;
   pc.num_workers = 3;
   pc.max_tenants = 3;  // heavy, light, and the plug tenant
@@ -151,6 +156,10 @@ TEST(Multitenant, WeightedFairStealDistribution) {
   std::atomic<int> plugs_running{0};
   std::atomic<bool> open{false};
   std::atomic<bool> release{false};
+  std::atomic<int> executed{0};
+  std::atomic<std::uint64_t> heavy_served{0};
+  std::atomic<std::uint64_t> light_served{0};
+  std::atomic<bool> window_closed{false};
 
   // Occupy every pool worker so nothing is served until both backlogs
   // are published.
@@ -172,7 +181,16 @@ TEST(Multitenant, WeightedFairStealDistribution) {
     id_out.store(rt.tenant_id());
     rt.begin_batch();
     for (int i = 0; i < kTasks; ++i) {
-      rt.submit([] { spin_us(1); }, {});
+      rt.submit(
+          [&] {
+            if (executed.fetch_add(1) + 1 == kWindow) {
+              heavy_served.store(pool.served(heavy_id.load()));
+              light_served.store(pool.served(light_id.load()));
+              window_closed.store(true);
+            }
+            spin_us(1);
+          },
+          {});
     }
     rt.end_batch();
     ready_producers.fetch_add(1);
@@ -186,16 +204,10 @@ TEST(Multitenant, WeightedFairStealDistribution) {
   // Both 8000-task backlogs are in their shards and no worker has been
   // able to touch them; unplug the pool and watch the scan arbitrate.
   open.store(true);
-  // Sample mid-flight: stop once the pool served a decent chunk but well
-  // before either tenant's 8000-task backlog can be exhausted.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  std::uint64_t h = 0;
-  std::uint64_t l = 0;
-  while (std::chrono::steady_clock::now() < deadline) {
-    h = pool.served(heavy_id.load());
-    l = pool.served(light_id.load());
-    if (h + l >= 2000) break;
+  while (!window_closed.load() &&
+         std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
   release.store(true);
@@ -203,6 +215,8 @@ TEST(Multitenant, WeightedFairStealDistribution) {
   tl.join();
   plug_rt.taskwait();
 
+  const std::uint64_t h = heavy_served.load();
+  const std::uint64_t l = light_served.load();
   ASSERT_GE(h + l, 2000u) << "pool workers served too little in 30s";
   const double heavy_frac =
       static_cast<double>(h) / static_cast<double>(h + l);
