@@ -62,6 +62,21 @@ for san in "${sanitizers[@]}"; do
   UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \
     "$dir"/tests/test_discovery --gtest_filter='DiscoveryTable.*' \
           --gtest_repeat=3
+
+  echo "=== [$san] pruned edges racing completion ==="
+  # The lock-free prune (an acquire load of the predecessor's finish
+  # state) against workers finishing predecessors, and late dependents of
+  # failed or cancelled tasks, which that prune must still poison.
+  TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+  ASAN_OPTIONS="detect_leaks=1" \
+  UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \
+    "$dir"/tests/test_depend --gtest_filter='Depend.PruneRacesCompletion' \
+          --gtest_repeat=3
+  TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+  ASAN_OPTIONS="detect_leaks=1" \
+  UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \
+    "$dir"/tests/test_fault --gtest_filter='ErrorPropagation.*' \
+          --gtest_repeat=3
 done
 
 echo "=== sanitizer runs passed: ${sanitizers[*]} ==="

@@ -56,7 +56,8 @@ enum class EdgeOutcome : std::uint8_t {
   Pruned,   ///< no edge needed: predecessor already finished
 };
 
-/// Registry counters bumped next to DiscoveryStats (runtime only).
+/// Registry counters mirroring DiscoveryStats (runtime only), published
+/// once per apply() rather than per edge.
 struct EdgeMetricIds {
   MetricsRegistry::Id created;    ///< counter discovery.edges_created
   MetricsRegistry::Id duplicate;  ///< counter discovery.edges_duplicate
@@ -175,6 +176,7 @@ class DependRules : public Store {
           break;
       }
     }
+    flush_edge_metrics();
   }
 
   /// Drop the whole access history (an episode boundary). Per-episode
@@ -190,7 +192,11 @@ class DependRules : public Store {
   const DiscoveryStats& episode_stats() const { return episode_; }
   /// Statistics since construction or the last reset_total_stats().
   const DiscoveryStats& total_stats() const { return total_; }
-  void reset_total_stats() { total_ = DiscoveryStats{}; }
+  void reset_total_stats() {
+    flush_edge_metrics();
+    total_ = DiscoveryStats{};
+    flushed_ = DiscoveryStats{};
+  }
 
   /// Edges suppressed by seed_drop_edge over the rules' lifetime.
   const std::vector<DroppedEdge>& dropped_edges() const { return dropped_; }
@@ -206,11 +212,27 @@ class DependRules : public Store {
     return reinterpret_cast<const void*>(static_cast<std::uintptr_t>(a));
   }
 
-  /// The one counting site of every discovery outcome.
-  void count(std::uint64_t DiscoveryStats::*field, MetricsRegistry::Id id) {
+  /// The one counting site of every discovery outcome. Plain increments:
+  /// the registry catches up in flush_edge_metrics().
+  void count(std::uint64_t DiscoveryStats::*field) {
     ++(episode_.*field);
     ++(total_.*field);
-    if (edge_reg_ != nullptr) edge_reg_->add(id);
+  }
+
+  /// Add what total_ gained since the last flush to the registry
+  /// counters: at most four adds per submit instead of one RMW per edge.
+  void flush_edge_metrics() {
+    if (edge_reg_ == nullptr) return;
+    const auto publish = [&](std::uint64_t DiscoveryStats::*field,
+                             MetricsRegistry::Id id) {
+      const std::uint64_t delta = total_.*field - flushed_.*field;
+      if (delta != 0) edge_reg_->add(id, delta);
+    };
+    publish(&DiscoveryStats::edges_created, edge_ids_.created);
+    publish(&DiscoveryStats::edges_pruned, edge_ids_.pruned);
+    publish(&DiscoveryStats::edges_duplicate, edge_ids_.duplicate);
+    publish(&DiscoveryStats::redirect_nodes, edge_ids_.redirect);
+    flushed_ = total_;
   }
 
   /// Every would-be edge funnels through here, in discovery order.
@@ -232,15 +254,13 @@ class DependRules : public Store {
     std::uint64_t& last = sink.last_successor(pred);
     const std::uint64_t succ_id = sink.node_id(succ);
     if (opts.dedup_edges && last == succ_id) {  // optimization (b)
-      count(&DiscoveryStats::edges_duplicate, edge_ids_.duplicate);
+      count(&DiscoveryStats::edges_duplicate);
       return;
     }
     last = succ_id;
-    if (sink.discover_edge(pred, succ) == EdgeOutcome::Created) {
-      count(&DiscoveryStats::edges_created, edge_ids_.created);
-    } else {
-      count(&DiscoveryStats::edges_pruned, edge_ids_.pruned);
-    }
+    count(sink.discover_edge(pred, succ) == EdgeOutcome::Created
+              ? &DiscoveryStats::edges_created
+              : &DiscoveryStats::edges_pruned);
   }
 
   /// Order `succ` after the last modifying access of `e`. For an open
@@ -266,7 +286,7 @@ class DependRules : public Store {
         // its self-reference — it must survive for the consumer edge below
         // (which will then be correctly pruned).
         Nodes::retain(r);
-        count(&DiscoveryStats::redirect_nodes, edge_ids_.redirect);
+        count(&DiscoveryStats::redirect_nodes);
         for (Node m : e.last_mod) edge(sink, m, r, opts, addr);
         sink.seal_internal_node(r);
         e.redirect = r;
@@ -279,6 +299,7 @@ class DependRules : public Store {
 
   DiscoveryStats episode_;  ///< reset by clear()
   DiscoveryStats total_;    ///< reset by reset_total_stats()
+  DiscoveryStats flushed_;  ///< total_ as of the last flush_edge_metrics()
   std::uint64_t edge_calls_ = 0;  ///< lifetime counter for seed_drop_edge
   std::vector<DroppedEdge> dropped_;
   MetricsRegistry* edge_reg_ = nullptr;

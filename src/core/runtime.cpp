@@ -369,7 +369,7 @@ void Runtime::finish_submission(Task* t, std::span<const Depend> deps) {
   }
   // Drop the discovery guard; the task may become ready immediately.
   if (t->npredecessors.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    enqueue_ready(t, current_slot(), /*successor=*/false);
+    enqueue_ready(t, current_slot());
   }
   if (!in_batch) throttle(current_slot());
 }
@@ -379,18 +379,28 @@ EdgeOutcome Runtime::discover_edge(Task* pred, Task* succ) {
   // real even though no runtime edge is needed. A duplicate was joined
   // when the pair was first discovered.
   if (race_ != nullptr) race_->on_edge(pred->id(), succ->id());
-  // The successor's count must be raised BEFORE the edge is published:
-  // otherwise a predecessor completing in between decrements a count that
-  // does not yet include this edge, reaching zero early (the discovery
-  // guard is +1, so 1-1 = 0) and enqueueing the task twice. The undo on
-  // the pruned/recorded paths can never hit zero: the guard is still held.
-  succ->npredecessors.fetch_add(1, std::memory_order_relaxed);
-  const Task::EdgeResult r = pred->add_successor(succ, discovering_persistent_);
-  if (r != Task::EdgeResult::Created) {
-    succ->npredecessors.fetch_sub(1, std::memory_order_relaxed);
+  EdgeOutcome out = EdgeOutcome::Pruned;
+  // Fast path: an edge to an already-finished predecessor is pruned with
+  // one acquire load — no RMW on the successor's count, no lock on the
+  // predecessor (see Task::try_prune). Persistent discovery must record
+  // every edge for replay, so it always takes the locked path.
+  if (discovering_persistent_ || !pred->try_prune(succ)) {
+    // The successor's count must be raised BEFORE the edge is published:
+    // otherwise a predecessor completing in between decrements a count
+    // that does not yet include this edge, reaching zero early (the
+    // discovery guard is +1, so 1-1 = 0) and enqueueing the task twice.
+    // The undo on the pruned/recorded paths can never hit zero: the guard
+    // is still held.
+    succ->npredecessors.fetch_add(1, std::memory_order_relaxed);
+    const Task::EdgeResult r =
+        pred->add_successor(succ, discovering_persistent_);
+    if (r != Task::EdgeResult::Created) {
+      succ->npredecessors.fetch_sub(1, std::memory_order_relaxed);
+    }
+    // Persistent discovery records every edge (never Pruned) for replay.
+    if (discovering_persistent_) ++succ->persistent_indegree;
+    if (r != Task::EdgeResult::Pruned) out = EdgeOutcome::Created;
   }
-  // Persistent discovery records every edge (never Pruned) for replay.
-  if (discovering_persistent_) ++succ->persistent_indegree;
   // A pruned dependence is real even though no runtime edge is needed (the
   // predecessor already finished); the trace stream keeps it so the
   // verifier — and critical-path analysis — see the full precedence
@@ -399,8 +409,7 @@ EdgeOutcome Runtime::discover_edge(Task* pred, Task* succ) {
   if (profiler_->trace_enabled()) {
     profiler_->record_edge(pred->id(), succ->id());
   }
-  return r == Task::EdgeResult::Pruned ? EdgeOutcome::Pruned
-                                       : EdgeOutcome::Created;
+  return out;
 }
 
 Task* Runtime::make_internal_node() {
@@ -412,7 +421,7 @@ Task* Runtime::make_internal_node() {
 
 void Runtime::seal_internal_node(Task* node) {
   if (node->npredecessors.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    enqueue_ready(node, current_slot(), /*successor=*/false);
+    enqueue_ready(node, current_slot());
   }
 }
 
@@ -437,7 +446,7 @@ std::uint64_t Runtime::replay_submit_erased(void (*update)(Task*, void*),
   if (discovery_begin_ns_ == 0) discovery_begin_ns_ = ts;
   discovery_end_ns_ = ts;
   if (t->npredecessors.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    enqueue_ready(t, current_slot(), /*successor=*/false);
+    enqueue_ready(t, current_slot());
   }
   // No throttling here: replay allocates nothing (the graph already
   // exists), and the re-armed iteration counts towards live_tasks_ up
@@ -464,7 +473,7 @@ void Runtime::clear_dependency_scope() {
 // Execution
 // ---------------------------------------------------------------------------
 
-void Runtime::enqueue_ready(Task* t, unsigned thread_hint, bool successor) {
+void Runtime::enqueue_ready(Task* t, unsigned thread_hint) {
   if (timed_) t->t_ready = now_ns();
   t->state.store(TaskState::Ready, std::memory_order_relaxed);
   if (t->body.empty()) {
@@ -491,7 +500,6 @@ void Runtime::enqueue_ready(Task* t, unsigned thread_hint, bool successor) {
   // the producer pushes to this tenant's submission shard; anyone else
   // (foreign-thread detach fulfilment, nested runtimes, pool reroutes)
   // goes through the inject queue.
-  (void)successor;
   if (pool_->on_pool_worker()) {
     pool_->push_local(t);
   } else if (tls_runtime == this) {
@@ -735,7 +743,7 @@ void Runtime::complete_task(Task* t, unsigned thread) {
     // the cancelled flag to whichever thread makes the successor ready.
     if (poisoned) s->cancelled.store(true, std::memory_order_release);
     if (s->npredecessors.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      enqueue_ready(s, thread, /*successor=*/true);
+      enqueue_ready(s, thread);
     }
   }
   live_tasks_.fetch_sub(1, std::memory_order_relaxed);

@@ -410,7 +410,7 @@ class Runtime {
         sizeof(Fn));
   }
 
-  void enqueue_ready(Task* t, unsigned thread_hint, bool successor);
+  void enqueue_ready(Task* t, unsigned thread_hint);
   void run_task(Task* t, unsigned thread);
   void complete_task(Task* t, unsigned thread);
   /// Outcome of one scheduling of a task body under the retry policy.

@@ -206,8 +206,8 @@ class Task {
   /// of the figure benches (telemetry: LULESH/HPCG writers fan out to 1-3
   /// consumers after dedup, chains to exactly 1); larger fan-outs —
   /// inoutset redirects, wide reader sets — spill to the heap. The
-  /// inline-or-heap union keeps the list at 40 bytes, so sizeof(Task)
-  /// stays within the 448-byte slab block of the std::vector layout.
+  /// inline-or-heap union keeps the list at 40 bytes; the whole descriptor
+  /// is one 464-byte slab block (checked below the class).
   static constexpr std::size_t kInlineSuccessors = 4;
   using SuccessorList = small_vector<Task*, kInlineSuccessors>;
 
@@ -265,10 +265,7 @@ class Task {
   /// must not let a late-discovered dependent escape cancellation.
   EdgeResult add_successor(Task* succ, bool persistent) {
     SpinGuard g(succ_lock_);
-    if (finished_flag_) {
-      if (poisoned_flag_) {
-        succ->cancelled.store(true, std::memory_order_release);
-      }
+    if (try_prune(succ)) {  // finished; a poisoned instance cancelled succ
       if (!persistent) return EdgeResult::Pruned;
       successors_.push_back(succ);
       return EdgeResult::Recorded;
@@ -277,16 +274,38 @@ class Task {
     return EdgeResult::Created;
   }
 
+  /// True when this instance has already finished, so `succ` needs no
+  /// edge to it; a poisoned instance cancels `succ` first, so pruning
+  /// cannot let a late dependent escape cancellation. Non-persistent
+  /// discovery calls it without the lock, as its pruned-edge fast path: no
+  /// RMW, no lock. The acquire load pairs with the release store in
+  /// snapshot_successors_and_finish, so everything the instance did
+  /// happens-before the producer's guard drop on `succ`. False means
+  /// "maybe live": the caller takes add_successor, which re-checks under
+  /// succ_lock_. Sound because only the producer adds successors and a
+  /// non-persistent instance never un-finishes (re-arming is for
+  /// persistent tasks, whose discovery always takes the lock).
+  bool try_prune(Task* succ) const noexcept {
+    const std::uint8_t fs = finish_state_.load(std::memory_order_acquire);
+    if ((fs & kFinished) == 0) return false;
+    if ((fs & kPoisoned) != 0) {
+      succ->cancelled.store(true, std::memory_order_release);
+    }
+    return true;
+  }
+
   /// Snapshot successors and mark finished, so that later add_successor
   /// calls observe completion. Called once per execution instance. When
   /// `keep` (persistent task), the recorded list is preserved for replay.
   /// `poisoned` marks this instance failed/cancelled, so late edges to it
-  /// cancel their successor (see add_successor).
+  /// cancel their successor (see add_successor and try_prune). The state
+  /// is stored with release, still under the lock, for try_prune.
   SuccessorList snapshot_successors_and_finish(bool keep,
                                                     bool poisoned) {
     SpinGuard g(succ_lock_);
-    finished_flag_ = true;
-    poisoned_flag_ = poisoned;
+    finish_state_.store(
+        static_cast<std::uint8_t>(poisoned ? kFinished | kPoisoned : kFinished),
+        std::memory_order_release);
     if (keep) return successors_;  // copy
     return std::move(successors_);
   }
@@ -296,8 +315,7 @@ class Task {
   /// reset the failure state of the previous iteration's instance.
   void rearm_persistent() {
     SpinGuard g(succ_lock_);
-    finished_flag_ = false;
-    poisoned_flag_ = false;
+    finish_state_.store(0, std::memory_order_relaxed);
     failed = false;
     retry_attempts = 0;  // each replayed instance gets the full budget
     cancelled.store(false, std::memory_order_relaxed);
@@ -342,11 +360,12 @@ class Task {
   /// Total inbound edges recorded during first-iteration discovery,
   /// including edges to then-already-finished predecessors.
   std::int32_t persistent_indegree = 0;
+  std::uint32_t iteration = 0;  ///< persistent-region iteration index
 
-  // --- duplicate-edge detection (optimization (b)) ---------------------------
-  /// Id of the most recent successor an edge was created to. Discovery is
-  /// sequential, so a repeated (pred,succ) pair is detected in O(1).
-  std::uint64_t last_successor_id = 0;
+  /// Slot that ran the body (profiling). Written by the executing worker,
+  /// so it lives here with completion_latch rather than among the
+  /// profiling stamps next to the discovery-side fields.
+  std::uint32_t exec_thread = 0;
 
   // --- body / metadata -------------------------------------------------------
   TaskBody body;
@@ -359,21 +378,34 @@ class Task {
   std::uint64_t t_ready = 0;
   std::uint64_t t_start = 0;
   std::uint64_t t_end = 0;
-  std::uint32_t exec_thread = 0;
-  std::uint32_t iteration = 0;  ///< persistent-region iteration index
 
  private:
   ~Task() = default;  // heap-only; destroyed via release()
 
+  static constexpr std::uint8_t kFinished = 1;  // instance completed
+  static constexpr std::uint8_t kPoisoned = 2;  // ... failed or cancelled
+
   const std::uint64_t id_;
   TaskArena* arena_ = nullptr;  // recycle target; nullptr = plain heap
-  Runtime* owner_ = nullptr;    // owning tenant runtime (see owner())
-  std::atomic<std::int32_t> refs_{1};
 
+ public:
+  // --- duplicate-edge detection (optimization (b)) ---------------------------
+  /// Id of the most recent successor an edge was created to. Discovery is
+  /// sequential, so a repeated (pred,succ) pair is detected in O(1).
+  /// It opens a 16-byte-aligned group with the fields below, so the
+  /// discovery-side fields of a predecessor (stamp, finish state, refs,
+  /// lock) share one cache line; line 0 belongs to the executing worker.
+  std::uint64_t last_successor_id = 0;
+
+ private:
+  std::atomic<std::int32_t> refs_{1};
   SpinLock succ_lock_;
-  bool finished_flag_ = false;
-  bool poisoned_flag_ = false;  // finished in a failed/cancelled state
+  std::atomic<std::uint8_t> finish_state_{0};  // kFinished | kPoisoned
+  Runtime* owner_ = nullptr;    // owning tenant runtime (see owner())
   SuccessorList successors_;
 };
+
+// Growing the descriptor grows every slab block (one per live task).
+static_assert(sizeof(Task) <= 464, "Task outgrew its 464-byte slab block");
 
 }  // namespace tdg

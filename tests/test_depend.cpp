@@ -3,6 +3,7 @@
 // elimination and (c) inoutset redirection (Section 3.1, Figs. 3-4).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <mutex>
 #include <type_traits>
 #include <vector>
@@ -172,6 +173,43 @@ TEST(Depend, PrunedEdgeToFinishedPredecessor) {
   EXPECT_EQ(s.discovery.edges_created, 0u);
   EXPECT_EQ(s.discovery.edges_pruned, 1u);
   rt.taskwait();
+}
+
+TEST(Depend, PruneRacesCompletion) {
+  // Workers finish chain links while the producer is still discovering
+  // later ones, so each edge races its predecessor's completion: either
+  // outcome is fine, but a pruned edge must still order the two bodies
+  // (each body checks it reads its predecessor's write). The periodic
+  // barriers guarantee some edges see a finished predecessor.
+  Runtime rt({.num_threads = 4});
+  constexpr int kAddrs = 4;
+  constexpr int kLen = 4000;
+  constexpr int kBarrierEvery = 500;
+  std::vector<int> data(kAddrs, 0);
+  std::atomic<int> misordered{0};
+  for (int step = 0; step < kLen; ++step) {
+    if (step > 0 && step % kBarrierEvery == 0) rt.taskwait();
+    for (int a = 0; a < kAddrs; ++a) {
+      rt.submit(
+          [&data, &misordered, a, step] {
+            if (data[a] != step) misordered.fetch_add(1);
+            data[a] = step + 1;
+          },
+          {Depend::inout(&data[a])});
+    }
+  }
+  rt.taskwait();
+  EXPECT_EQ(misordered.load(), 0);
+  for (int a = 0; a < kAddrs; ++a) EXPECT_EQ(data[a], kLen);
+  const auto d = rt.stats().discovery;
+  EXPECT_EQ(d.edges_created + d.edges_pruned,
+            static_cast<std::uint64_t>(kAddrs) * (kLen - 1));
+  EXPECT_EQ(d.edges_duplicate, 0u);
+  EXPECT_GT(d.edges_pruned, 0u);
+  // The registry counters are flushed once per submit, not per edge.
+  const tdg::MetricsSnapshot m = rt.metrics().snapshot();
+  EXPECT_EQ(m.value("discovery.edges_created"), d.edges_created);
+  EXPECT_EQ(m.value("discovery.edges_pruned"), d.edges_pruned);
 }
 
 // --- inoutset ---------------------------------------------------------------

@@ -119,6 +119,41 @@ TEST(ErrorPropagation, LateDiscoveredDependentOfFailedTaskIsCancelled) {
   EXPECT_FALSE(ran.load());
 }
 
+TEST(ErrorPropagation, LateDependentOfCancelledTaskIsCancelled) {
+  // A throws, so B (reading A's output) is cancelled — B finishes in the
+  // poisoned state without running. C, submitted after the barrier, reads
+  // B's output: its edge to the finished B is pruned without a lock, and
+  // that prune must still cancel C.
+  Runtime rt({.num_threads = 2});
+  int x = 0, y = 0;
+  std::atomic<bool> b_ran{false}, c_ran{false};
+  rt.submit([] { throw std::runtime_error("A"); }, {Depend::out(&x)},
+            {.label = "A"});
+  rt.submit([&] { b_ran = true; }, {Depend::in(&x), Depend::out(&y)},
+            {.label = "B"});
+  try {
+    rt.taskwait();
+    FAIL() << "taskwait did not throw";
+  } catch (const TaskGroupError& e) {
+    ASSERT_EQ(e.failures().size(), 1u);
+    ASSERT_EQ(e.cancelled().size(), 1u);
+    EXPECT_EQ(e.cancelled()[0].label, "B");
+  }
+  const std::uint64_t pruned_before = rt.stats().discovery.edges_pruned;
+  rt.submit([&] { c_ran = true; }, {Depend::in(&y)}, {.label = "C"});
+  EXPECT_EQ(rt.stats().discovery.edges_pruned, pruned_before + 1);
+  try {
+    rt.taskwait();
+    FAIL() << "late dependent of a cancelled task was not cancelled";
+  } catch (const TaskGroupError& e) {
+    EXPECT_TRUE(e.failures().empty());
+    ASSERT_EQ(e.cancelled().size(), 1u);
+    EXPECT_EQ(e.cancelled()[0].label, "C");
+  }
+  EXPECT_FALSE(b_ran.load());
+  EXPECT_FALSE(c_ran.load());
+}
+
 TEST(ErrorPropagation, MultipleFailuresAggregate) {
   Runtime rt({.num_threads = 4});
   for (int i = 0; i < 5; ++i) {
