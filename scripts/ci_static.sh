@@ -13,8 +13,9 @@
 #      edge-list parity between the two), plain and under
 #      TDG_VERIFY=strict.
 #   5. The observability suites (tests/test_metrics, test_profiler,
-#      test_distributed_trace): the one metrics store, the §2.3.1
-#      breakdown read from it, and the live-telemetry series.
+#      test_trace_export, test_distributed_trace): the one metrics store,
+#      the §2.3.1 breakdown read from it, the lossless Perfetto trace
+#      round-trip, and the live-telemetry series.
 #   6. TDG_VERIFY=strict runs of the application test suites: any
 #      conflicting access pair the discovered graph fails to order throws
 #      VerifyError at the next taskwait and fails the run.
@@ -39,7 +40,8 @@ cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 echo "=== [static] build ==="
 cmake --build "$dir" -j "$jobs" \
       --target test_verify test_race test_depend test_sim_graph \
-               test_metrics test_profiler test_distributed_trace \
+               test_metrics test_profiler test_trace_export \
+               test_distributed_trace \
                test_cholesky test_lulesh test_taskbench tdg-trace \
                cholesky_demo multitenant_soak
 
@@ -68,6 +70,7 @@ TDG_VERIFY=strict "$dir"/tests/test_sim_graph
 echo "=== [static] observability suites ==="
 "$dir"/tests/test_metrics
 "$dir"/tests/test_profiler
+"$dir"/tests/test_trace_export
 "$dir"/tests/test_distributed_trace
 
 echo "=== [static] TDG_VERIFY=strict application suites ==="

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the observability layer: build, run an example
 # with TDG_TRACE=perfetto + TDG_METRICS=dump, validate that the emitted
-# trace is well-formed JSON (python3, when available), then run the
-# tdg-trace CLI (summary / critpath / export round-trip) on it.
+# trace is well-formed JSON with its otherData.t0_ns origin (python3, when
+# available), then run the tdg-trace CLI (summary / critpath / merge
+# round-trip) on it.
 #
 # The distributed section then runs distributed_halo on 4 simulated ranks
 # with comm tracing + telemetry on, stitches the per-rank files with
@@ -46,6 +47,8 @@ assert any(e.get("ph") == "M" for e in events), "no metadata events"
 assert any(e.get("ph") == "s" for e in events), "no flow events"
 for s in slices:
     assert "ts" in s and "dur" in s and "name" in s, f"malformed slice: {s}"
+t0 = doc["otherData"]["t0_ns"]
+assert isinstance(t0, str) and t0.isdigit(), f"t0_ns not decimal: {t0!r}"
 print(f"trace ok: {len(events)} events, {len(slices)} task slices")
 EOF
 else
@@ -58,10 +61,9 @@ echo "=== [trace-smoke] tdg-trace summary ==="
 echo "=== [trace-smoke] tdg-trace critpath ==="
 "$dir/tools/tdg-trace" critpath "$trace" -n 5
 
-echo "=== [trace-smoke] tdg-trace export round-trip ==="
-"$dir/tools/tdg-trace" export "$trace" --format tsv -o "$workdir/trace.tsv"
-"$dir/tools/tdg-trace" summary "$workdir/trace.tsv" >/dev/null
-"$dir/tools/tdg-trace" export "$workdir/trace.tsv" -o "$workdir/back.json"
+echo "=== [trace-smoke] tdg-trace merge round-trip ==="
+"$dir/tools/tdg-trace" merge "$trace" --no-offsets -o "$workdir/back.json"
+"$dir/tools/tdg-trace" summary "$workdir/back.json" >/dev/null
 "$dir/tools/tdg-trace" critpath "$workdir/back.json" -n 1 >/dev/null
 
 echo "=== [trace-smoke] distributed_halo on 4 ranks with tracing ==="

@@ -105,15 +105,6 @@ std::vector<TaskRecord> Profiler::merged_trace() const {
   return all;
 }
 
-void Profiler::write_gantt(std::ostream& os) const {
-  os << "thread\tstart_s\tend_s\titeration\tlabel\n";
-  for (const TaskRecord& r : merged_trace()) {
-    os << r.thread << '\t' << static_cast<double>(r.t_start) * 1e-9 << '\t'
-       << static_cast<double>(r.t_end) * 1e-9 << '\t' << r.iteration << '\t'
-       << r.label << '\n';
-  }
-}
-
 void Profiler::reset() {
   for (unsigned i = 0; i < time_base_.size(); ++i) time_base_[i] = time_ns(i);
   for (auto& tb : trace_) tb.records.clear();

@@ -8,7 +8,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -169,10 +168,6 @@ class Profiler {
   /// aware request poller; stays 0 for single-process runtimes.
   void set_rank(int rank) { rank_.store(rank, std::memory_order_relaxed); }
   int rank() const { return rank_.load(std::memory_order_relaxed); }
-
-  /// Write a Gantt-chart-friendly TSV: thread, start_s, end_s, iteration,
-  /// label (Fig. 8 input format).
-  void write_gantt(std::ostream& os) const;
 
   /// Zero the breakdown (through a baseline; the registry counters keep
   /// counting) and drop the traces, between experiment phases.

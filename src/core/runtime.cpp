@@ -105,8 +105,8 @@ Runtime::Runtime(Config cfg)
   watchdog_.add_diagnostic(
       [this](std::string& out) { runtime_diagnostic(out); });
   // Environment overrides (see Config::metrics): TDG_METRICS gates
-  // histograms and clock stamps, TDG_TRACE force-enables tracing and
-  // selects the teardown export format.
+  // histograms and clock stamps, TDG_TRACE force-enables tracing and the
+  // teardown export.
   bool metrics_on = cfg_.metrics;
   switch (metrics_env_mode()) {
     case MetricsEnvMode::Off: metrics_on = false; break;
@@ -118,7 +118,7 @@ Runtime::Runtime(Config cfg)
     case MetricsEnvMode::Default: break;
   }
   trace_env_ = trace_env_config();
-  if (trace_env_.mode != TraceMode::Off) cfg_.trace = true;
+  if (trace_env_.enabled) cfg_.trace = true;
   // TDG_VERIFY (off|post|strict) overrides Config::verify; any checking
   // mode needs the clause/edge/barrier capture, so it forces trace
   // collection on (the teardown file export stays gated on TDG_TRACE).
@@ -219,36 +219,28 @@ void Runtime::finalize_observability() {
   // Trace export (TDG_TRACE): workers have joined, the record stream is
   // quiescent. Later runtimes in the same process (e.g. one per Universe
   // rank) get sequence-numbered files so they do not clobber each other.
-  if (trace_env_.mode != TraceMode::Off) {
+  if (trace_env_.enabled) {
     const std::vector<TaskRecord> records = profiler_->merged_trace();
     const std::vector<CommRecord> comms = profiler_->comm_records();
     if (!records.empty() || !comms.empty()) {
       static std::atomic<int> seq{0};
       const int k = seq.fetch_add(1, std::memory_order_relaxed);
-      const char* ext =
-          trace_env_.mode == TraceMode::Perfetto ? "json" : "tsv";
       std::string path = trace_env_.path;
       if (path.empty()) {
-        path = k == 0 ? std::string("tdg_trace.") + ext
-                      : "tdg_trace." + std::to_string(k) + "." + ext;
+        path = k == 0 ? std::string("tdg_trace.json")
+                      : "tdg_trace." + std::to_string(k) + ".json";
       } else if (k > 0) {
         path += "." + std::to_string(k);
       }
       std::ofstream os(path);
       if (os) {
-        if (trace_env_.mode == TraceMode::Perfetto) {
-          // Base pid = this runtime's rank so per-rank files from one
-          // Universe land on distinct process tracks even before merging.
-          PerfettoOptions popts;
-          popts.pid = profiler_->rank();
-          write_perfetto(os, records, profiler_->edges(),
-                         profiler_->accesses(), profiler_->barriers(),
-                         profiler_->scope_clears(), comms, popts);
-        } else {
-          write_trace_tsv(os, records, profiler_->accesses(),
-                          profiler_->barriers(), profiler_->scope_clears(),
-                          comms);
-        }
+        // Base pid = this runtime's rank so per-rank files from one
+        // Universe land on distinct process tracks even before merging.
+        PerfettoOptions popts;
+        popts.pid = profiler_->rank();
+        write_perfetto(os, records, profiler_->edges(), profiler_->accesses(),
+                       profiler_->barriers(), profiler_->scope_clears(), comms,
+                       popts);
         std::fprintf(stderr,
                      "tdg: trace written to %s (%zu records, %zu edges)\n",
                      path.c_str(), records.size(),
@@ -799,12 +791,12 @@ bool Runtime::try_execute_one(unsigned slot) {
     }
   }
   if (t == nullptr) {
+    // Work existed somewhere but every probe came up empty.
+    if (work_existed) metrics_->add(m_.steal_failures, 1, slot);
     if (timed_) {
       const std::uint64_t t1 = now_ns();
       if (work_existed) {
         profiler_->add_overhead(slot, t1 - t0);
-        // Work existed somewhere but every probe came up empty.
-        metrics_->add(m_.steal_failures, 1, slot);
       } else {
         profiler_->add_idle(slot, t1 - t0);
       }

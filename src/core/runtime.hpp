@@ -146,9 +146,9 @@ class Runtime {
     /// them and the work/overhead/idle breakdown. Counters and gauges
     /// always count. The TDG_METRICS environment variable overrides it:
     /// `off` disables, `on`/`dump` force-enable (`dump` also prints a
-    /// report at teardown). TDG_TRACE (perfetto|tsv) similarly
-    /// force-enables `trace` and exports the trace to a file when the
-    /// runtime is destroyed.
+    /// report at teardown). TDG_TRACE=perfetto similarly force-enables
+    /// `trace` and exports the trace to a file when the runtime is
+    /// destroyed.
     bool metrics = true;
     /// TDG soundness verification (see core/verify.hpp): Off = free; Post
     /// and Strict capture the clause/edge/barrier streams (forcing `trace`

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <istream>
@@ -28,11 +29,14 @@ TraceEnvConfig trace_env_config() {
   if (mode != nullptr) {
     if (std::strcmp(mode, "perfetto") == 0 ||
         std::strcmp(mode, "json") == 0) {
-      cfg.mode = TraceMode::Perfetto;
-    } else if (std::strcmp(mode, "tsv") == 0) {
-      cfg.mode = TraceMode::Tsv;
+      cfg.enabled = true;
+    } else if (*mode != '\0' && std::strcmp(mode, "off") != 0 &&
+               std::strcmp(mode, "0") != 0) {
+      std::fprintf(stderr,
+                   "tdg: unknown TDG_TRACE mode '%s' "
+                   "(expected perfetto|json|off); tracing off\n",
+                   mode);
     }
-    // anything else (off, 0, empty, typos) leaves tracing off
   }
   if (const char* path = std::getenv("TDG_TRACE_FILE"); path != nullptr) {
     cfg.path = path;
@@ -78,7 +82,7 @@ void emit_us(std::ostream& os, std::uint64_t ns, std::uint64_t t0) {
   os << buf;
 }
 
-// --- depend-clause access encoding (shared by both formats) ---
+// --- depend-clause access encoding ---
 //
 // One task's clause becomes "code:hexaddr;code:hexaddr;..." with codes
 // in / out / io / ios. Extent-annotated clauses (Depend::bytes != 0, used
@@ -291,7 +295,7 @@ void write_perfetto(std::ostream& os, std::span<const TaskRecord> records,
        << "\"}}";
   }
 
-  // Task slices. The absolute create/ready times ride along in args so a
+  // Task slices. The create/ready times ride along in args so a
   // parsed-back trace is lossless (ts/dur only cover start..end). A task's
   // depend clause is attached to its first slice only — persistent-region
   // replays produce one slice per iteration but the clause was recorded
@@ -469,42 +473,7 @@ void write_perfetto(std::ostream& os, std::span<const TaskRecord> records,
     }
   }
 
-  os << "\n]}\n";
-}
-
-// ---------------------------------------------------------------------------
-// Extended TSV
-// ---------------------------------------------------------------------------
-
-void write_trace_tsv(std::ostream& os, std::span<const TaskRecord> records,
-                     std::span<const AccessRecord> accesses,
-                     std::span<const std::uint64_t> barriers,
-                     std::span<const std::uint64_t> scope_clears,
-                     std::span<const CommRecord> comms) {
-  os << "task_id\tthread\titeration\tlabel\tt_create_ns\tt_ready_ns\t"
-        "t_start_ns\tt_end_ns\taccesses\trank\n";
-  // Cutoffs and comm records as comment lines so spreadsheet consumers of
-  // the plain rows keep working; parse_trace_tsv picks them back up.
-  for (std::uint64_t b : barriers) os << "#barrier\t" << b << '\n';
-  for (std::uint64_t s : scope_clears) os << "#scope\t" << s << '\n';
-  for (const CommRecord& c : comms) {
-    os << "#comm\t" << comm_kind_code(c.kind) << '\t' << c.self << '\t'
-       << c.peer << '\t' << c.tag << '\t' << c.seq << '\t' << c.bytes
-       << '\t' << c.t_post << '\t' << c.t_complete << '\t' << c.retransmits
-       << '\t' << c.task_id << '\n';
-  }
-  const auto access_runs = group_accesses(accesses);
-  std::unordered_set<std::uint64_t> clause_emitted;
-  for (const TaskRecord& r : records) {
-    os << r.task_id << '\t' << r.thread << '\t' << r.iteration << '\t'
-       << (r.label[0] != '\0' ? r.label : "task") << '\t' << r.t_create
-       << '\t' << r.t_ready << '\t' << r.t_start << '\t' << r.t_end << '\t';
-    if (auto it = access_runs.find(r.task_id);
-        it != access_runs.end() && clause_emitted.insert(r.task_id).second) {
-      os << encode_accesses(accesses, it->second.first, it->second.second);
-    }
-    os << '\t' << r.rank << '\n';
-  }
+  os << "\n],\"otherData\":{\"t0_ns\":\"" << t0 << "\"}}\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -694,14 +663,6 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-const char* intern_label(ParsedTrace& t, std::string_view label) {
-  for (const std::string& s : t.label_pool) {
-    if (s == label) return s.c_str();
-  }
-  t.label_pool.emplace_back(label);
-  return t.label_pool.back().c_str();
-}
-
 std::uint64_t us_to_ns(double us) {
   return us > 0 ? static_cast<std::uint64_t>(us * 1000.0 + 0.5) : 0;
 }
@@ -709,14 +670,23 @@ std::uint64_t us_to_ns(double us) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Parsers
+// Parser
 // ---------------------------------------------------------------------------
+
+const char* ParsedTrace::intern(std::string_view label) {
+  for (const std::string& s : label_pool) {
+    if (s == label) return s.c_str();
+  }
+  label_pool.emplace_back(label);
+  return label_pool.back().c_str();
+}
 
 ParsedTrace parse_perfetto(std::istream& is) {
   JsonParser parser(is);
   const JsonValue root = parser.parse();
 
   const JsonArray* events = nullptr;
+  std::uint64_t t0 = 0;  // write_perfetto's origin; 0 when not recorded
   if (root.is_array()) {
     events = &std::get<JsonArray>(root.v);
   } else if (root.is_object()) {
@@ -724,6 +694,16 @@ ParsedTrace parse_perfetto(std::istream& is) {
     TDG_REQUIRE(te != nullptr && te->is_array(),
                 "trace JSON has no traceEvents array");
     events = &std::get<JsonArray>(te->v);
+    if (const JsonValue* other = root.get("otherData"); other != nullptr) {
+      if (const JsonValue* t = other->get("t0_ns"); t != nullptr) {
+        const std::string dec(t->str());
+        char* stop = nullptr;
+        t0 = std::strtoull(dec.c_str(), &stop, 10);
+        TDG_REQUIRE(!dec.empty() && *stop == '\0' &&
+                        std::isdigit(static_cast<unsigned char>(dec[0])),
+                    "otherData.t0_ns is not a decimal string");
+      }
+    }
   } else {
     TDG_REQUIRE(false, "trace JSON root must be an object or array");
   }
@@ -741,8 +721,8 @@ ParsedTrace parse_perfetto(std::istream& is) {
           ev.get("dur") != nullptr ? ev.get("dur")->number() : 0;
       if (cat != nullptr && cat->str() == "comm") {
         CommRecord c;
-        c.t_post = us_to_ns(ts);
-        c.t_complete = us_to_ns(ts + dur);
+        c.t_post = t0 + us_to_ns(ts);
+        c.t_complete = t0 + us_to_ns(ts + dur);
         c.self = ev.get("pid") != nullptr
                      ? static_cast<std::int32_t>(ev.get("pid")->number())
                      : 0;
@@ -778,8 +758,8 @@ ParsedTrace parse_perfetto(std::istream& is) {
         continue;
       }
       TaskRecord r;
-      r.t_start = us_to_ns(ts);
-      r.t_end = us_to_ns(ts + dur);
+      r.t_start = t0 + us_to_ns(ts);
+      r.t_end = t0 + us_to_ns(ts + dur);
       r.thread = ev.get("tid") != nullptr
                      ? static_cast<std::uint32_t>(ev.get("tid")->number())
                      : 0;
@@ -797,12 +777,12 @@ ParsedTrace parse_perfetto(std::istream& is) {
           r.iteration = static_cast<std::uint32_t>(it->number());
         }
         if (const JsonValue* c = args->get("create_us"); c != nullptr) {
-          r.t_create = us_to_ns(c->number());
+          r.t_create = t0 + us_to_ns(c->number());
         } else {
           r.t_create = r.t_start;
         }
         if (const JsonValue* rd = args->get("ready_us"); rd != nullptr) {
-          r.t_ready = us_to_ns(rd->number());
+          r.t_ready = t0 + us_to_ns(rd->number());
         } else {
           r.t_ready = r.t_start;
         }
@@ -810,7 +790,7 @@ ParsedTrace parse_perfetto(std::istream& is) {
         r.t_create = r.t_ready = r.t_start;
       }
       const JsonValue* name = ev.get("name");
-      r.label = intern_label(out, name != nullptr ? name->str() : "task");
+      r.label = out.intern(name != nullptr ? name->str() : "task");
       if (args != nullptr && args->is_object()) {
         if (const JsonValue* acc = args->get("accesses"); acc != nullptr) {
           decode_accesses(out, r.task_id, r.label,
@@ -843,10 +823,10 @@ ParsedTrace parse_perfetto(std::istream& is) {
     }
     // "M" metadata, "f" flow finish, "C" counters carry no record data.
   }
-  std::sort(out.records.begin(), out.records.end(),
-            [](const TaskRecord& a, const TaskRecord& b) {
-              return a.t_start < b.t_start;
-            });
+  std::stable_sort(out.records.begin(), out.records.end(),
+                   [](const TaskRecord& a, const TaskRecord& b) {
+                     return a.t_start < b.t_start;
+                   });
   // Restore discovery order: the producer submits tasks with ascending
   // ids and a task's clause items stay contiguous, so a stable sort by
   // task id reconstructs the original access stream.
@@ -861,113 +841,6 @@ ParsedTrace parse_perfetto(std::istream& is) {
                      return a.t_post < b.t_post;
                    });
   return out;
-}
-
-ParsedTrace parse_trace_tsv(std::istream& is) {
-  ParsedTrace out;
-  std::string line;
-  TDG_REQUIRE(static_cast<bool>(std::getline(is, line)),
-              "empty TSV trace");
-  TDG_REQUIRE(line.rfind("task_id\t", 0) == 0,
-              "unrecognized TSV trace header");
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      // Cutoff comment lines: "#barrier\t<id>" / "#scope\t<id>", and comm
-      // records as "#comm\t<kind>\t<self>\t<peer>\t<tag>\t<seq>\t<bytes>
-      // \t<t_post>\t<t_complete>\t<retransmits>\t<task>". Other comments
-      // are ignored for forward compatibility.
-      std::vector<std::string> ccols;
-      std::size_t cstart = 0;
-      while (true) {
-        const std::size_t tab = line.find('\t', cstart);
-        ccols.push_back(line.substr(cstart, tab - cstart));
-        if (tab == std::string::npos) break;
-        cstart = tab + 1;
-      }
-      if (ccols.size() >= 2 && ccols[0] == "#barrier") {
-        out.barriers.push_back(std::strtoull(ccols[1].c_str(), nullptr, 10));
-      } else if (ccols.size() >= 2 && ccols[0] == "#scope") {
-        out.scope_clears.push_back(
-            std::strtoull(ccols[1].c_str(), nullptr, 10));
-      } else if (ccols.size() == 11 && ccols[0] == "#comm") {
-        CommRecord c;
-        TDG_REQUIRE(comm_kind_from_code(ccols[1], c.kind),
-                    "unknown comm kind code in TSV trace");
-        c.self = static_cast<std::int32_t>(
-            std::strtol(ccols[2].c_str(), nullptr, 10));
-        c.peer = static_cast<std::int32_t>(
-            std::strtol(ccols[3].c_str(), nullptr, 10));
-        c.tag = static_cast<std::int32_t>(
-            std::strtol(ccols[4].c_str(), nullptr, 10));
-        c.seq = std::strtoull(ccols[5].c_str(), nullptr, 10);
-        c.bytes = std::strtoull(ccols[6].c_str(), nullptr, 10);
-        c.t_post = std::strtoull(ccols[7].c_str(), nullptr, 10);
-        c.t_complete = std::strtoull(ccols[8].c_str(), nullptr, 10);
-        c.retransmits = static_cast<std::uint32_t>(
-            std::strtoul(ccols[9].c_str(), nullptr, 10));
-        c.task_id = std::strtoull(ccols[10].c_str(), nullptr, 10);
-        out.comms.push_back(c);
-      }
-      continue;
-    }
-    std::vector<std::string> cols;
-    std::size_t start = 0;
-    while (true) {
-      const std::size_t tab = line.find('\t', start);
-      cols.push_back(line.substr(start, tab - start));
-      if (tab == std::string::npos) break;
-      start = tab + 1;
-    }
-    // 8 columns is the pre-verification format; 9 adds the (possibly
-    // empty) encoded accesses column; 10 adds the rank column.
-    TDG_REQUIRE(cols.size() >= 8 && cols.size() <= 10, "bad TSV trace row");
-    TaskRecord r;
-    r.task_id = std::strtoull(cols[0].c_str(), nullptr, 10);
-    r.thread = static_cast<std::uint32_t>(
-        std::strtoul(cols[1].c_str(), nullptr, 10));
-    r.iteration = static_cast<std::uint32_t>(
-        std::strtoul(cols[2].c_str(), nullptr, 10));
-    r.label = intern_label(out, cols[3]);
-    r.t_create = std::strtoull(cols[4].c_str(), nullptr, 10);
-    r.t_ready = std::strtoull(cols[5].c_str(), nullptr, 10);
-    r.t_start = std::strtoull(cols[6].c_str(), nullptr, 10);
-    r.t_end = std::strtoull(cols[7].c_str(), nullptr, 10);
-    if (cols.size() >= 9 && !cols[8].empty()) {
-      decode_accesses(out, r.task_id, r.label, cols[8]);
-    }
-    if (cols.size() == 10) {
-      r.rank = static_cast<std::int32_t>(
-          std::strtol(cols[9].c_str(), nullptr, 10));
-    }
-    out.records.push_back(r);
-  }
-  std::sort(out.records.begin(), out.records.end(),
-            [](const TaskRecord& a, const TaskRecord& b) {
-              return a.t_start < b.t_start;
-            });
-  std::stable_sort(out.accesses.begin(), out.accesses.end(),
-                   [](const AccessRecord& a, const AccessRecord& b) {
-                     return a.task_id < b.task_id;
-                   });
-  std::sort(out.barriers.begin(), out.barriers.end());
-  std::sort(out.scope_clears.begin(), out.scope_clears.end());
-  std::stable_sort(out.comms.begin(), out.comms.end(),
-                   [](const CommRecord& a, const CommRecord& b) {
-                     return a.t_post < b.t_post;
-                   });
-  return out;
-}
-
-ParsedTrace parse_trace(std::istream& is) {
-  int c = is.peek();
-  while (c != EOF && std::isspace(c)) {
-    is.get();
-    c = is.peek();
-  }
-  TDG_REQUIRE(c != EOF, "empty trace input");
-  if (c == '{' || c == '[') return parse_perfetto(is);
-  return parse_trace_tsv(is);
 }
 
 }  // namespace tdg

@@ -1,16 +1,15 @@
 // Trace export/import for the profiler's TaskRecord stream.
 //
-// The primary format is the Chrome/Perfetto trace-event JSON format
+// The one trace format is the Chrome/Perfetto trace-event JSON format
 // (https://ui.perfetto.dev loads it directly): one track per thread, one
 // "X" (complete) slice per executed task with id/iteration/latency args,
 // flow arrows ("s"/"f" pairs) along discovered dependence edges, and a
-// counter track of the number of concurrently-running tasks. A lossless
-// extended TSV is also provided for spreadsheet-style consumers, superset
-// of the Fig. 8 Gantt TSV.
+// counter track of the number of concurrently-running tasks.
 //
-// Both formats can be parsed back (tests round-trip them; the tdg-trace
-// CLI and the post-mortem analysis in core/analysis.hpp consume the
-// result), so every emitted trace is also an analysis input.
+// The format is lossless: parse_perfetto gives back every field the
+// writer was handed, absolute nanoseconds included (tests round-trip it;
+// the tdg-trace CLI and the post-mortem analysis in core/analysis.hpp
+// consume the result), so every emitted trace is also an analysis input.
 #pragma once
 
 #include <cstdint>
@@ -18,24 +17,24 @@
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/profiler.hpp"
 
 namespace tdg {
 
-/// `TDG_TRACE` environment switch.
-enum class TraceMode : std::uint8_t { Off, Tsv, Perfetto };
-
 struct TraceEnvConfig {
-  TraceMode mode = TraceMode::Off;
-  /// Output path from `TDG_TRACE_FILE`; empty = auto ("tdg_trace.json" /
-  /// "tdg_trace.tsv", suffixed with a sequence number for later runtimes
-  /// in the same process).
+  bool enabled = false;  ///< `TDG_TRACE` selects the Perfetto export
+  /// Output path from `TDG_TRACE_FILE`; empty = auto ("tdg_trace.json",
+  /// suffixed with a sequence number for later runtimes in the same
+  /// process).
   std::string path;
 };
 
-/// Parse TDG_TRACE (perfetto | tsv | off, default off) and TDG_TRACE_FILE.
+/// Parse TDG_TRACE (perfetto | json | off, default off) and
+/// TDG_TRACE_FILE. Any other TDG_TRACE value prints one line to stderr and
+/// leaves tracing off.
 TraceEnvConfig trace_env_config();
 
 struct PerfettoOptions {
@@ -51,7 +50,10 @@ struct PerfettoOptions {
 
 /// Write records (+ optional dependence edges) as trace-event JSON.
 /// Timestamps are normalized to the earliest record and expressed in
-/// microseconds, as the format requires.
+/// microseconds, as the format requires; that origin is kept as a
+/// top-level `"otherData":{"t0_ns":"<decimal>"}` (a string, since
+/// steady-clock nanoseconds exceed a double's 53-bit mantissa), so the
+/// parser restores absolute nanoseconds.
 ///
 /// The verification streams ride along when provided: each task's depend
 /// clause is encoded as an `"accesses"` arg on its first slice
@@ -71,18 +73,6 @@ void write_perfetto(std::ostream& os, std::span<const TaskRecord> records,
                     std::span<const CommRecord> comms = {},
                     const PerfettoOptions& opts = {});
 
-/// Write the extended TSV: one header line, one row per record with
-/// task_id/thread/iteration/label, all four absolute ns timestamps, the
-/// task's encoded depend clause in an `accesses` column, and the record's
-/// rank. Barrier / scope-clear cutoffs are `#barrier <id>` / `#scope <id>`
-/// comment lines (tab-separated) after the header; comm records are
-/// `#comm` lines with all fields in absolute ns (lossless round-trip).
-void write_trace_tsv(std::ostream& os, std::span<const TaskRecord> records,
-                     std::span<const AccessRecord> accesses = {},
-                     std::span<const std::uint64_t> barriers = {},
-                     std::span<const std::uint64_t> scope_clears = {},
-                     std::span<const CommRecord> comms = {});
-
 /// A parsed trace. Owns the label storage the records point into (the
 /// pool is a deque so grown entries never relocate).
 struct ParsedTrace {
@@ -95,19 +85,17 @@ struct ParsedTrace {
   std::vector<std::uint64_t> scope_clears;  ///< scope-clear cutoffs, sorted
   std::vector<CommRecord> comms;            ///< sorted by t_post
   std::deque<std::string> label_pool;
+
+  /// Stable pointer to `label`'s copy in label_pool (added on first use).
+  const char* intern(std::string_view label);
 };
 
 /// Parse trace-event JSON produced by write_perfetto (accepts both the
-/// {"traceEvents": [...]} object form and a bare event array). Throws
-/// tdg::UsageError on malformed input — the round-trip tests use this as
-/// the well-formedness check.
+/// {"traceEvents": [...]} object form and a bare event array). Task and
+/// comm timestamps get `otherData.t0_ns` added back; a bare array or an
+/// object without it parses with t0 = 0. Throws tdg::UsageError on
+/// malformed input — the round-trip tests use this as the well-formedness
+/// check.
 ParsedTrace parse_perfetto(std::istream& is);
-
-/// Parse the extended TSV of write_trace_tsv.
-ParsedTrace parse_trace_tsv(std::istream& is);
-
-/// Parse either format, sniffing the first non-whitespace byte ('{' or
-/// '[' selects JSON).
-ParsedTrace parse_trace(std::istream& is);
 
 }  // namespace tdg

@@ -11,14 +11,6 @@ namespace tdg {
 
 namespace {
 
-const char* intern_label(ParsedTrace& t, const char* label) {
-  for (const std::string& s : t.label_pool) {
-    if (s == label) return s.c_str();
-  }
-  t.label_pool.emplace_back(label);
-  return t.label_pool.back().c_str();
-}
-
 struct MsgKey {
   std::int32_t src, dst, tag;
   std::uint64_t seq;
@@ -207,7 +199,7 @@ MergeResult merge_traces(std::vector<ParsedTrace> inputs,
       r.t_ready = rebase(r.t_ready);
       r.t_start = rebase(r.t_start);
       r.t_end = rebase(r.t_end);
-      r.label = intern_label(out, r.label);
+      r.label = out.intern(r.label);
       out.records.push_back(r);
     }
     for (const TraceEdge& e : inputs[i].edges) {
@@ -216,7 +208,7 @@ MergeResult merge_traces(std::vector<ParsedTrace> inputs,
     }
     for (AccessRecord a : inputs[i].accesses) {
       a.task_id = remap_id(a.task_id, i);
-      a.label = intern_label(out, a.label);
+      a.label = out.intern(a.label);
       out.accesses.push_back(a);
     }
     for (CommRecord c : inputs[i].comms) {

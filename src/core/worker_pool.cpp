@@ -181,7 +181,6 @@ void WorkerPool::wake_workers(std::size_t n, Runtime* waker) {
   } else {
     park_cv_.notify_all();
   }
-  wakeups_.fetch_add(1, std::memory_order_relaxed);
   if (waker != nullptr) waker->madd(waker->m_.wakeups);
 }
 
@@ -280,7 +279,6 @@ Task* WorkerPool::steal_for(Runtime* self, std::atomic<std::uint64_t>& rng) {
       // Tenant isolation: a self-helping producer never executes another
       // tenant's task. Hand it back through the owner's inject queue (it
       // stays findable by the fair scan) and keep probing this deque.
-      foreign_reroutes_.fetch_add(1, std::memory_order_relaxed);
       t->owner()->push_inject(t);
       wake_workers(1, nullptr);
     }
@@ -328,17 +326,17 @@ bool WorkerPool::try_execute_one(unsigned slot) {
     stole = t != nullptr;
   }
   if (t == nullptr) {
-    if (timed && s != nullptr) {
+    if (s == nullptr) return false;
+    // Work existed somewhere but every probe came up empty.
+    if (work_existed) s->metrics_->add(s->m_.steal_failures, 1, 1 + slot);
+    if (timed) {
       const std::uint64_t t1 = now_ns();
       if (work_existed) {
         s->profiler_->add_overhead(1 + slot, t1 - t0);
-        // Work existed somewhere but every probe came up empty.
-        s->metrics_->add(s->m_.steal_failures, 1, 1 + slot);
       } else {
         s->profiler_->add_idle(1 + slot, t1 - t0);
       }
     }
-    if (work_existed) steal_failures_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   if (owner == nullptr) owner = t->owner();
@@ -372,7 +370,6 @@ void WorkerPool::poll_tenants() {
 }
 
 void WorkerPool::park_worker(unsigned slot) {
-  parks_.fetch_add(1, std::memory_order_relaxed);
   if (solo_ != nullptr) {
     solo_->metrics_->add(solo_->m_.parks, 1, 1 + slot);
   }

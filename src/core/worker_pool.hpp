@@ -105,17 +105,6 @@ class WorkerPool {
   std::size_t ready() const {
     return ready_.load(std::memory_order_relaxed);
   }
-  std::uint64_t steal_failure_count() const {
-    return steal_failures_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t park_count() const {
-    return parks_.load(std::memory_order_relaxed);
-  }
-  /// Foreign tasks a self-helping producer handed back to their owner's
-  /// inject queue instead of executing (tenant isolation).
-  std::uint64_t foreign_reroutes() const {
-    return foreign_reroutes_.load(std::memory_order_relaxed);
-  }
   /// The shared slab arena backing every tenant's task descriptors
   /// (leak checks: live_blocks() is zero once all tenants drained).
   const TaskArena& arena() const { return arena_; }
@@ -229,13 +218,6 @@ class WorkerPool {
   std::atomic<unsigned> parked_{0};
   std::atomic<std::size_t> ready_{0};
   std::atomic<bool> shutdown_{false};
-
-  // Pool-level counters. For private pools these are mirrored into the
-  // solo tenant's sched.* metrics so the pre-pool dump stays identical.
-  std::atomic<std::uint64_t> parks_{0};
-  std::atomic<std::uint64_t> wakeups_{0};
-  std::atomic<std::uint64_t> steal_failures_{0};
-  std::atomic<std::uint64_t> foreign_reroutes_{0};
 
   /// Aggregate of detached tenants' final metric snapshots
   /// (TDG_METRICS=dump prints it when the pool is destroyed).

@@ -1260,7 +1260,7 @@ void Universe::run(int nranks, const std::function<void(Comm&)>& fn,
   // Comm tracing follows the trace env so `TDG_TRACE=perfetto mpirun ...`
   // just works; opts.comm_trace forces it on for tests.
   world.comm_trace =
-      opts.comm_trace || trace_env_config().mode != TraceMode::Off;
+      opts.comm_trace || trace_env_config().enabled;
   world.resilient = world.kills_configured || world.reliable.enabled ||
                     world.hb.enabled;
   world.rel_timeout_ns =

@@ -395,7 +395,7 @@ class Universe {
     bool tolerate_killed_ranks = false;
     /// Assign per-(src, dst, tag) stream sequence numbers to requests so
     /// comm-event traces can match send/recv pairs across ranks. Also
-    /// switched on automatically while TDG_TRACE selects a trace format.
+    /// switched on automatically while TDG_TRACE is on.
     bool comm_trace = false;
   };
 

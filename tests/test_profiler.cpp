@@ -1,9 +1,8 @@
-// Profiler: the Section 2.3.1 methodology — work/overhead/idle breakdown,
-// task traces, Gantt export.
+// Profiler: the Section 2.3.1 methodology — work/overhead/idle breakdown
+// and task traces.
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <sstream>
 
 #include "core/tdg.hpp"
 
@@ -75,34 +74,6 @@ TEST(Profiler, TraceDisabledRecordsNothing) {
   for (int i = 0; i < 10; ++i) rt.submit([] {}, {});
   rt.taskwait();
   EXPECT_TRUE(rt.profiler().merged_trace().empty());
-}
-
-TEST(Profiler, GanttExportIsParseable) {
-  Runtime rt({.num_threads = 2, .trace = true});
-  int x = 0;
-  rt.submit([] { busy_wait_us(50); }, {Depend::out(&x)}, {.label = "a"});
-  rt.submit([] { busy_wait_us(50); }, {Depend::in(&x)}, {.label = "b"});
-  rt.taskwait();
-  std::ostringstream os;
-  rt.profiler().write_gantt(os);
-  std::istringstream is(os.str());
-  std::string header;
-  std::getline(is, header);
-  EXPECT_EQ(header, "thread\tstart_s\tend_s\titeration\tlabel");
-  int rows = 0;
-  std::string line;
-  while (std::getline(is, line)) {
-    unsigned thread, iteration;
-    double start, end;
-    char label[32];
-    ASSERT_EQ(std::sscanf(line.c_str(), "%u\t%lf\t%lf\t%u\t%31s", &thread,
-                          &start, &end, &iteration, label),
-              5)
-        << "bad gantt row: " << line;
-    EXPECT_LE(start, end);
-    ++rows;
-  }
-  EXPECT_EQ(rows, 2);
 }
 
 TEST(Profiler, ResetClearsAccumulatorsAndTrace) {

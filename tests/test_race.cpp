@@ -382,10 +382,10 @@ TEST(RaceOffline, ClauseExtentsSurviveTheTraceRoundTrip) {
   rt.taskwait();
   std::ostringstream os;
   Profiler& prof = rt.profiler();
-  write_trace_tsv(os, prof.merged_trace(), prof.accesses(), prof.barriers(),
-                  prof.scope_clears());
+  write_perfetto(os, prof.merged_trace(), prof.edges(), prof.accesses(),
+                 prof.barriers(), prof.scope_clears());
   std::istringstream is(os.str());
-  const ParsedTrace parsed = parse_trace_tsv(is);
+  const ParsedTrace parsed = parse_perfetto(is);
   ASSERT_EQ(parsed.accesses.size(), 2u);
   EXPECT_EQ(parsed.accesses[0].bytes, 16u);
   EXPECT_EQ(parsed.accesses[1].bytes, 0u);

@@ -500,30 +500,6 @@ TEST(VerifyTraceRoundTrip, PerfettoCarriesVerificationStreams) {
   EXPECT_TRUE(rep.ok()) << rep.summary();
 }
 
-TEST(VerifyTraceRoundTrip, TsvCarriesVerificationStreams) {
-  const auto rec = verification_records();
-  const auto accesses = verification_accesses();
-  const std::vector<std::uint64_t> barriers = {1, 3};
-  const std::vector<std::uint64_t> scope_clears = {3};
-  std::ostringstream os;
-  write_trace_tsv(os, rec, accesses, barriers, scope_clears);
-
-  std::istringstream is(os.str());
-  const ParsedTrace back = parse_trace_tsv(is);
-  ASSERT_EQ(back.records.size(), rec.size());
-  expect_streams_roundtrip(back);
-}
-
-TEST(VerifyTraceRoundTrip, LegacyEightColumnTsvStillParses) {
-  std::istringstream is(
-      "task_id\tthread\titeration\tlabel\tt_create_ns\tt_ready_ns"
-      "\tt_start_ns\tt_end_ns\n"
-      "1\t0\t0\tx\t1\t2\t3\t4\n");
-  const ParsedTrace back = parse_trace_tsv(is);
-  ASSERT_EQ(back.records.size(), 1u);
-  EXPECT_TRUE(back.accesses.empty());
-}
-
 TEST(VerifyTraceRoundTrip, RuntimeStreamsSurviveExport) {
   // End-to-end: a verified runtime's captured streams, exported and parsed
   // back, still verify clean.

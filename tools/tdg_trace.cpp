@@ -2,8 +2,7 @@
 //
 //   tdg-trace summary  <trace>          overall stats + parallelism profile
 //   tdg-trace critpath <trace> [-n K]   critical path (top K nodes shown)
-//   tdg-trace export   <trace> [-o OUT] [--format perfetto|tsv]
-//   tdg-trace merge    <trace...> [-o OUT] [--format perfetto|tsv]
+//   tdg-trace merge    <trace...> [-o OUT] [--no-offsets]
 //                                       stitch per-rank traces into one
 //                                       global timeline (clock offsets
 //                                       estimated from matched messages)
@@ -19,13 +18,13 @@
 // Installing (or symlinking) the binary as `tdg-lint` makes it default to
 // the lint command: `tdg-lint trace.json` == `tdg-trace lint trace.json`.
 //
-// <trace> is a file produced with TDG_TRACE=perfetto or TDG_TRACE=tsv (or
-// "-" for stdin); the format is sniffed, so export converts between the
-// two. verify/lint/race need the depend-clause access stream, which traces
-// carry when recorded with TDG_VERIFY=post|strict. Exit status: 0 ok,
-// 1 bad input, 2 usage error, 3 verification failed / lint --strict found
-// issues / race confirmed a violation. `<command> --help` prints a
-// man-style page with the command's exit codes.
+// <trace> is a Perfetto JSON file produced with TDG_TRACE=perfetto (or "-"
+// for stdin); merge writes the same format. verify/lint/race need the
+// depend-clause access stream, which traces carry when recorded with
+// TDG_VERIFY=post|strict. Exit status: 0 ok, 1 bad input, 2 usage error,
+// 3 verification failed / lint --strict found issues / race confirmed a
+// violation. `<command> --help` prints a man-style page with the
+// command's exit codes.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -59,13 +58,7 @@ int usage(const char* argv0) {
                "  critpath <trace> [-n K]          critical path; print the "
                "K longest nodes\n"
                "                                   (default 20, 0 = all)\n"
-               "  export   <trace> [-o OUT] [--format perfetto|tsv]\n"
-               "                                   re-emit the trace "
-               "(default perfetto to\n"
-               "                                   stdout); converts "
-               "between formats\n"
-               "  merge    <trace...> [-o OUT] [--format perfetto|tsv] "
-               "[--no-offsets]\n"
+               "  merge    <trace...> [-o OUT] [--no-offsets]\n"
                "                                   stitch per-rank traces "
                "into one global\n"
                "                                   timeline: estimate clock "
@@ -97,9 +90,9 @@ int usage(const char* argv0) {
                "on confirmed\n"
                "                                   violations\n"
                "\n"
-               "<trace> may be '-' for stdin. Accepts both the Perfetto "
-               "JSON and the TSV\nwritten under TDG_TRACE. verify/lint/race "
-               "need a trace recorded with\nTDG_VERIFY=post (or strict), "
+               "<trace> is the Perfetto JSON written under TDG_TRACE, or '-' "
+               "for stdin.\nverify/lint/race need a trace recorded with\n"
+               "TDG_VERIFY=post (or strict), "
                "which embeds the depend-clause stream.\nRun '%s <command> "
                "--help' for a command's full page and exit codes.\n",
                argv0, argv0);
@@ -134,22 +127,12 @@ int sub_help(const std::string& cmd) {
        "  0  path printed\n"
        "  1  unreadable or malformed trace\n"
        "  2  usage error"},
-      {"export", "tdg-trace export <trace> [-o OUT] [--format perfetto|tsv]",
-       "Re-emit the trace, converting between the Perfetto JSON and\n"
-       "extended-TSV formats. The default writes Perfetto JSON to stdout.",
-       "  -o OUT            output file ('-' = stdout, the default)\n"
-       "  --format FORMAT   perfetto (default) or tsv",
-       "  0  trace written\n"
-       "  1  unreadable trace or unwritable output\n"
-       "  2  usage error"},
-      {"merge",
-       "tdg-trace merge <trace...> [-o OUT] [--format perfetto|tsv] "
-       "[--no-offsets]",
+      {"merge", "tdg-trace merge <trace...> [-o OUT] [--no-offsets]",
        "Stitch per-rank trace files into one global timeline: estimate\n"
        "per-rank clock offsets from matched send/recv pairs, rebase all\n"
-       "timestamps, and derive cross-rank message edges.",
+       "timestamps, and derive cross-rank message edges. Writes Perfetto\n"
+       "JSON.",
        "  -o OUT            output file ('-' = stdout, the default)\n"
-       "  --format FORMAT   perfetto (default) or tsv\n"
        "  --no-offsets      keep each rank's own clock (skip estimation)",
        "  0  merged trace written\n"
        "  1  unreadable input or unwritable output\n"
@@ -219,12 +202,12 @@ int sub_help(const std::string& cmd) {
 }
 
 tdg::ParsedTrace load(const std::string& path) {
-  if (path == "-") return tdg::parse_trace(std::cin);
+  if (path == "-") return tdg::parse_perfetto(std::cin);
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw tdg::UsageError("cannot open trace file: " + path);
   }
-  return tdg::parse_trace(in);
+  return tdg::parse_perfetto(in);
 }
 
 std::string fmt_seconds(double s) {
@@ -388,31 +371,6 @@ int cmd_critpath(const tdg::ParsedTrace& trace, std::size_t top) {
   return 0;
 }
 
-int cmd_export(const tdg::ParsedTrace& trace, const std::string& out_path,
-               const std::string& format) {
-  std::ostringstream body;
-  if (format == "perfetto" || format == "json") {
-    tdg::write_perfetto(body, trace.records, trace.edges, trace.accesses,
-                        trace.barriers, trace.scope_clears, trace.comms);
-  } else if (format == "tsv") {
-    tdg::write_trace_tsv(body, trace.records, trace.accesses,
-                         trace.barriers, trace.scope_clears, trace.comms);
-  } else {
-    throw tdg::UsageError("unknown export format: " + format);
-  }
-  if (out_path.empty() || out_path == "-") {
-    std::cout << body.str();
-  } else {
-    std::ofstream out(out_path, std::ios::binary);
-    if (!out) throw tdg::UsageError("cannot open output file: " + out_path);
-    out << body.str();
-    std::fprintf(stderr, "tdg-trace: wrote %s (%zu records, %zu edges)\n",
-                 out_path.c_str(), trace.records.size(),
-                 trace.edges.size());
-  }
-  return 0;
-}
-
 int cmd_timeline(const tdg::ParsedTrace& trace) {
   const std::vector<tdg::RankOverlap> rows =
       tdg::rank_overlap_matrix(trace.records, trace.comms);
@@ -449,8 +407,7 @@ int cmd_timeline(const tdg::ParsedTrace& trace) {
 }
 
 int cmd_merge(const std::vector<std::string>& paths,
-              const std::string& out_path, const std::string& format,
-              bool estimate_offsets) {
+              const std::string& out_path, bool estimate_offsets) {
   std::vector<tdg::ParsedTrace> inputs;
   inputs.reserve(paths.size());
   for (const std::string& p : paths) inputs.push_back(load(p));
@@ -469,7 +426,21 @@ int cmd_merge(const std::vector<std::string>& paths,
                "derived %zu cross-rank edges\n",
                res.matched_messages, res.matched_messages == 1 ? "" : "s",
                res.unmatched_messages, res.cross_rank_edges.size());
-  return cmd_export(res.trace, out_path, format);
+  const tdg::ParsedTrace& trace = res.trace;
+  std::ostringstream body;
+  tdg::write_perfetto(body, trace.records, trace.edges, trace.accesses,
+                      trace.barriers, trace.scope_clears, trace.comms);
+  if (out_path.empty() || out_path == "-") {
+    std::cout << body.str();
+  } else {
+    std::ofstream out(out_path, std::ios::binary);
+    if (!out) throw tdg::UsageError("cannot open output file: " + out_path);
+    out << body.str();
+    std::fprintf(stderr, "tdg-trace: wrote %s (%zu records, %zu edges)\n",
+                 out_path.c_str(), trace.records.size(),
+                 trace.edges.size());
+  }
+  return 0;
 }
 
 /// True when the trace has no embedded depend clauses — nothing for
@@ -558,7 +529,6 @@ int main(int argc, char** argv) {
 
   std::size_t top = 20;
   std::string out_path;
-  std::string format = "perfetto";
   bool strict = false;
   bool estimate_offsets = true;
   std::uint64_t sample_tasks = 1;
@@ -572,8 +542,6 @@ int main(int argc, char** argv) {
       top = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
     } else if (a == "-o" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (a == "--format" && i + 1 < argc) {
-      format = argv[++i];
     } else if (a == "--strict") {
       strict = true;
     } else if (a == "--no-offsets") {
@@ -594,12 +562,11 @@ int main(int argc, char** argv) {
 
   try {
     if (cmd == "merge") {
-      return cmd_merge(paths, out_path, format, estimate_offsets);
+      return cmd_merge(paths, out_path, estimate_offsets);
     }
     const tdg::ParsedTrace trace = load(paths.front());
     if (cmd == "summary") return cmd_summary(trace);
     if (cmd == "critpath") return cmd_critpath(trace, top);
-    if (cmd == "export") return cmd_export(trace, out_path, format);
     if (cmd == "timeline") return cmd_timeline(trace);
     if (cmd == "verify") return cmd_verify(trace, top);
     if (cmd == "lint") return cmd_lint(trace, strict);
