@@ -77,6 +77,21 @@ for san in "${sanitizers[@]}"; do
   UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \
     "$dir"/tests/test_fault --gtest_filter='ErrorPropagation.*' \
           --gtest_repeat=3
+
+  echo "=== [$san] task body storage and deferred retries ==="
+  # A spilled capture keeps its heap pointer inside the body's inline
+  # bytes: a use-after-free or a leaked spill shows here first. Deferred
+  # retries carry their deadline in the deferred queue, not the task.
+  TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+  ASAN_OPTIONS="detect_leaks=1" \
+  UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \
+    "$dir"/tests/test_robustness --gtest_filter='TaskBody.*' \
+          --gtest_repeat=3
+  TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+  ASAN_OPTIONS="detect_leaks=1" \
+  UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \
+    "$dir"/tests/test_fault --gtest_filter='Retry.*' \
+          --gtest_repeat=3
 done
 
 echo "=== sanitizer runs passed: ${sanitizers[*]} ==="

@@ -36,8 +36,10 @@ void RuntimeEmitter::compute(const char* label, std::span<const LDep> deps,
   to_deps(deps);
   TaskOpts opts;
   opts.label = label;
-  rt_.submit([body = std::move(body)] { body(); },
-             std::span<const Depend>(scratch_), opts);
+  auto task = [body = std::move(body)] { body(); };
+  static_assert(sizeof(task) <= TaskBody::kInlineBytes,
+                "compute body no longer fits the inline task body");
+  rt_.submit(std::move(task), std::span<const Depend>(scratch_), opts);
 }
 
 void RuntimeEmitter::send(const char* label, std::span<const LDep> deps,
@@ -56,13 +58,14 @@ void RuntimeEmitter::send(const char* label, std::span<const LDep> deps,
   mpi::Comm* comm = comm_;
   mpi::RequestPoller* poller = poller_;
   Runtime* rt = &rt_;
-  rt_.submit(
-      [comm, poller, rt, buf, bytes, peer, tag] {
-        poller->complete_on_event(
-            comm->isend(buf, static_cast<std::size_t>(bytes), peer, tag),
-            rt->current_task_event());
-      },
-      std::span<const Depend>(scratch_), topts);
+  auto task = [comm, poller, rt, buf, bytes, peer, tag] {
+    poller->complete_on_event(
+        comm->isend(buf, static_cast<std::size_t>(bytes), peer, tag),
+        rt->current_task_event());
+  };
+  static_assert(sizeof(task) <= TaskBody::kInlineBytes,
+                "send body no longer fits the inline task body");
+  rt_.submit(task, std::span<const Depend>(scratch_), topts);
 }
 
 void RuntimeEmitter::recv(const char* label, std::span<const LDep> deps,
@@ -77,6 +80,8 @@ void RuntimeEmitter::recv(const char* label, std::span<const LDep> deps,
   Runtime* rt = &rt_;
   if (opts_.recovery == RecoveryMode::ShrinkRedistribute) {
     topts.idempotent = true;
+    // Fault-recovery path: this capture (80 bytes, with the reroute
+    // callback) spills to the heap, which only shrink recovery pays.
     std::function<int(int)> reroute = opts_.reroute;
     rt_.submit(
         [comm, poller, rt, buf, bytes, tag, peer,
@@ -103,13 +108,14 @@ void RuntimeEmitter::recv(const char* label, std::span<const LDep> deps,
         std::span<const Depend>(scratch_), topts);
     return;
   }
-  rt_.submit(
-      [comm, poller, rt, buf, bytes, peer, tag] {
-        poller->complete_on_event(
-            comm->irecv(buf, static_cast<std::size_t>(bytes), peer, tag),
-            rt->current_task_event());
-      },
-      std::span<const Depend>(scratch_), topts);
+  auto task = [comm, poller, rt, buf, bytes, peer, tag] {
+    poller->complete_on_event(
+        comm->irecv(buf, static_cast<std::size_t>(bytes), peer, tag),
+        rt->current_task_event());
+  };
+  static_assert(sizeof(task) <= TaskBody::kInlineBytes,
+                "recv body no longer fits the inline task body");
+  rt_.submit(task, std::span<const Depend>(scratch_), topts);
 }
 
 void RuntimeEmitter::allreduce(const char* label, std::span<const LDep> deps,
@@ -128,13 +134,14 @@ void RuntimeEmitter::allreduce(const char* label, std::span<const LDep> deps,
   mpi::Comm* comm = comm_;
   mpi::RequestPoller* poller = poller_;
   Runtime* rt = &rt_;
-  rt_.submit(
-      [comm, poller, rt, in, out, count, op] {
-        poller->complete_on_event(comm->iallreduce(in, out, count, op),
-                                  rt->current_task_event(),
-                                  /*collective=*/true);
-      },
-      std::span<const Depend>(scratch_), topts);
+  auto task = [comm, poller, rt, in, out, count, op] {
+    poller->complete_on_event(comm->iallreduce(in, out, count, op),
+                              rt->current_task_event(),
+                              /*collective=*/true);
+  };
+  static_assert(sizeof(task) <= TaskBody::kInlineBytes,
+                "allreduce body no longer fits the inline task body");
+  rt_.submit(task, std::span<const Depend>(scratch_), topts);
   if (opts_.taskwait_around_comm) rt_.taskwait();
 }
 

@@ -152,9 +152,9 @@ inline constexpr std::size_t kCacheLine = 64;
 ///
 /// Layout: the heap pointer and the inline storage share a union, with
 /// `cap_ > N` discriminating — 8 bytes of header instead of a separate
-/// data pointer. Task descriptors are slab-allocated in cache-line-rounded
-/// blocks, so those 8 bytes are the difference between sizeof(Task)
-/// staying in its pre-refactor block size and every task growing a line.
+/// data pointer. A Task's successor list (N = 4) is 40 bytes, which is
+/// what lets it share one cache line with the other discovery fields of
+/// the 256-byte descriptor (see core/task.hpp).
 template <class T, std::size_t N>
 class small_vector {
   static_assert(std::is_trivially_copyable_v<T>,

@@ -130,10 +130,9 @@ void PersistentRegion::compile_replay_plan() {
     // Internal redirect nodes are not re-submitted by the producer, so
     // they carry no discovery guard; user tasks hold one until their
     // firstprivate block has been updated.
-    rearm_npred_[i] =
-        t->persistent_indegree + (t->opts.internal ? 0 : 1);
+    rearm_npred_[i] = t->persistent_indegree + (t->internal ? 0 : 1);
     rearm_latch_[i] = t->detach_event != nullptr ? 2 : 1;
-    if (!t->opts.internal) {
+    if (!t->internal) {
       plan_tasks_.push_back(t);
       plan_copy_dst_.push_back(
           t->body.trivially_copyable() ? t->body.capture_dst() : nullptr);

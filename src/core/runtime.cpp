@@ -292,7 +292,10 @@ Task* Runtime::allocate_task(const TaskOpts& opts) {
       [[fallthrough]];
     case TaskArena::Source::Fresh: madd(m_.slab_fresh); break;
   }
-  t->opts = opts;
+  t->label = opts.label;
+  t->internal = opts.internal;
+  t->max_retries = opts.max_retries;
+  t->retry_backoff_seconds = opts.retry_backoff_seconds;
   if (timed_) t->t_create = now_ns();
   // Redirect nodes are counted by the rules.
   if (!opts.internal) madd(m_.tasks_submitted);
@@ -334,8 +337,7 @@ void Runtime::finish_submission(Task* t, std::span<const Depend> deps) {
   // Capture the clause before discovery mutates the history: the verifier
   // re-derives the required ordering from exactly this stream.
   if (!deps.empty() && profiler_->trace_enabled()) {
-    profiler_->record_accesses(t->id(), t->opts.label, deps.data(),
-                               deps.size());
+    profiler_->record_accesses(t->id(), t->label, deps.data(), deps.size());
   }
   dep_map_.apply(*this, t, deps, cfg_.discovery);
   // Race sampling decision, made after apply so every edge of this task
@@ -344,7 +346,7 @@ void Runtime::finish_submission(Task* t, std::span<const Depend> deps) {
   // points at) to whichever worker starts the task.
   if (race_ != nullptr && !deps.empty()) {
     t->race_clock = race_->on_task_discovered(t->id(), deps.data(),
-                                              deps.size(), t->opts.label);
+                                              deps.size(), t->label);
   }
   const bool in_batch = tls_runtime == this && batch_active_;
   if (!in_batch) {
@@ -555,7 +557,7 @@ void Runtime::run_task(Task* t, unsigned thread) {
   const bool cancelled = t->cancelled.load(std::memory_order_acquire);
   bool ok = !cancelled;
   if (cancelled) {
-    if (!t->opts.internal) record_cancelled(t);
+    if (!t->internal) record_cancelled(t);
   } else {
     t->state.store(TaskState::Running, std::memory_order_relaxed);
     watchdog_.note_progress();
@@ -569,7 +571,8 @@ void Runtime::run_task(Task* t, unsigned thread) {
     Task* prev_current = tls_current_task;
     tls_current_task = t;
     BodyOutcome oc = BodyOutcome::Success;
-    if (!t->body.empty()) oc = run_body_with_retries(t);
+    std::uint64_t retry_not_before_ns = 0;
+    if (!t->body.empty()) oc = run_body_with_retries(t, retry_not_before_ns);
     tls_current_task = prev_current;
     if (oc == BodyOutcome::Deferred) {
       // The attempt failed but the retry budget is not exhausted. Instead
@@ -578,7 +581,7 @@ void Runtime::run_task(Task* t, unsigned thread) {
       // completion latch is untouched — the task is still pending and
       // comes back through run_task once the deadline passes.
       if (timed_) profiler_->add_work(thread, now_ns() - t->t_start);
-      schedule_retry(t);
+      schedule_retry(t, retry_not_before_ns);
       return;
     }
     ok = oc == BodyOutcome::Success;
@@ -586,7 +589,7 @@ void Runtime::run_task(Task* t, unsigned thread) {
   const std::uint64_t t_body_end = timed_ ? now_ns() : 0;
   if (timed_) {
     profiler_->add_work(thread, t_body_end - t->t_start);
-    if (!t->opts.internal && ok) {
+    if (!t->internal && ok) {
       metrics_->observe(m_.body_ns, t_body_end - t->t_start, thread);
       metrics_->observe(
           m_.queue_ns,
@@ -605,7 +608,8 @@ void Runtime::run_task(Task* t, unsigned thread) {
   if (timed_) profiler_->add_overhead(thread, now_ns() - t_body_end);
 }
 
-Runtime::BodyOutcome Runtime::run_body_with_retries(Task* t) {
+Runtime::BodyOutcome Runtime::run_body_with_retries(
+    Task* t, std::uint64_t& not_before_ns) {
   // Attempts are counted on the task itself so the count survives a trip
   // through the deferred-retry queue.
   for (;;) {
@@ -615,22 +619,21 @@ Runtime::BodyOutcome Runtime::run_body_with_retries(Task* t) {
       return BodyOutcome::Success;
     } catch (...) {
       const std::uint32_t attempt = ++t->retry_attempts;
-      if (attempt > t->opts.max_retries) {
+      if (attempt > t->max_retries) {
         record_failure(t, std::current_exception(), attempt);
         return BodyOutcome::Failed;
       }
       madd(m_.task_retries);
       watchdog_.note_progress();  // a retry attempt is forward progress
-      if (t->opts.retry_backoff_seconds > 0.0) {
+      if (t->retry_backoff_seconds > 0.0) {
         // The old implementation slept the backoff out right here,
         // stalling this worker for the whole window. Hand the task back
         // with a not-before deadline instead; the caller requeues it and
         // the worker stays available for other work.
         const double backoff =
-            t->opts.retry_backoff_seconds *
+            t->retry_backoff_seconds *
             static_cast<double>(1u << std::min(attempt - 1, 20u));
-        t->retry_not_before_ns =
-            now_ns() + static_cast<std::uint64_t>(backoff * 1e9);
+        not_before_ns = now_ns() + static_cast<std::uint64_t>(backoff * 1e9);
         return BodyOutcome::Deferred;
       }
       // Zero backoff: retry immediately, inline.
@@ -638,10 +641,9 @@ Runtime::BodyOutcome Runtime::run_body_with_retries(Task* t) {
   }
 }
 
-void Runtime::schedule_retry(Task* t) {
+void Runtime::schedule_retry(Task* t, std::uint64_t deadline) {
   t->state.store(TaskState::Ready, std::memory_order_relaxed);
   madd(m_.retry_defers);
-  const std::uint64_t deadline = t->retry_not_before_ns;
   // The gate update stays under the lock so it can't race with the
   // recompute in take_due_deferred and strand a task behind a stale
   // UINT64_MAX.
@@ -681,7 +683,7 @@ void Runtime::record_failure(Task* t, std::exception_ptr err,
   t->state.store(TaskState::Failed, std::memory_order_relaxed);
   TaskFailure f;
   f.task_id = t->id();
-  f.label = t->opts.label;
+  f.label = t->label;
   f.message = describe_exception(err);
   f.error = std::move(err);
   f.attempts = tries;
@@ -692,7 +694,7 @@ void Runtime::record_failure(Task* t, std::exception_ptr err,
 
 void Runtime::record_cancelled(Task* t) {
   SpinGuard g(failures_lock_);
-  cancelled_.push_back(CancelledTask{t->id(), t->opts.label});
+  cancelled_.push_back(CancelledTask{t->id(), t->label});
   has_failures_.store(true, std::memory_order_release);
 }
 
@@ -712,11 +714,10 @@ void Runtime::complete_task(Task* t, unsigned thread) {
     metrics_->add(m_.tasks_cancelled, 1, thread);
   } else {
     t->state.store(TaskState::Finished, std::memory_order_relaxed);
-    metrics_->add(
-        t->opts.internal ? m_.redirects_executed : m_.tasks_executed, 1,
-        thread);
+    metrics_->add(t->internal ? m_.redirects_executed : m_.tasks_executed, 1,
+                  thread);
   }
-  if (profiler_->trace_enabled() && !t->opts.internal) {
+  if (profiler_->trace_enabled() && !t->internal) {
     TaskRecord rec;
     rec.task_id = t->id();
     rec.t_create = t->t_create;
@@ -725,7 +726,7 @@ void Runtime::complete_task(Task* t, unsigned thread) {
     rec.t_end = t->t_end;
     rec.thread = thread;
     rec.iteration = t->iteration;
-    rec.label = t->opts.label;
+    rec.label = t->label;
     profiler_->record(thread, rec);
   }
   const bool keep = t->persistent;

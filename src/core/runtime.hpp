@@ -420,12 +420,13 @@ class Runtime {
     Deferred,  ///< transient failure with backoff: requeue, don't complete
   };
   /// Execute the body with the task's retry policy. Zero-backoff retries
-  /// loop inline; a nonzero backoff returns Deferred with
-  /// `t->retry_not_before_ns` set, and the caller requeues the task so
-  /// the worker keeps executing other ready tasks instead of sleeping.
-  BodyOutcome run_body_with_retries(Task* t);
-  /// Park the deferred retry until its not-before deadline.
-  void schedule_retry(Task* t);
+  /// loop inline; a nonzero backoff returns Deferred with `not_before_ns`
+  /// set, and the caller requeues the task so the worker keeps executing
+  /// other ready tasks instead of sleeping.
+  BodyOutcome run_body_with_retries(Task* t, std::uint64_t& not_before_ns);
+  /// Park the deferred retry until `deadline`; the deadline is kept in
+  /// the deferred queue entry, not on the descriptor.
+  void schedule_retry(Task* t, std::uint64_t deadline);
   /// Pop one deferred task whose deadline has passed (nullptr if none).
   Task* take_due_deferred();
   /// Cross-thread ready-queue: enqueues from threads that do not own the

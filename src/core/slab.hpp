@@ -137,9 +137,10 @@ class ChunkCache {
 
 class TaskArena {
  public:
-  /// Blocks handed out per chunk carve. 256 blocks of ~5 cache lines is a
-  /// ~80 KiB chunk: big enough to amortize the lock, small enough that a
-  /// tiny runtime (tests, single taskwait) does not balloon.
+  /// Blocks handed out per chunk carve. 256 task descriptors of 4 cache
+  /// lines (256 bytes) make a 64 KiB chunk: big enough to amortize the
+  /// lock, small enough that a tiny runtime (tests, single taskwait) does
+  /// not balloon.
   static constexpr std::size_t kBlocksPerChunk = 256;
 
   /// Where an allocation came from (drives the alloc.slab_* counters).

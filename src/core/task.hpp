@@ -3,6 +3,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <exception>
@@ -77,9 +78,18 @@ class Event {
 /// type: a plain memcpy for trivially-copyable captures, the type's copy
 /// assignment otherwise. This mirrors the paper's "task initialization cost
 /// reduced to a single memcpy on firstprivate data".
+///
+/// Layout: one pointer to a per-type static operations table, then the
+/// inline capture bytes. A capture that is larger than kInlineBytes or
+/// over-aligned spills to the heap, and the heap pointer is kept in the
+/// inline bytes. The whole body is one 64-byte cache line.
 class TaskBody {
  public:
-  static constexpr std::size_t kInlineBytes = 192;
+  /// Sized for the largest body on the default app path: the emitter's
+  /// allreduce capture is 56 bytes, send/recv 48, compute (a wrapped
+  /// std::function) 32. RuntimeEmitter asserts those sizes at compile time.
+  static constexpr std::size_t kInlineBytes = 56;
+  static constexpr std::size_t kInlineAlign = alignof(void*);
 
   TaskBody() = default;
   TaskBody(const TaskBody&) = delete;
@@ -91,28 +101,20 @@ class TaskBody {
   void emplace(F&& fn) {
     using Fn = std::decay_t<F>;
     reset();
-    void* where;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t)) {
-      where = inline_;
+    if constexpr (kFitsInline<Fn>) {
+      ::new (static_cast<void*>(inline_)) Fn(std::forward<F>(fn));
     } else {
-      heap_ = ::operator new(sizeof(Fn), std::align_val_t{alignof(Fn)});
-      where = heap_;
-      align_ = alignof(Fn);
+      constexpr std::align_val_t al{alignof(Fn)};
+      void* p = ::operator new(sizeof(Fn), al);
+      try {
+        ::new (p) Fn(std::forward<F>(fn));
+      } catch (...) {
+        ::operator delete(p, al);
+        throw;
+      }
+      heap_ = p;
     }
-    ::new (where) Fn(std::forward<F>(fn));
-    size_ = sizeof(Fn);
-    invoke_ = [](void* p) { (*static_cast<Fn*>(p))(); };
-    destroy_ = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
-    if constexpr (std::is_trivially_copyable_v<Fn>) {
-      assign_ = nullptr;  // plain memcpy is valid
-    } else {
-      // Lambdas have no copy assignment: destroy + copy-construct.
-      assign_ = [](void* dst, const void* src) {
-        static_cast<Fn*>(dst)->~Fn();
-        ::new (dst) Fn(*static_cast<const Fn*>(src));
-      };
-    }
+    ops_ = &kOps<Fn>;
   }
 
   /// Replay-path update: overwrite the stored capture with the capture of
@@ -121,23 +123,28 @@ class TaskBody {
   template <class F>
   void update(F&& fn) {
     using Fn = std::decay_t<F>;
-    TDG_DCHECK(size_ == sizeof(Fn), "persistent replay type mismatch");
+    TDG_DCHECK(capture_bytes() == sizeof(Fn),
+               "persistent replay type mismatch");
     Fn tmp(std::forward<F>(fn));
-    if (assign_ == nullptr) {
-      std::memcpy(storage(), &tmp, sizeof(Fn));
+    if constexpr (std::is_trivially_copyable_v<Fn>) {
+      std::memcpy(static_cast<void*>(at<Fn>(slot())), &tmp, sizeof(Fn));
     } else {
-      assign_(storage(), &tmp);
+      ops_->assign(slot(), &tmp);
     }
   }
 
   void invoke() {
-    TDG_DCHECK(invoke_ != nullptr, "invoking empty task body");
-    invoke_(storage());
+    TDG_DCHECK(ops_ != nullptr, "invoking empty task body");
+    ops_->invoke(slot());
   }
 
-  bool empty() const noexcept { return invoke_ == nullptr; }
-  std::size_t capture_bytes() const noexcept { return size_; }
-  bool trivially_copyable() const noexcept { return assign_ == nullptr; }
+  bool empty() const noexcept { return ops_ == nullptr; }
+  std::size_t capture_bytes() const noexcept {
+    return ops_ != nullptr ? ops_->size : 0;
+  }
+  bool trivially_copyable() const noexcept {
+    return ops_ == nullptr || ops_->assign == nullptr;
+  }
 
   /// Stable pointer to the stored capture bytes, for compiled PTSG replay
   /// plans: when the capture is trivially copyable, replay overwrites it
@@ -145,34 +152,76 @@ class TaskBody {
   /// the type-erased update() dispatch. Valid while a callable is stored;
   /// replay never re-emplaces, so the pointer is stable across iterations.
   void* capture_dst() noexcept {
-    return invoke_ != nullptr ? storage() : nullptr;
+    if (ops_ == nullptr) return nullptr;
+    return ops_->heap_align == 0 ? static_cast<void*>(inline_) : heap_;
   }
 
   void reset() {
-    if (invoke_ != nullptr) {
-      destroy_(storage());
-      invoke_ = nullptr;
-      destroy_ = nullptr;
-      assign_ = nullptr;
+    if (ops_ == nullptr) return;
+    const Ops* ops = ops_;
+    ops_ = nullptr;
+    ops->destroy(slot());
+    if (ops->heap_align != 0) {
+      ::operator delete(heap_, std::align_val_t{ops->heap_align});
     }
-    if (heap_ != nullptr) {
-      ::operator delete(heap_, std::align_val_t{align_});
-      heap_ = nullptr;
-    }
-    size_ = 0;
   }
 
  private:
-  void* storage() noexcept { return heap_ != nullptr ? heap_ : inline_; }
+  /// Per-type operations. Each takes slot(), the address of the inline
+  /// bytes, and finds the capture there or behind the spilled pointer.
+  struct Ops {
+    void (*invoke)(void*);
+    void (*destroy)(void*);
+    void (*assign)(void*, const void*);  ///< nullptr: memcpy is valid
+    std::uint32_t size;                  ///< sizeof the callable
+    std::uint32_t heap_align;            ///< 0: inline; else heap alignment
+  };
 
-  alignas(std::max_align_t) unsigned char inline_[kInlineBytes];
-  void* heap_ = nullptr;
-  std::size_t align_ = alignof(std::max_align_t);
-  std::size_t size_ = 0;
-  void (*invoke_)(void*) = nullptr;
-  void (*destroy_)(void*) = nullptr;
-  void (*assign_)(void*, const void*) = nullptr;
+  template <class Fn>
+  static constexpr bool kFitsInline =
+      sizeof(Fn) <= kInlineBytes && alignof(Fn) <= kInlineAlign;
+
+  template <class Fn>
+  static Fn* at(void* slot) noexcept {
+    if constexpr (kFitsInline<Fn>) {
+      return std::launder(static_cast<Fn*>(slot));
+    } else {
+      return static_cast<Fn*>(*static_cast<void**>(slot));
+    }
+  }
+
+  template <class Fn>
+  static constexpr Ops make_ops() noexcept {
+    Ops ops{};
+    ops.invoke = [](void* s) { (*at<Fn>(s))(); };
+    ops.destroy = [](void* s) { at<Fn>(s)->~Fn(); };
+    if constexpr (!std::is_trivially_copyable_v<Fn>) {
+      // Lambdas have no copy assignment: destroy + copy-construct.
+      ops.assign = [](void* s, const void* src) {
+        Fn* dst = at<Fn>(s);
+        dst->~Fn();
+        ::new (static_cast<void*>(dst)) Fn(*static_cast<const Fn*>(src));
+      };
+    }
+    ops.size = sizeof(Fn);
+    ops.heap_align = kFitsInline<Fn> ? 0 : alignof(Fn);
+    return ops;
+  }
+
+  template <class Fn>
+  static constexpr Ops kOps = make_ops<Fn>();
+
+  void* slot() noexcept { return static_cast<void*>(inline_); }
+
+  const Ops* ops_ = nullptr;  // nullptr: empty
+  union {
+    alignas(kInlineAlign) unsigned char inline_[kInlineBytes];
+    void* heap_;  // spilled capture (ops_->heap_align != 0)
+  };
 };
+
+static_assert(sizeof(TaskBody) == kCacheLine,
+              "TaskBody is one cache line: ops pointer + inline bytes");
 
 /// Per-task options supplied at submission.
 struct TaskOpts {
@@ -200,20 +249,29 @@ struct TaskOpts {
 /// Descriptors are normally placement-constructed in a TaskArena slab
 /// block (Runtime::allocate_task) and recycled on final release; a
 /// plain-`new`ed descriptor (arena == nullptr) still works for tests.
+///
+/// The descriptor is one 256-byte slab block of four cache lines:
+///   line 0  identity, completion latch, state flags, retry policy
+///   line 1  the body (ops pointer + 56 inline capture bytes)
+///   line 2  label, timeline stamps, persistent bookkeeping
+///   line 3  discovery group: last successor id, refcounts, lock, finish
+///           state and the successor list
+/// Every task of a rediscovered graph holds one block until it retires, so
+/// a field added here costs the memory of the whole live graph.
 class Task {
  public:
   /// Successor-edge storage. The inline capacity matches the graph shapes
   /// of the figure benches (telemetry: LULESH/HPCG writers fan out to 1-3
   /// consumers after dedup, chains to exactly 1); larger fan-outs —
   /// inoutset redirects, wide reader sets — spill to the heap. The
-  /// inline-or-heap union keeps the list at 40 bytes; the whole descriptor
-  /// is one 464-byte slab block (checked below the class).
+  /// inline-or-heap union keeps the list at 40 bytes, so it fits in the
+  /// discovery cache line (checked below the class).
   static constexpr std::size_t kInlineSuccessors = 4;
   using SuccessorList = small_vector<Task*, kInlineSuccessors>;
 
   explicit Task(std::uint64_t id, TaskArena* arena = nullptr,
                 Runtime* owner = nullptr)
-      : id_(id), arena_(arena), owner_(owner) {}
+      : id_(id), owner_(owner), arena_(arena) {}
   Task(const Task&) = delete;
   Task& operator=(const Task&) = delete;
 
@@ -323,15 +381,21 @@ class Task {
 
   const SuccessorList& successors_unsafe() const { return successors_; }
 
-  // --- readiness refcount ---------------------------------------------------
-  /// Predecessor counter. Convention: a task is created with value 1 (the
-  /// discovery guard); each inbound edge adds 1; the producer drops the
-  /// guard once the depend clause is fully processed. Reaching 0 => ready.
-  std::atomic<std::int32_t> npredecessors{1};
+ private:
+  ~Task() = default;  // heap-only; destroyed via release()
 
+  static constexpr std::uint8_t kFinished = 1;  // instance completed
+  static constexpr std::uint8_t kPoisoned = 2;  // ... failed or cancelled
+
+  // === line 0: identity and execution state (the executing worker) ========
+  const std::uint64_t id_;
+  Runtime* owner_ = nullptr;    // owning tenant runtime (see owner())
+  TaskArena* arena_ = nullptr;  // recycle target; nullptr = plain heap
+
+ public:
   /// Completion latch: 1 for the body, +1 when a detach event is attached.
   std::atomic<std::int32_t> completion_latch{1};
-
+  std::atomic<TaskState> state{TaskState::Created};
   // --- failure state ----------------------------------------------------------
   /// Set (with release) before the predecessor's count is dropped when a
   /// transitive predecessor failed; observed (acquire via npredecessors)
@@ -340,6 +404,8 @@ class Task {
   /// Set by the executing thread after the final failed attempt, before
   /// the completion-latch decrement (which orders it for the completer).
   bool failed = false;
+  /// Runtime-inserted node (e.g. inoutset R): TaskOpts::internal.
+  bool internal = false;
   /// Clock record handed out by the online race detector at discovery
   /// (producer-side, before the discovery guard drops, so workers see it
   /// via the npredecessors acq_rel chain). Null for unsampled tasks, which
@@ -347,65 +413,77 @@ class Task {
   /// the start hook reach its clauses without a map lookup. Valid until
   /// the next taskwait barrier, by which point the task has completed.
   void* race_clock = nullptr;
+  /// TaskOpts::detach. The event itself carries the label, id and
+  /// idempotency snapshot the recovery layer reads.
+  Event* detach_event = nullptr;
   /// Attempts already burned by the retry policy. Persists across
   /// deferred-retry requeues (the task leaves and re-enters the scheduler
-  /// between attempts instead of sleeping on a worker).
+  /// between attempts instead of sleeping on a worker); the not-before
+  /// deadline of a deferred attempt lives in the deferred queue entry.
   std::uint32_t retry_attempts = 0;
-  /// Earliest time the next retry attempt may run (set when the body
-  /// failed with a nonzero backoff; consumed by the deferred queue).
-  std::uint64_t retry_not_before_ns = 0;
+  /// Retry policy, copied from TaskOpts at submission.
+  std::uint32_t max_retries = 0;
+  double retry_backoff_seconds = 0.0;
 
-  // --- persistent-graph bookkeeping -----------------------------------------
-  bool persistent = false;
-  /// Total inbound edges recorded during first-iteration discovery,
-  /// including edges to then-already-finished predecessors.
-  std::int32_t persistent_indegree = 0;
-  std::uint32_t iteration = 0;  ///< persistent-region iteration index
-
-  /// Slot that ran the body (profiling). Written by the executing worker,
-  /// so it lives here with completion_latch rather than among the
-  /// profiling stamps next to the discovery-side fields.
-  std::uint32_t exec_thread = 0;
-
-  // --- body / metadata -------------------------------------------------------
+  // === line 1: the body ======================================================
   TaskBody body;
-  TaskOpts opts;
-  Event* detach_event = nullptr;
-  std::atomic<TaskState> state{TaskState::Created};
 
-  // --- profiling --------------------------------------------------------------
+  // === line 2: label, profiling, persistent bookkeeping ======================
+  const char* label = "";  ///< TaskOpts::label (static string)
   std::uint64_t t_create = 0;
   std::uint64_t t_ready = 0;
   std::uint64_t t_start = 0;
   std::uint64_t t_end = 0;
+  /// Total inbound edges recorded during first-iteration discovery,
+  /// including edges to then-already-finished predecessors.
+  std::int32_t persistent_indegree = 0;
+  std::uint32_t iteration = 0;  ///< persistent-region iteration index
+  /// Slot that ran the body (profiling). Written by the executing worker.
+  std::uint32_t exec_thread = 0;
+  bool persistent = false;
 
- private:
-  ~Task() = default;  // heap-only; destroyed via release()
-
-  static constexpr std::uint8_t kFinished = 1;  // instance completed
-  static constexpr std::uint8_t kPoisoned = 2;  // ... failed or cancelled
-
-  const std::uint64_t id_;
-  TaskArena* arena_ = nullptr;  // recycle target; nullptr = plain heap
-
- public:
-  // --- duplicate-edge detection (optimization (b)) ---------------------------
+  // === line 3: discovery group ===============================================
   /// Id of the most recent successor an edge was created to. Discovery is
-  /// sequential, so a repeated (pred,succ) pair is detected in O(1).
-  /// It opens a 16-byte-aligned group with the fields below, so the
-  /// discovery-side fields of a predecessor (stamp, finish state, refs,
-  /// lock) share one cache line; line 0 belongs to the executing worker.
-  std::uint64_t last_successor_id = 0;
+  /// sequential, so a repeated (pred,succ) pair is detected in O(1)
+  /// (optimization (b)). It opens the cache-line-aligned group with the
+  /// fields below, so everything discovery touches on a predecessor
+  /// (stamp, refcounts, lock, finish state, successor list) is one line.
+  alignas(kCacheLine) std::uint64_t last_successor_id = 0;
 
  private:
   std::atomic<std::int32_t> refs_{1};
+
+ public:
+  // --- readiness refcount ---------------------------------------------------
+  /// Predecessor counter. Convention: a task is created with value 1 (the
+  /// discovery guard); each inbound edge adds 1; the producer drops the
+  /// guard once the depend clause is fully processed. Reaching 0 => ready.
+  std::atomic<std::int32_t> npredecessors{1};
+
+ private:
   SpinLock succ_lock_;
   std::atomic<std::uint8_t> finish_state_{0};  // kFinished | kPoisoned
-  Runtime* owner_ = nullptr;    // owning tenant runtime (see owner())
   SuccessorList successors_;
+
+  friend struct TaskLayout;
 };
 
+// Task mixes access specifiers, so it is not standard-layout; GCC and
+// Clang still evaluate offsetof on it (no virtual bases).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+/// Layout checks (a friend, so they can name the private fields).
+struct TaskLayout {
+  static constexpr std::size_t kGroupBegin = offsetof(Task, last_successor_id);
+  static constexpr std::size_t kGroupEnd =
+      offsetof(Task, successors_) + sizeof(Task::SuccessorList);
+};
+#pragma GCC diagnostic pop
+
 // Growing the descriptor grows every slab block (one per live task).
-static_assert(sizeof(Task) <= 464, "Task outgrew its 464-byte slab block");
+static_assert(sizeof(Task) <= 256, "Task outgrew its 256-byte slab block");
+static_assert(TaskLayout::kGroupBegin % kCacheLine == 0 &&
+                  TaskLayout::kGroupEnd - TaskLayout::kGroupBegin <= kCacheLine,
+              "the discovery fields of Task must share one cache line");
 
 }  // namespace tdg

@@ -346,8 +346,8 @@ TEST(Recovery, PoisonModeCancelsDependentsWhileIndependentsDrain) {
     // (gauge deltas are time-gated; give the sync a fresh window).
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     poller.poll();
-    const auto* gauge =
-        rt.metrics().snapshot().find("universe.ranks_failed");
+    const tdg::MetricsSnapshot snap = rt.metrics().snapshot();
+    const auto* gauge = snap.find("universe.ranks_failed");
     ASSERT_NE(gauge, nullptr);
     EXPECT_EQ(gauge->level, 1);
   }, opts);

@@ -233,6 +233,27 @@ TEST(Retry, BudgetExhaustedReportsAttemptCount) {
   EXPECT_EQ(rt.stats().task_retries, 2u);
 }
 
+TEST(Retry, DeferredAttemptWaitsOutItsBackoff) {
+  // Attempt k+1 may not start before attempt k failed plus
+  // backoff * 2^k. The deadline travels in the deferred queue entry, so
+  // this pins that it is not lost on the way. Lower bounds only: a loaded
+  // machine can only stretch the gaps.
+  Runtime rt({.num_threads = 2});
+  std::vector<std::uint64_t> starts;
+  rt.submit(
+      [&starts] {
+        starts.push_back(tdg::now_ns());
+        if (starts.size() <= 2) throw std::runtime_error("transient");
+      },
+      {}, {.label = "backoff", .max_retries = 2,
+           .retry_backoff_seconds = 2e-3});
+  rt.taskwait();  // must not throw: the third attempt succeeds
+  ASSERT_EQ(starts.size(), 3u);
+  EXPECT_GE(starts[1] - starts[0], 2'000'000u);
+  EXPECT_GE(starts[2] - starts[1], 4'000'000u);
+  EXPECT_EQ(rt.stats().task_retries, 2u);
+}
+
 TEST(Retry, WorksUnderPersistentReplay) {
   // A persistent task that fails transiently on its first attempt of
   // every iteration must still produce each iteration's result.

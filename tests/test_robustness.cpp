@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,6 +69,127 @@ TEST(TaskBody, NonTriviallyCopyableCaptureReplays) {
     region.end_iteration();
     EXPECT_EQ(result, label);
   }
+}
+
+// --- TaskBody storage boundary ----------------------------------------------
+
+/// A capture of an output pointer plus N words, optionally over-aligned.
+template <std::size_t N, std::size_t Align = alignof(std::int64_t)>
+struct alignas(Align) Words {
+  std::int64_t* out;
+  std::int64_t v[N];
+};
+
+/// The same lambda type for every call with the same capture type, so
+/// update() can replay it.
+template <class W>
+auto summing(W w) {
+  return [w] {
+    std::int64_t s = 0;
+    for (std::int64_t x : w.v) s += x;
+    *w.out = s;
+  };
+}
+
+template <class W>
+W words(std::int64_t* out, std::int64_t base) {
+  W w{};
+  w.out = out;
+  for (std::size_t i = 0; i < std::size(w.v); ++i) {
+    w.v[i] = base + static_cast<std::int64_t>(i);
+  }
+  return w;
+}
+
+bool inside(const tdg::TaskBody& b, const void* p) {
+  const auto lo = reinterpret_cast<std::uintptr_t>(&b);
+  const auto at = reinterpret_cast<std::uintptr_t>(p);
+  return at >= lo && at < lo + sizeof(tdg::TaskBody);
+}
+
+/// Emplace, run, replay through update() with new values, run again.
+/// Returns whether the capture was stored inside the body.
+template <class W>
+bool runs_and_replays() {
+  std::int64_t out = 0;
+  tdg::TaskBody body;
+  body.emplace(summing(words<W>(&out, 0)));
+  EXPECT_EQ(body.capture_bytes(), sizeof(summing(W{})));
+  body.invoke();
+  const std::int64_t n = static_cast<std::int64_t>(std::size(W{}.v));
+  EXPECT_EQ(out, n * (n - 1) / 2);
+  body.update(summing(words<W>(&out, 100)));
+  body.invoke();
+  EXPECT_EQ(out, 100 * n + n * (n - 1) / 2);
+  return inside(body, body.capture_dst());
+}
+
+TEST(TaskBody, FiftySixByteCaptureIsInline) {
+  using W = Words<6>;
+  static_assert(sizeof(summing(W{})) == tdg::TaskBody::kInlineBytes);
+  EXPECT_TRUE(runs_and_replays<W>());
+}
+
+TEST(TaskBody, SixtyFourByteCaptureSpills) {
+  using W = Words<7>;
+  static_assert(sizeof(summing(W{})) == 64);
+  EXPECT_FALSE(runs_and_replays<W>());
+}
+
+TEST(TaskBody, OverAlignedCaptureSpills) {
+  using W = Words<1, 16>;
+  static_assert(sizeof(summing(W{})) <= tdg::TaskBody::kInlineBytes);
+  static_assert(alignof(decltype(summing(W{}))) == 16);
+  EXPECT_FALSE(runs_and_replays<W>());
+}
+
+/// Counts live copies, so a double destroy or a leaked copy shows.
+struct Tracked {
+  int* live;
+  explicit Tracked(int* l) : live(l) { ++*live; }
+  Tracked(const Tracked& o) : live(o.live) { ++*live; }
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() { --*live; }
+};
+
+/// Emplace a capture made by `make`, replay it through update() (destroy
+/// + copy-construct in place), then reset: exactly one copy is live until
+/// the reset, none after.
+template <class Make>
+void destroyed_once(Make make, bool spill, const int& live) {
+  tdg::TaskBody body;
+  body.emplace(make());
+  EXPECT_EQ(inside(body, body.capture_dst()), !spill);
+  EXPECT_FALSE(body.trivially_copyable());
+  EXPECT_EQ(live, 1);
+  body.update(make());
+  EXPECT_EQ(live, 1);
+  body.reset();
+  EXPECT_EQ(live, 0);
+  EXPECT_TRUE(body.empty());
+  body.reset();  // an empty body resets to a no-op
+  EXPECT_EQ(live, 0);
+}
+
+TEST(TaskBody, NonTrivialCaptureIsDestroyedOnceOnReset) {
+  int live = 0;
+  {
+    SCOPED_TRACE("inline");
+    destroyed_once([&live] { return [t = Tracked(&live)] {}; }, false, live);
+  }
+  {
+    SCOPED_TRACE("heap");
+    destroyed_once(
+        [&live] {
+          return [t = Tracked(&live), pad = std::array<char, 64>{}] {};
+        },
+        true, live);
+  }
+}
+
+TEST(TaskBody, DescriptorIsOneFourLineSlabBlock) {
+  Runtime rt({.num_threads = 1});
+  EXPECT_EQ(rt.task_arena().block_bytes(), 256u);
 }
 
 TEST(Persistent, WorksUnderTightTotalThrottle) {
