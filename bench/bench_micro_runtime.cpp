@@ -4,6 +4,7 @@
 // costs the simulator's DiscoveryCosts model.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <vector>
 
 #include "core/tdg.hpp"
@@ -197,6 +198,37 @@ void BM_SpawnExecuteThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kTasks);
 }
 BENCHMARK(BM_SpawnExecuteThroughput)->Arg(1)->Arg(2)->Arg(4);
+
+void BM_TaskwaitWindows(benchmark::State& state) {
+  // range(1) submit-execute-taskwait windows of range(0) tasks on one
+  // thread, each task `inout x[i%64], in x[(i+1)%64]`, the taskwaits
+  // inside the timed region. Under TDG_VERIFY every taskwait checks its
+  // window, so this prices the checker itself, not only the capture; and
+  // since each taskwait checks only its own window, items/s stays flat as
+  // the window count (the history) grows.
+  const int window = static_cast<int>(state.range(0));
+  const int windows = static_cast<int>(state.range(1));
+  std::vector<double> x(64, 0.0);
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::optional<Runtime> rt(std::in_place, solo());
+    state.ResumeTiming();
+    for (int w = 0; w < windows; ++w) {
+      for (int i = 0; i < window; ++i) {
+        double* a = &x[static_cast<std::size_t>(i % 64)];
+        double* b = &x[static_cast<std::size_t>((i + 1) % 64)];
+        rt->submit([a, b] { *a += *b; }, {Depend::inout(a), Depend::in(b)});
+      }
+      rt->taskwait();
+    }
+    state.PauseTiming();
+    rt.reset();
+    state.ResumeTiming();
+  }
+  benchmark::DoNotOptimize(x.data());
+  state.SetItemsProcessed(state.iterations() * windows * window);
+}
+BENCHMARK(BM_TaskwaitWindows)->Args({2000, 8})->Args({2000, 64});
 
 void BM_StealThroughput(benchmark::State& state) {
   // Steal-dominated execution: the producer floods its own deque with

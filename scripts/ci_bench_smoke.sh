@@ -20,11 +20,13 @@
 # and runs the strict-verified taskbench METG smoke sweep, bulk-recording
 # its pattern x engine x config frontier into BENCH_metg.json
 # ({name, value, unit, threads, git_sha, date}), so successive CI runs
-# accumulate a perf history alongside pass/fail. The online race
-# detector's sampled-vs-off overhead pairs are gated (RACE_MIN_RATIO
-# default 0.95 for spawn+execute, RACE_CHAIN_MIN_RATIO default 0.80 for
-# the pure-discovery chain) and recorded into BENCH_race.json the same
-# way.
+# accumulate a perf history alongside pass/fail. The sampled verifier's
+# TDG_VERIFY=sample-vs-off overhead pairs are gated (VERIFY_MIN_RATIO
+# default 0.95 for spawn+execute, VERIFY_CHAIN_MIN_RATIO default 0.80 for
+# the pure-discovery chain, VERIFY_WINDOWS_MIN_RATIO default 0.80 for
+# timed taskwait windows), as is the flatness of the post-mode check over
+# a growing history (VERIFY_HISTORY_MIN_RATIO default 0.80), and recorded
+# into BENCH_verify.json the same way.
 # Appending goes through scripts/record_trajectory.py (validation,
 # dedupe, cap).
 # BENCH_OUT_DIR (default: repo root) selects where they are written.
@@ -193,7 +195,7 @@ if ratio < floor:
 EOF
 
 # measure_best <binary> <filter>: best items_per_second over the
-# repetitions. Used for the race-overhead ratio legs: a ratio gate wants
+# repetitions. Used for the verify-overhead ratio legs: a ratio gate wants
 # the least-noisy estimate of each side's attainable throughput, and the
 # max over repetitions converges on that much faster than the median.
 measure_best() {
@@ -211,76 +213,86 @@ print(max(b["items_per_second"] for b in bms))
 '
 }
 
-# Online race-detector overhead gate, two legs, both with TDG_RACE=sample
-# (every 16th task shadow-checked, clocks joined for all):
+# Sampled-verifier overhead gate, three legs, each TDG_VERIFY=sample
+# against off (stream capture for every task, one task in 16 checked at
+# each taskwait):
 #   * spawn — BM_SpawnExecuteThroughput/1, the end-to-end spawn+execute
-#     path. Floor RACE_MIN_RATIO (default 0.95): the "<5% overhead" claim.
+#     path with no depend clauses (nothing captured). Floor
+#     VERIFY_MIN_RATIO (default 0.95): the "<5% overhead" claim.
 #   * chain — BM_SubmitChain/1000, pure depend-discovery on zero-width
-#     tasks, the detector's worst case (every submit is one clock join
-#     with nothing to amortize against — no task body exists to hide it).
-#     Floor RACE_CHAIN_MIN_RATIO (default 0.80, measured ~0.85 on the
-#     scalar-prefix + pooled-record join path); the ratio is recorded so
-#     the trajectory catches join-path regressions that the spawn leg
-#     would hide.
-# All four measurements land in BENCH_race.json.
-race_min_ratio=${RACE_MIN_RATIO:-0.95}
-race_chain_min_ratio=${RACE_CHAIN_MIN_RATIO:-0.80}
-max2() { python3 -c 'import sys; print(max(map(float, sys.argv[1:])))' "$@"; }
-# Two alternating off/sample rounds per leg: machine-speed drift between
-# process invocations (frequency scaling, cache state) then lands on both
-# modes instead of sinking whichever leg ran during the slow phase.
-echo "=== [bench-smoke] running BM_SpawnExecuteThroughput/1 (race off/sample) ==="
-so1=$(TDG_RACE=off measure_best bench_micro_runtime \
-          'BM_SpawnExecuteThroughput/1$')
-ss1=$(TDG_RACE=sample measure_best bench_micro_runtime \
-          'BM_SpawnExecuteThroughput/1$')
-so2=$(TDG_RACE=off measure_best bench_micro_runtime \
-          'BM_SpawnExecuteThroughput/1$')
-ss2=$(TDG_RACE=sample measure_best bench_micro_runtime \
-          'BM_SpawnExecuteThroughput/1$')
-race_spawn_off=$(max2 "$so1" "$so2")
-race_spawn_sample=$(max2 "$ss1" "$ss2")
-echo "=== [bench-smoke] running BM_SubmitChain/1000 (race off/sample) ==="
-co1=$(TDG_RACE=off measure_best bench_micro_runtime 'BM_SubmitChain/1000$')
-cs1=$(TDG_RACE=sample measure_best bench_micro_runtime \
-          'BM_SubmitChain/1000$')
-co2=$(TDG_RACE=off measure_best bench_micro_runtime 'BM_SubmitChain/1000$')
-cs2=$(TDG_RACE=sample measure_best bench_micro_runtime \
-          'BM_SubmitChain/1000$')
-race_chain_off=$(max2 "$co1" "$co2")
-race_chain_sample=$(max2 "$cs1" "$cs2")
+#     tasks, the capture's worst case (every submit records one access and
+#     one edge with no task body to hide them; the taskwait is untimed).
+#     Floor VERIFY_CHAIN_MIN_RATIO (default 0.80).
+#   * windows — BM_TaskwaitWindows/2000/8, eight 2000-task windows of
+#     two-clause tasks with every taskwait timed, so the check itself is
+#     priced, not only the capture. Floor VERIFY_WINDOWS_MIN_RATIO
+#     (default 0.80).
+# A fourth gate keeps each taskwait's check to its own window: under
+# TDG_VERIFY=post, BM_TaskwaitWindows/2000/64 (eight times the history)
+# must reach VERIFY_HISTORY_MIN_RATIO (default 0.80) of /2000/8's items/s;
+# re-checking the history would make it fall with the window count.
+# Every measurement lands in BENCH_verify.json.
+verify_min_ratio=${VERIFY_MIN_RATIO:-0.95}
+verify_chain_min_ratio=${VERIFY_CHAIN_MIN_RATIO:-0.80}
+verify_windows_min_ratio=${VERIFY_WINDOWS_MIN_RATIO:-0.80}
+verify_history_min_ratio=${VERIFY_HISTORY_MIN_RATIO:-0.80}
+# verify_pair <filter> <mode-a> <mode-b> [<filter-b>]: two alternating
+# rounds of measure_best, printing the better of each side. Machine-speed
+# drift between process invocations (frequency scaling, cache state) then
+# lands on both sides instead of sinking whichever ran during the slow
+# phase.
+verify_pair() {
+  local fa=$1 ma=$2 mb=$3 fb=${4:-$1} a1 b1 a2 b2
+  a1=$(TDG_VERIFY=$ma measure_best bench_micro_runtime "$fa")
+  b1=$(TDG_VERIFY=$mb measure_best bench_micro_runtime "$fb")
+  a2=$(TDG_VERIFY=$ma measure_best bench_micro_runtime "$fa")
+  b2=$(TDG_VERIFY=$mb measure_best bench_micro_runtime "$fb")
+  python3 -c 'import sys; a1, b1, a2, b2 = map(float, sys.argv[1:5]);
+print(max(a1, a2), max(b1, b2))' "$a1" "$b1" "$a2" "$b2"
+}
+echo "=== [bench-smoke] running BM_SpawnExecuteThroughput/1 (verify off/sample) ==="
+spawn_pair=$(verify_pair 'BM_SpawnExecuteThroughput/1$' off sample)
+echo "=== [bench-smoke] running BM_SubmitChain/1000 (verify off/sample) ==="
+chain_pair=$(verify_pair 'BM_SubmitChain/1000$' off sample)
+echo "=== [bench-smoke] running BM_TaskwaitWindows/2000/8 (verify off/sample) ==="
+windows_pair=$(verify_pair 'BM_TaskwaitWindows/2000/8$' off sample)
+echo "=== [bench-smoke] running BM_TaskwaitWindows/2000/{8,64} (verify post) ==="
+history_pair=$(verify_pair 'BM_TaskwaitWindows/2000/8$' post post \
+                           'BM_TaskwaitWindows/2000/64$')
 
-race_json=$(mktemp)
-trap 'rm -f "$metg_json" "$mt_json" "$race_json"' EXIT
-python3 - "$race_spawn_off" "$race_spawn_sample" \
-          "$race_chain_off" "$race_chain_sample" > "$race_json" <<'EOF'
+verify_json=$(mktemp)
+trap 'rm -f "$metg_json" "$mt_json" "$verify_json"' EXIT
+# Each *_pair holds two numbers, so they are expanded unquoted.
+# shellcheck disable=SC2086
+python3 - $spawn_pair $chain_pair $windows_pair $history_pair \
+          > "$verify_json" <<'EOF'
 import json, sys
-spawn_off, spawn_sample, chain_off, chain_sample = map(float, sys.argv[1:5])
+names = ("spawn_off", "spawn_sample", "chain_off", "chain_sample",
+         "windows_off", "windows_sample", "post_8_windows", "post_64_windows")
 print(json.dumps([
-    {"name": "race/spawn_off", "value": spawn_off,
-     "unit": "tasks_per_second", "threads": 1},
-    {"name": "race/spawn_sample", "value": spawn_sample,
-     "unit": "tasks_per_second", "threads": 1},
-    {"name": "race/chain_off", "value": chain_off,
-     "unit": "tasks_per_second", "threads": 1},
-    {"name": "race/chain_sample", "value": chain_sample,
-     "unit": "tasks_per_second", "threads": 1},
+    {"name": "verify/" + name, "value": float(value),
+     "unit": "tasks_per_second", "threads": 1}
+    for name, value in zip(names, sys.argv[1:9], strict=True)
 ]))
 EOF
-python3 scripts/record_trajectory.py --bulk "$race_json" \
-        "$out_dir/BENCH_race.json"
+python3 scripts/record_trajectory.py --bulk "$verify_json" \
+        "$out_dir/BENCH_verify.json"
 
-python3 - "$race_spawn_off" "$race_spawn_sample" "$race_min_ratio" \
-          "$race_chain_off" "$race_chain_sample" \
-          "$race_chain_min_ratio" <<'EOF'
+# shellcheck disable=SC2086
+python3 - $spawn_pair "$verify_min_ratio" $chain_pair \
+          "$verify_chain_min_ratio" $windows_pair "$verify_windows_min_ratio" \
+          $history_pair "$verify_history_min_ratio" <<'EOF'
 import sys
-vals = list(map(float, sys.argv[1:7]))
-for name, off, sample, floor in (("spawn", *vals[0:3]),
-                                 ("chain", *vals[3:6])):
-    ratio = sample / off
-    print(f"=== [bench-smoke] race {name}: sample {sample:.3e} tasks/s vs "
-          f"off {off:.3e} (ratio {ratio:.2f}, floor {floor}) ===")
+vals = list(map(float, sys.argv[1:13]))
+legs = (("spawn", "off", "sample", *vals[0:3]),
+        ("chain", "off", "sample", *vals[3:6]),
+        ("windows", "off", "sample", *vals[6:9]),
+        ("history", "post 8 windows", "post 64 windows", *vals[9:12]))
+for name, label_a, label_b, a, b, floor in legs:
+    ratio = b / a
+    print(f"=== [bench-smoke] verify {name}: {label_b} {b:.3e} tasks/s vs "
+          f"{label_a} {a:.3e} (ratio {ratio:.2f}, floor {floor}) ===")
     if ratio < floor:
-        sys.exit(f"bench-smoke FAILED: race sampling costs {(1 - ratio):.0%}"
-                 f" of {name} throughput (floor {floor})")
+        sys.exit(f"bench-smoke FAILED: verify {name} ratio {ratio:.2f} "
+                 f"below floor {floor}")
 EOF

@@ -5,9 +5,10 @@
 #      container toolchain is gcc-only).
 #   2. The verifier self-tests (tests/test_verify): seeded determinacy
 #      races, PTSG drift, lint findings, reachability corner cases.
-#   3. The online race-detector self-tests (tests/test_race): seeded
-#      edge drops caught at discovery time, strict escalation, sampling
-#      determinism, range-overlap flags, tenant isolation.
+#   3. The runtime checker's self-tests (tests/test_race): seeded edge
+#      drops caught at the taskwait, sample mode and its subset
+#      soundness, per-window cost, range-overlap findings, tenant
+#      isolation.
 #   4. The dependence-rule suites on both engines (tests/test_depend for
 #      the runtime, tests/test_sim_graph for the simulator and exact
 #      edge-list parity between the two), plain and under
@@ -19,11 +20,10 @@
 #   6. TDG_VERIFY=strict runs of the application test suites: any
 #      conflicting access pair the discovered graph fails to order throws
 #      VerifyError at the next taskwait and fails the run.
-#   7. A TDG_RACE=sample multitenant_soak pass: the production-shaped
-#      sampling configuration must stay flag-free under concurrent
+#   7. A TDG_VERIFY=sample multitenant_soak pass: the production-shaped
+#      sampling configuration must stay finding-free under concurrent
 #      submitters on a shared pool.
-#   8. tdg-trace verify / race / tdg-lint smoke on a freshly recorded
-#      trace.
+#   8. tdg-trace verify / tdg-lint smoke on a freshly recorded trace.
 #
 # Usage: scripts/ci_static.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -58,7 +58,7 @@ fi
 echo "=== [static] verifier self-tests ==="
 "$dir"/tests/test_verify
 
-echo "=== [static] race-detector self-tests ==="
+echo "=== [static] runtime checker self-tests ==="
 "$dir"/tests/test_race
 
 echo "=== [static] dependence rules on both engines ==="
@@ -78,11 +78,8 @@ TDG_VERIFY=strict "$dir"/tests/test_cholesky
 TDG_VERIFY=strict "$dir"/tests/test_lulesh
 TDG_VERIFY=strict "$dir"/tests/test_taskbench
 
-echo "=== [static] TDG_RACE=strict application suites ==="
-TDG_RACE=strict "$dir"/tests/test_taskbench
-
-echo "=== [static] TDG_RACE=sample multitenant soak ==="
-TDG_RACE=sample "$dir"/examples/multitenant_soak --tenants 4 --graphs 200
+echo "=== [static] TDG_VERIFY=sample multitenant soak ==="
+TDG_VERIFY=sample "$dir"/examples/multitenant_soak --tenants 4 --graphs 200
 
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
@@ -95,9 +92,6 @@ echo "=== [static] record a verification trace (cholesky_demo) ==="
 
 echo "=== [static] tdg-trace verify ==="
 "$dir"/tools/tdg-trace verify "$trace"
-
-echo "=== [static] tdg-trace race ==="
-"$dir"/tools/tdg-trace race "$trace"
 
 echo "=== [static] tdg-lint (strict) ==="
 "$dir"/tools/tdg-lint "$trace" --strict

@@ -5,7 +5,7 @@
 //   (b) O(1) duplicate-edge elimination (Section 3.1),
 //   (c) inoutset redirection nodes reducing m*n edges to m+n (Fig. 4).
 // The three policy parts (node handle, per-address storage, edge sink) and
-// why the verifier and race-detector shadows keep their own copies are
+// why the verifier's shadow keeps its own copy is
 // described in DESIGN.md "Dependence rules".
 #pragma once
 

@@ -20,7 +20,7 @@ enum class DependType : std::uint8_t {
 /// Discovery matches on address identity only (OpenMP list-item base rule),
 /// exactly as in the paper's applications which depend on block base
 /// addresses. `bytes` is an optional extent annotation consumed by the
-/// online race detector's interval shadow table and by the clause lint's
+/// verifier's cross-base range-overlap check and by the clause lint's
 /// overlapping-range check; 0 means "identity only" and keeps the legacy
 /// aggregate initializers `{addr, type}` valid.
 struct Depend {

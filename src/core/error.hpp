@@ -64,20 +64,6 @@ class VerifyError : public Error {
   std::string report_;
 };
 
-/// The online race detector (TDG_RACE=strict) confirmed a happens-before
-/// violation: two conflicting accesses the discovered graph does not order,
-/// flagged live by the shadow table and — where possible — escalated to the
-/// offline verifier over the flagged window. `what()` is the full report.
-class RaceError : public Error {
- public:
-  explicit RaceError(std::string report)
-      : Error(report), report_(std::move(report)) {}
-  const std::string& report() const noexcept { return report_; }
-
- private:
-  std::string report_;
-};
-
 /// A remote rank died (fault-plan kill or heartbeat timeout) while an
 /// operation depended on it: in-flight receives from the dead rank fail
 /// fast with this error, and the dead rank's own unwinding uses it too.

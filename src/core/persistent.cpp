@@ -8,7 +8,9 @@ PersistentRegion::PersistentRegion(Runtime& rt) : rt_(rt) {
   rt_.region_ = this;
   // Replay-safety check: capture every iteration's clause stream so
   // end_iteration can diff replays against the cached discovery graph.
-  rt_.verify_clauses_ = rt_.config().verify != VerifyMode::Off;
+  // Sample mode skips it: the diff re-discovers whole iterations.
+  rt_.verify_clauses_ = rt_.config().verify == VerifyMode::Post ||
+                        rt_.config().verify == VerifyMode::Strict;
 }
 
 PersistentRegion::~PersistentRegion() {

@@ -4,8 +4,10 @@
 
 namespace tdg {
 
-Profiler::Profiler(MetricsRegistry& metrics, bool trace_enabled)
+Profiler::Profiler(MetricsRegistry& metrics, bool trace_enabled,
+                   bool capture)
     : trace_enabled_(trace_enabled),
+      capture_(capture),
       metrics_(metrics),
       time_{metrics.counter("time.work_ns"),
             metrics.counter("time.overhead_ns"),
@@ -14,6 +16,7 @@ Profiler::Profiler(MetricsRegistry& metrics, bool trace_enabled)
       trace_(metrics.num_shards()) {
   for (auto& tb : trace_) tb.records.reserve(1024);
   edges_.reserve(1024);
+  if (capturing()) accesses_.reserve(1024);
 }
 
 Profiler::TimeNs Profiler::time_ns(unsigned thread) const {
@@ -28,13 +31,13 @@ void Profiler::record(unsigned thread, const TaskRecord& rec) {
 }
 
 void Profiler::record_edge(std::uint64_t pred, std::uint64_t succ) {
-  if (!trace_enabled()) return;
+  if (!capturing()) return;
   edges_.push_back(TraceEdge{pred, succ});
 }
 
 void Profiler::record_accesses(std::uint64_t task_id, const char* label,
                                const Depend* deps, std::size_t n) {
-  if (!trace_enabled()) return;
+  if (!capturing()) return;
   for (std::size_t i = 0; i < n; ++i) {
     accesses_.push_back(AccessRecord{
         task_id, reinterpret_cast<std::uint64_t>(deps[i].addr), deps[i].type,
@@ -43,7 +46,7 @@ void Profiler::record_accesses(std::uint64_t task_id, const char* label,
 }
 
 void Profiler::record_barrier(std::uint64_t max_task_id) {
-  if (!trace_enabled()) return;
+  if (!capturing()) return;
   // Back-to-back taskwaits (or a taskwait with no intervening submissions)
   // carry no extra ordering information; keep the log minimal.
   if (!barriers_.empty() && barriers_.back() == max_task_id) return;
@@ -51,7 +54,7 @@ void Profiler::record_barrier(std::uint64_t max_task_id) {
 }
 
 void Profiler::record_scope_clear(std::uint64_t max_task_id) {
-  if (!trace_enabled()) return;
+  if (!capturing()) return;
   if (!scope_clears_.empty() && scope_clears_.back() == max_task_id) return;
   scope_clears_.push_back(max_task_id);
 }
@@ -65,6 +68,26 @@ void Profiler::record_comm(const CommRecord& rec) {
 std::vector<CommRecord> Profiler::comm_records() const {
   SpinGuard g(comm_lock_);
   return comms_;
+}
+
+Profiler::CaptureView Profiler::unchecked() const {
+  return {std::span(accesses_).subspan(checked_[0]),
+          std::span(edges_).subspan(checked_[1]),
+          std::span(barriers_).subspan(checked_[2]),
+          std::span(scope_clears_).subspan(checked_[3])};
+}
+
+void Profiler::mark_checked(bool drop) {
+  if (drop) {
+    accesses_.clear();
+    edges_.clear();
+    scope_clears_.clear();
+    if (!barriers_.empty()) {
+      barriers_.erase(barriers_.begin(), barriers_.end() - 1);
+    }
+  }
+  checked_ = {accesses_.size(), edges_.size(), barriers_.size(),
+              scope_clears_.size()};
 }
 
 Breakdown Profiler::breakdown() const {
@@ -112,6 +135,7 @@ void Profiler::reset() {
   accesses_.clear();
   barriers_.clear();
   scope_clears_.clear();
+  checked_ = {};
   // Quiesce the comm ring under its own lock: the request poller records
   // from arbitrary worker threads, so clearing without the lock (or not
   // clearing at all) would leave stale comm records attributed to flow

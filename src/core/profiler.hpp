@@ -8,6 +8,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,15 +50,15 @@ struct CommRecord {
   std::uint64_t task_id = 0;      ///< owning detach task (0 = none)
 };
 
-/// One discovered dependence edge, by task id (trace mode only; feeds the
-/// Perfetto flow arrows and the post-mortem critical-path analysis).
+/// One discovered dependence edge, by task id (captured; feeds the TDG
+/// verifier, the Perfetto flow arrows and the critical-path analysis).
 struct TraceEdge {
   std::uint64_t pred = 0;
   std::uint64_t succ = 0;
 };
 
-/// One depend-clause item of one submitted task (trace mode only; feeds the
-/// TDG soundness verifier and the depend-clause lint). Addresses are erased
+/// One depend-clause item of one submitted task (captured; feeds the TDG
+/// soundness verifier and the depend-clause lint). Addresses are erased
 /// to integers — the verifier only needs identity, never dereferences.
 struct AccessRecord {
   std::uint64_t task_id = 0;
@@ -90,15 +91,23 @@ struct Breakdown {
 /// shard per thread slot (a relaxed add per scheduling decision); full task
 /// tracing is opt-in, as in the paper where tracing costs 0-5% and is
 /// bounded by DRAM capacity.
+///
+/// Two levels of recording: trace mode keeps per-task timing records and
+/// comm records; capture keeps only the discovery streams the verifier
+/// reads (accesses, edges, barriers, scope clears). Trace mode implies
+/// capture; a verify mode turns on capture alone.
 class Profiler {
  public:
   /// One thread slot per registry shard. The registry must outlive the
   /// profiler.
-  explicit Profiler(MetricsRegistry& metrics, bool trace_enabled = false);
+  explicit Profiler(MetricsRegistry& metrics, bool trace_enabled = false,
+                    bool capture = false);
 
   bool trace_enabled() const {
     return trace_enabled_.load(std::memory_order_relaxed);
   }
+  /// Are the access/edge/barrier/scope-clear streams being recorded?
+  bool capturing() const { return capture_ || trace_enabled(); }
   /// Safe while workers run: the flag is atomic, so toggling mid-flight
   /// merely starts/stops recording at the next task boundary.
   void set_trace_enabled(bool on) {
@@ -121,12 +130,12 @@ class Profiler {
   /// Record a completed task instance (trace mode only).
   void record(unsigned thread, const TaskRecord& rec);
 
-  /// Record a discovered dependence edge (trace mode only). Called from
+  /// Record a discovered dependence edge (capture only). Called from
   /// the producer thread only — discovery is sequential — so the edge log
   /// is unsynchronized; read it post-mortem.
   void record_edge(std::uint64_t pred, std::uint64_t succ);
 
-  /// Record a task's depend clause (trace mode only, producer thread only,
+  /// Record a task's depend clause (capture only, producer thread only,
   /// same discipline as record_edge). `label` must outlive the profiler.
   void record_accesses(std::uint64_t task_id, const char* label,
                        const Depend* deps, std::size_t n);
@@ -150,9 +159,9 @@ class Profiler {
   Breakdown breakdown() const;
   /// All records, merged and sorted by start time.
   std::vector<TaskRecord> merged_trace() const;
-  /// Dependence edges logged during discovery (trace mode only).
+  /// Dependence edges logged during discovery (capture only).
   const std::vector<TraceEdge>& edges() const { return edges_; }
-  /// Depend-clause items logged during discovery (trace mode only).
+  /// Depend-clause items logged during discovery (capture only).
   const std::vector<AccessRecord>& accesses() const { return accesses_; }
   /// Taskwait cutoffs (max task id submitted before each barrier).
   const std::vector<std::uint64_t>& barriers() const { return barriers_; }
@@ -168,6 +177,24 @@ class Profiler {
   /// aware request poller; stays 0 for single-process runtimes.
   void set_rank(int rank) { rank_.store(rank, std::memory_order_relaxed); }
   int rank() const { return rank_.load(std::memory_order_relaxed); }
+
+  /// A suffix of each captured stream.
+  struct CaptureView {
+    std::span<const AccessRecord> accesses;
+    std::span<const TraceEdge> edges;
+    std::span<const std::uint64_t> barriers;
+    std::span<const std::uint64_t> scope_clears;
+  };
+  /// The records appended since the last mark_checked() (the whole
+  /// streams before the first mark and after reset()). Producer thread
+  /// only.
+  CaptureView unchecked() const;
+
+  /// Everything captured so far has been checked: later unchecked() views
+  /// start past it. With `drop` the checked records are freed instead,
+  /// keeping only the last barrier (bounds capture memory by one taskwait
+  /// window). Producer thread only.
+  void mark_checked(bool drop);
 
   /// Zero the breakdown (through a baseline; the registry counters keep
   /// counting) and drop the traces, between experiment phases.
@@ -188,6 +215,7 @@ class Profiler {
   TimeNs time_ns(unsigned thread) const;
 
   std::atomic<bool> trace_enabled_;
+  const bool capture_;
   std::atomic<int> rank_{0};
   MetricsRegistry& metrics_;
   std::array<MetricsRegistry::Id, 3> time_;
@@ -197,6 +225,8 @@ class Profiler {
   std::vector<AccessRecord> accesses_;
   std::vector<std::uint64_t> barriers_;
   std::vector<std::uint64_t> scope_clears_;
+  /// Stream sizes at the last mark_checked(): where unchecked() begins.
+  std::array<std::size_t, 4> checked_{};
   mutable SpinLock comm_lock_;  // record_comm runs on any worker thread
   std::vector<CommRecord> comms_;
 };

@@ -92,11 +92,9 @@ void RuntimeMetricIds::register_into(MetricsRegistry& reg) {
   replay_tasks = reg.counter("persistent.replay_tasks");
   replay_bytes = reg.counter("persistent.memcpy_bytes");
   iterations = reg.counter("persistent.iterations");
-  race_checks = reg.counter("race.checks");
-  race_flags = reg.counter("race.flags");
-  race_tracked = reg.counter("race.tracked_tasks");
-  race_escalations = reg.counter("race.escalations");
-  race_shadow = reg.gauge("race.shadow_entries");
+  verify_windows = reg.counter("verify.windows");
+  verify_pairs = reg.counter("verify.pairs_checked");
+  verify_races = reg.counter("verify.races");
 }
 
 Runtime::Runtime(Config cfg)
@@ -119,22 +117,17 @@ Runtime::Runtime(Config cfg)
   }
   trace_env_ = trace_env_config();
   if (trace_env_.enabled) cfg_.trace = true;
-  // TDG_VERIFY (off|post|strict) overrides Config::verify; any checking
-  // mode needs the clause/edge/barrier capture, so it forces trace
-  // collection on (the teardown file export stays gated on TDG_TRACE).
+  // TDG_VERIFY (off|sample|post|strict) overrides Config::verify. A
+  // checking mode turns on the profiler's stream capture only: it reads
+  // no clock stamps and no task records, so it leaves `trace` (and with
+  // it timed_) alone.
   switch (verify_env_mode()) {
     case VerifyEnvMode::Off: cfg_.verify = VerifyMode::Off; break;
+    case VerifyEnvMode::Sample: cfg_.verify = VerifyMode::Sample; break;
     case VerifyEnvMode::Post: cfg_.verify = VerifyMode::Post; break;
     case VerifyEnvMode::Strict: cfg_.verify = VerifyMode::Strict; break;
     case VerifyEnvMode::Default: break;
   }
-  if (cfg_.verify != VerifyMode::Off) cfg_.trace = true;
-  // TDG_RACE (off|sample|strict) replaces Config::race when set. Strict
-  // escalation replays the offline verifier over the profiler streams at
-  // the next taskwait, so it forces trace capture on; sample mode stays
-  // capture-free (the detector's own state is all it needs).
-  if (std::getenv("TDG_RACE") != nullptr) cfg_.race = race_env_options();
-  if (cfg_.race.mode == RaceMode::Strict) cfg_.trace = true;
   timed_ = metrics_on || cfg_.trace;
   // Slot layout: 0 is the producer, 1..num_workers are the pool workers —
   // identical to the pre-pool slot numbering for a solo runtime.
@@ -150,10 +143,8 @@ Runtime::Runtime(Config cfg)
   dep_map_.bind_edge_metrics(metrics_.get(),
                              {m_.edges_created, m_.edges_duplicate,
                               m_.edges_pruned, m_.internal_nodes});
-  profiler_ = std::make_unique<Profiler>(*metrics_, cfg_.trace);
-  if (cfg_.race.mode != RaceMode::Off) {
-    race_ = std::make_unique<RaceDetector>(cfg_.race, n);
-  }
+  profiler_ = std::make_unique<Profiler>(*metrics_, cfg_.trace,
+                                         cfg_.verify != VerifyMode::Off);
   tls_runtime = this;  // caller becomes the producer
   if (cfg_.pool != nullptr) {
     pool_ = cfg_.pool;
@@ -192,7 +183,6 @@ Runtime::~Runtime() {
   // Last verification chance for graphs never followed by a taskwait;
   // destructors cannot throw, so strict mode degrades to the stderr report.
   verify_now(/*allow_throw=*/false);
-  race_now(/*allow_throw=*/false);
   // Failures no caller waited for can no longer be thrown; drop them.
   {
     SpinGuard g(failures_lock_);
@@ -336,18 +326,10 @@ void Runtime::finish_submission(Task* t, std::span<const Depend> deps) {
   if (!deps.empty()) madd(m_.hash_probes, deps.size());
   // Capture the clause before discovery mutates the history: the verifier
   // re-derives the required ordering from exactly this stream.
-  if (!deps.empty() && profiler_->trace_enabled()) {
+  if (!deps.empty() && profiler_->capturing()) {
     profiler_->record_accesses(t->id(), t->label, deps.data(), deps.size());
   }
   dep_map_.apply(*this, t, deps, cfg_.discovery);
-  // Race sampling decision, made after apply so every edge of this task
-  // has already joined the clocks, and before the guard drop below so the
-  // npredecessors acq_rel chain publishes race_clock (and the record it
-  // points at) to whichever worker starts the task.
-  if (race_ != nullptr && !deps.empty()) {
-    t->race_clock = race_->on_task_discovered(t->id(), deps.data(),
-                                              deps.size(), t->label);
-  }
   const bool in_batch = tls_runtime == this && batch_active_;
   if (!in_batch) {
     const std::uint64_t ts = now_ns();
@@ -369,10 +351,6 @@ void Runtime::finish_submission(Task* t, std::span<const Depend> deps) {
 }
 
 EdgeOutcome Runtime::discover_edge(Task* pred, Task* succ) {
-  // Clock join covers both outcomes — including Pruned, whose ordering is
-  // real even though no runtime edge is needed. A duplicate was joined
-  // when the pair was first discovered.
-  if (race_ != nullptr) race_->on_edge(pred->id(), succ->id());
   EdgeOutcome out = EdgeOutcome::Pruned;
   // Fast path: an edge to an already-finished predecessor is pruned with
   // one acquire load — no RMW on the successor's count, no lock on the
@@ -400,7 +378,7 @@ EdgeOutcome Runtime::discover_edge(Task* pred, Task* succ) {
   // verifier — and critical-path analysis — see the full precedence
   // relation, not just the materialized subset. Without this, a pruned
   // pair whose repeat is then dedup'd away would surface as a false race.
-  if (profiler_->trace_enabled()) {
+  if (profiler_->capturing()) {
     profiler_->record_edge(pred->id(), succ->id());
   }
   return out;
@@ -454,12 +432,9 @@ void Runtime::clear_dependency_scope() {
   // Mirror the cut in the verifier's input: no dependence is required
   // across a scope clear (the caller asserted phase independence), so the
   // shadow discovery must forget its history exactly where the map did.
-  if (profiler_->trace_enabled()) {
+  if (profiler_->capturing()) {
     profiler_->record_scope_clear(
         next_task_id_.load(std::memory_order_relaxed) - 1);
-  }
-  if (race_ != nullptr) {
-    race_->on_scope_clear(next_task_id_.load(std::memory_order_relaxed) - 1);
   }
 }
 
@@ -561,13 +536,6 @@ void Runtime::run_task(Task* t, unsigned thread) {
   } else {
     t->state.store(TaskState::Running, std::memory_order_relaxed);
     watchdog_.note_progress();
-    // Shadow check-then-install at the start boundary: of any unordered
-    // conflicting pair, the later-starting task sees the earlier one's
-    // entry. Replay iterations skip it (their window's clocks flushed at
-    // the discovery-iteration taskwait; the graph is fixed anyway).
-    if (race_ != nullptr && t->race_clock != nullptr && t->iteration == 0) {
-      race_->on_task_start(t->id(), thread, t->race_clock);
-    }
     Task* prev_current = tls_current_task;
     tls_current_task = t;
     BodyOutcome oc = BodyOutcome::Success;
@@ -700,9 +668,6 @@ void Runtime::record_cancelled(Task* t) {
 
 void Runtime::complete_task(Task* t, unsigned thread) {
   if (timed_) t->t_end = now_ns();
-  if (race_ != nullptr && t->race_clock != nullptr) {
-    race_->on_task_finish(t->id(), thread);
-  }
   const bool failed = t->failed;
   const bool cancelled = !failed && t->cancelled.load(std::memory_order_acquire);
   const bool poisoned = failed || cancelled;
@@ -824,7 +789,6 @@ void Runtime::taskwait() {
   // determinacy race — the interleaving just happened to be benign).
   throw_if_failed();
   verify_now(/*allow_throw=*/true);
-  race_now(/*allow_throw=*/true);
 }
 
 void Runtime::drain() {
@@ -852,107 +816,42 @@ void Runtime::drain() {
   // this point are ordered without an edge. The cutoff feeds the verifier
   // (taskwait separation) — dedup in the profiler keeps idle re-drains
   // free. drain() only runs on the producer, so the id read is exact.
-  if (profiler_->trace_enabled()) {
+  if (profiler_->capturing()) {
     profiler_->record_barrier(
         next_task_id_.load(std::memory_order_relaxed) - 1);
-  }
-  // Epoch advance AFTER the flag buffer was filled by the drained tasks:
-  // everything <= the cutoff is done, so the detector flushes its shadow
-  // table and clock records (bounding its footprint by the window size)
-  // and future ordered() queries answer by cutoff alone.
-  if (race_ != nullptr) {
-    race_->on_barrier(next_task_id_.load(std::memory_order_relaxed) - 1);
   }
 }
 
 void Runtime::verify_now(bool allow_throw) {
   if (cfg_.verify == VerifyMode::Off) return;
-  const auto& accesses = profiler_->accesses();
-  const auto& edges = profiler_->edges();
-  const auto& barriers = profiler_->barriers();
-  if (accesses.size() == verified_accesses_ &&
-      edges.size() == verified_edges_ &&
-      barriers.size() == verified_barriers_) {
-    return;  // nothing new since the last check
-  }
-  VerifyReport rep = verify_graph();
-  verified_accesses_ = accesses.size();
-  verified_edges_ = edges.size();
-  verified_barriers_ = barriers.size();
+  // Every caller has just drained, so the last barrier cutoff is the last
+  // task submitted: an unchanged cutoff means nothing new was captured.
+  const std::uint64_t hi =
+      profiler_->barriers().empty() ? 0 : profiler_->barriers().back();
+  if (hi == verified_through_) return;
+  // Only the window since the last verified barrier: that barrier orders
+  // every pair straddling it, and pairs before it were checked already.
+  // Every record captured since then belongs to a task after it, so the
+  // unchecked suffix of each stream is the window; the check costs the
+  // window, not the history.
+  const std::uint64_t lo = verified_through_;
+  verified_through_ = hi;
+  const bool sample = cfg_.verify == VerifyMode::Sample;
+  const Profiler::CaptureView w = profiler_->unchecked();
+  const VerifyReport rep = verify_window(w.accesses, w.edges, w.barriers,
+                                         w.scope_clears, lo, sample);
+  // Sample mode keeps memory bounded by the window; a trace keeps the
+  // full history for export, and post/strict keep it for verify_graph().
+  profiler_->mark_checked(/*drop=*/sample && !profiler_->trace_enabled());
+  madd(m_.verify_windows);
+  madd(m_.verify_pairs, rep.pairs_checked);
+  madd(m_.verify_races, rep.races_total);
   if (rep.ok()) return;
   if (cfg_.verify == VerifyMode::Strict && allow_throw) {
     throw VerifyError(rep.summary());
   }
   std::fprintf(stderr, "tdg: TDG verification FAILED:\n%s\n",
                rep.summary().c_str());
-}
-
-void Runtime::race_now(bool allow_throw) {
-  if (race_ == nullptr) return;
-  // Counter sync: the detector keeps cheap internal atomics; taskwait is
-  // the natural cadence to fold the deltas into the metrics namespace.
-  const std::uint64_t checks = race_->check_count();
-  const std::uint64_t flags_total = race_->flag_total();
-  const std::uint64_t tracked = race_->tracked_count();
-  if (checks > race_synced_checks_) {
-    metrics_->add(m_.race_checks, checks - race_synced_checks_, 0);
-    race_synced_checks_ = checks;
-  }
-  if (flags_total > race_synced_flags_) {
-    metrics_->add(m_.race_flags, flags_total - race_synced_flags_, 0);
-    race_synced_flags_ = flags_total;
-  }
-  if (tracked > race_synced_tracked_) {
-    metrics_->add(m_.race_tracked, tracked - race_synced_tracked_, 0);
-    race_synced_tracked_ = tracked;
-  }
-  const std::int64_t shadow =
-      static_cast<std::int64_t>(race_->live_shadow_entries());
-  if (shadow != race_shadow_reported_) {
-    metrics_->gauge_add(m_.race_shadow, shadow - race_shadow_reported_, 0);
-    race_shadow_reported_ = shadow;
-  }
-  std::vector<RaceFlag> flags = race_->take_flags();
-  if (flags.empty()) return;
-  std::string report;
-  for (const RaceFlag& f : flags) {
-    report += f.to_string();
-    report += '\n';
-  }
-  bool confirmed = false;
-  if (cfg_.race.mode == RaceMode::Strict) {
-    // Escalation: replay the offline verifier restricted to the flagged
-    // windows for the precise report. RangeOverlap flags are confirmed
-    // as-is — the identity-based verifier structurally cannot re-derive
-    // cross-base conflicts.
-    bool any_same_base = false;
-    std::uint64_t window_lo = ~std::uint64_t{0};
-    for (const RaceFlag& f : flags) {
-      if (f.kind == RaceFlag::Kind::SameBase) {
-        any_same_base = true;
-        if (f.window_lo < window_lo) window_lo = f.window_lo;
-      } else {
-        confirmed = true;
-      }
-    }
-    if (any_same_base) {
-      madd(m_.race_escalations);
-      VerifyReport rep =
-          verify_window(profiler_->accesses(), profiler_->edges(),
-                        profiler_->barriers(), profiler_->scope_clears(),
-                        window_lo);
-      report += rep.summary();
-      confirmed = confirmed || !rep.ok();
-    }
-    if (confirmed && allow_throw) throw RaceError(report);
-  }
-  std::fprintf(stderr, "tdg: race detector flagged %zu pair(s)%s:\n%s\n",
-               flags.size(),
-               cfg_.race.mode == RaceMode::Strict
-                   ? (confirmed ? " (escalation CONFIRMED)"
-                                : " (escalation did not confirm)")
-                   : "",
-               report.c_str());
 }
 
 void Runtime::log_verify_clause(std::span<const Depend> deps) {
@@ -1060,10 +959,6 @@ void Runtime::runtime_diagnostic(std::string& out) const {
   }
   // Discovery data layer: a producer wedged mid-discovery shows up here
   // (table growth, arena footprint), complementing the metric deltas below.
-  if (race_ != nullptr) {
-    out += "\n  ";
-    race_->diagnostic(out);
-  }
   out += "\n  discovery table: " +
          std::to_string(dep_map_.tracked_addresses()) + " addresses (cap " +
          std::to_string(dep_map_.table_capacity()) + ", " +

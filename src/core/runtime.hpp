@@ -29,7 +29,6 @@
 #include "core/error.hpp"
 #include "core/metrics.hpp"
 #include "core/profiler.hpp"
-#include "core/race.hpp"
 #include "core/scheduler.hpp"
 #include "core/slab.hpp"
 #include "core/task.hpp"
@@ -84,12 +83,10 @@ struct RuntimeMetricIds {
   Id replay_tasks;      ///< counter persistent.replay_tasks
   Id replay_bytes;      ///< counter persistent.memcpy_bytes
   Id iterations;        ///< counter persistent.iterations
-  // online race detection (synced from the detector at each taskwait)
-  Id race_checks;       ///< counter race.checks (shadow clause checks)
-  Id race_flags;        ///< counter race.flags (HB violations flagged)
-  Id race_tracked;      ///< counter race.tracked_tasks (sampled tasks)
-  Id race_escalations;  ///< counter race.escalations (offline replays)
-  Id race_shadow;       ///< gauge race.shadow_entries (live intervals)
+  // TDG verification (TDG_VERIFY), added at each checked taskwait
+  Id verify_windows;    ///< counter verify.windows (taskwait windows checked)
+  Id verify_pairs;      ///< counter verify.pairs_checked (ordering tests)
+  Id verify_races;      ///< counter verify.races (violations found)
 
   void register_into(MetricsRegistry& reg);
 };
@@ -150,22 +147,16 @@ class Runtime {
     /// `trace` and exports the trace to a file when the runtime is
     /// destroyed.
     bool metrics = true;
-    /// TDG soundness verification (see core/verify.hpp): Off = free; Post
-    /// and Strict capture the clause/edge/barrier streams (forcing `trace`
-    /// on) and run the determinacy-race checker at every taskwait — Post
-    /// reports violations to stderr and continues, Strict throws
-    /// VerifyError. The TDG_VERIFY environment variable (off|post|strict)
-    /// overrides this field.
+    /// TDG soundness verification (see core/verify.hpp): Off = free; the
+    /// other modes capture the clause/edge/barrier/scope-clear streams
+    /// (no timing, no task records) and check the window since the last
+    /// taskwait at every taskwait. Sample checks one task in 16 and drops
+    /// the verified prefix (unless `trace` keeps it for export); Post
+    /// checks every task and reports violations to stderr; Strict throws
+    /// VerifyError. Post and Strict also diff persistent-region replays
+    /// against the discovery iteration. The TDG_VERIFY environment variable
+    /// (off|sample|post|strict) overrides this field.
     VerifyMode verify = VerifyMode::Off;
-    /// Online sampling race detection (see core/race.hpp): vector clocks
-    /// maintained at discovery time, shadow-table checks at task start.
-    /// Sample mode reports flags to stderr and continues; Strict escalates
-    /// flagged windows through the offline verifier at the next taskwait
-    /// (forcing `trace` on for the capture) and throws tdg::RaceError on
-    /// confirmation. The TDG_RACE environment variable
-    /// (off|sample|strict, plus TDG_RACE_SAMPLE_TASKS/SAMPLE_ADDRS/SEED)
-    /// overrides this field entirely when set.
-    RaceOptions race;
     /// Attach to a shared WorkerPool (multi-tenant mode) instead of
     /// constructing a private worker team. The pool must outlive the
     /// runtime. With a shared pool `num_threads` is ignored (the pool
@@ -302,7 +293,8 @@ class Runtime {
   // --- introspection --------------------------------------------------------
   /// Run the TDG soundness checker over everything captured so far
   /// (requires Config::trace or a non-Off verify mode; otherwise the
-  /// streams are empty and the report is trivially clean). Pure — no
+  /// streams are empty and the report is trivially clean; sample mode
+  /// without `trace` drops each window once it is checked). Pure — no
   /// runtime state changes; callable at any quiescent point.
   VerifyReport verify_graph(const VerifyOptions& opts = {}) const {
     return verify_tdg(profiler_->accesses(), profiler_->edges(),
@@ -350,9 +342,6 @@ class Runtime {
   /// The producer's access-history table (tests / tools: table capacity,
   /// live entries, rehash count, arena footprint).
   const DependencyMap& dependency_map() const { return dep_map_; }
-  /// The online race detector (nullptr when Config::race / TDG_RACE is
-  /// off). Tests use it to predict the sampled set and check churn.
-  const RaceDetector* race_detector() const { return race_.get(); }
   const Config& config() const { return cfg_; }
   /// Live tasks = created and not yet finished. Ready = queued, not started.
   std::size_t live_tasks() const {
@@ -461,17 +450,12 @@ class Runtime {
   }
   /// Capture the metrics baseline a later watchdog report deltas against.
   void arm_watchdog_baseline();
-  /// Run the soundness checker if the verify mode asks for it and anything
-  /// changed since the last check. Strict mode throws VerifyError when
-  /// `allow_throw` (taskwait); Post mode — and Strict from contexts that
-  /// must not throw (destructor) — reports to stderr.
+  /// Check the window since the last verified taskwait if the verify mode
+  /// asks for it and anything was submitted since. Strict mode throws
+  /// VerifyError when `allow_throw` (taskwait); Sample and Post — and
+  /// Strict from contexts that must not throw (destructor) — report to
+  /// stderr.
   void verify_now(bool allow_throw);
-  /// Drain the race detector's flag buffer and sync its counters into the
-  /// metrics namespace. Strict mode escalates same-base flags through
-  /// verify_window for the precise offline report and throws RaceError
-  /// when `allow_throw` (taskwait); Sample mode — and Strict from the
-  /// destructor — reports to stderr.
-  void race_now(bool allow_throw);
   /// Out-of-line clause capture for the replay-safety check (keeps the
   /// submit template free of PersistentRegion's definition).
   void log_verify_clause(std::span<const Depend> deps);
@@ -497,14 +481,6 @@ class Runtime {
   MetricsSnapshot wd_baseline_;
   bool wd_baseline_set_ = false;
   std::unique_ptr<Profiler> profiler_;
-  /// Online race detector (Config::race / TDG_RACE); null when off.
-  std::unique_ptr<RaceDetector> race_;
-  /// Detector counter values already synced into metrics (race_now runs at
-  /// every taskwait; deltas keep the counters from double counting).
-  std::uint64_t race_synced_checks_ = 0;
-  std::uint64_t race_synced_flags_ = 0;
-  std::uint64_t race_synced_tracked_ = 0;
-  std::int64_t race_shadow_reported_ = 0;
   Watchdog watchdog_;
   DependencyMap dep_map_;
   /// Private pool of a solo runtime (Config::pool == nullptr). Destroyed
@@ -587,14 +563,13 @@ class Runtime {
 
   // verification state (producer-only)
   /// True while a persistent region wants per-submission clause capture
-  /// for the replay-safety diff (verify mode != Off and a region active).
+  /// for the replay-safety diff (verify mode post or strict and a region
+  /// active).
   bool verify_clauses_ = false;
-  /// Watermarks of the last verified capture: when nothing was appended
-  /// since, the taskwait re-check is skipped (repeated taskwaits stay
-  /// O(1) instead of re-verifying the whole history).
-  std::size_t verified_accesses_ = 0;
-  std::size_t verified_edges_ = 0;
-  std::size_t verified_barriers_ = 0;
+  /// Barrier cutoff of the last verified taskwait: every task up to it
+  /// has been checked, so the next check covers only later ids (each
+  /// taskwait costs its own window, not the whole history).
+  std::uint64_t verified_through_ = 0;
 };
 
 }  // namespace tdg

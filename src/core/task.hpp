@@ -406,13 +406,6 @@ class Task {
   bool failed = false;
   /// Runtime-inserted node (e.g. inoutset R): TaskOpts::internal.
   bool internal = false;
-  /// Clock record handed out by the online race detector at discovery
-  /// (producer-side, before the discovery guard drops, so workers see it
-  /// via the npredecessors acq_rel chain). Null for unsampled tasks, which
-  /// then skip the detector's start/finish hooks entirely; non-null lets
-  /// the start hook reach its clauses without a map lookup. Valid until
-  /// the next taskwait barrier, by which point the task has completed.
-  void* race_clock = nullptr;
   /// TaskOpts::detach. The event itself carries the label, id and
   /// idempotency snapshot the recovery layer reads.
   Event* detach_event = nullptr;

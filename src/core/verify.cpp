@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <unordered_map>
@@ -120,78 +121,144 @@ std::vector<RequiredPair> shadow_required_pairs(
   return pairs;
 }
 
+constexpr std::uint32_t kNoVertex = ~std::uint32_t{0};
+
 /// Dense-index graph with topological order, shared by both query modes.
+/// Edges are kept as predecessor lists in CSR form: the predecessors of
+/// vertex v are pred[pred_begin[v] .. pred_begin[v + 1]).
 struct Graph {
   std::vector<std::uint64_t> ids;  ///< sorted task ids; index = position
-  std::unordered_map<std::uint64_t, std::uint32_t> index;
-  std::vector<std::vector<std::uint32_t>> adj;
+  /// id -> index over [base, base + slot.size()) when the ids are dense
+  /// (captured ids come from one counter); empty = binary search on ids.
+  std::uint64_t base = 0;
+  std::vector<std::uint32_t> slot;
+  std::vector<std::uint32_t> pred_begin;
+  std::vector<std::uint32_t> pred;
   std::vector<std::uint32_t> topo_pos;  ///< vertex -> position in topo order
   std::vector<std::uint32_t> topo;      ///< position -> vertex
   bool cycle = false;
   std::uint64_t cycle_task = 0;
+
+  std::span<const std::uint32_t> preds(std::uint32_t v) const {
+    return {pred.data() + pred_begin[v], pred_begin[v + 1] - pred_begin[v]};
+  }
+  /// Index of a vertex id (the id must be a vertex).
+  std::uint32_t index(std::uint64_t id) const {
+    if (!slot.empty()) return slot[id - base];
+    return static_cast<std::uint32_t>(
+        std::lower_bound(ids.begin(), ids.end(), id) - ids.begin());
+  }
 };
 
 Graph build_graph(std::span<const AccessRecord> accesses,
                   std::span<const TraceEdge> edges) {
   Graph g;
-  g.ids.reserve(accesses.size() + 2 * edges.size());
-  for (const AccessRecord& a : accesses) g.ids.push_back(a.task_id);
+  std::uint64_t lo = ~std::uint64_t{0};
+  std::uint64_t hi = 0;
+  auto see = [&](std::uint64_t id) {
+    lo = std::min(lo, id);
+    hi = std::max(hi, id);
+  };
+  for (const AccessRecord& a : accesses) see(a.task_id);
   for (const TraceEdge& e : edges) {
-    g.ids.push_back(e.pred);
-    g.ids.push_back(e.succ);
+    see(e.pred);
+    see(e.succ);
   }
-  std::sort(g.ids.begin(), g.ids.end());
-  g.ids.erase(std::unique(g.ids.begin(), g.ids.end()), g.ids.end());
+  const std::size_t records = accesses.size() + 2 * edges.size();
+  if (records != 0 && hi - lo < 4 * records + 64) {
+    // Dense ids: a presence table over [lo, hi] yields them sorted
+    // without a sort and doubles as the id -> index map.
+    g.base = lo;
+    g.slot.assign(hi - lo + 1, kNoVertex);
+    for (const AccessRecord& a : accesses) g.slot[a.task_id - lo] = 0;
+    for (const TraceEdge& e : edges) {
+      g.slot[e.pred - lo] = 0;
+      g.slot[e.succ - lo] = 0;
+    }
+    for (std::size_t i = 0; i < g.slot.size(); ++i) {
+      if (g.slot[i] == kNoVertex) continue;
+      g.slot[i] = static_cast<std::uint32_t>(g.ids.size());
+      g.ids.push_back(lo + i);
+    }
+  } else {
+    g.ids.reserve(records);
+    for (const AccessRecord& a : accesses) g.ids.push_back(a.task_id);
+    for (const TraceEdge& e : edges) {
+      g.ids.push_back(e.pred);
+      g.ids.push_back(e.succ);
+    }
+    std::sort(g.ids.begin(), g.ids.end());
+    g.ids.erase(std::unique(g.ids.begin(), g.ids.end()), g.ids.end());
+  }
 
+  // Predecessor lists by counting sort on the target. A repeated pair
+  // (pruned-then-created across barrier scopes) stays repeated: harmless
+  // to reachability, and Kahn below counts it on both sides.
   const std::size_t n = g.ids.size();
-  g.index.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    g.index.emplace(g.ids[i], static_cast<std::uint32_t>(i));
-  }
-
-  g.adj.resize(n);
-  std::vector<std::uint32_t> indeg(n, 0);
-  // The edge stream may repeat a pair (pruned-then-created across barrier
-  // scopes); dedup so Kahn in-degrees stay consistent with adj.
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(edges.size());
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> es;
+  es.reserve(edges.size());
+  bool ascending = true;  // every edge from a lower id to a higher one
   for (const TraceEdge& e : edges) {
-    const std::uint32_t u = g.index.at(e.pred);
-    const std::uint32_t v = g.index.at(e.succ);
+    const std::uint32_t u = g.index(e.pred);
+    const std::uint32_t v = g.index(e.succ);
     if (u == v) {  // self-edge: malformed, surfaces as a cycle
       g.cycle = true;
       g.cycle_task = e.pred;
       continue;
     }
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(u) << 32) | v;
-    if (!seen.insert(key).second) continue;
-    g.adj[u].push_back(v);
-    ++indeg[v];
+    ascending = ascending && u < v;
+    es.emplace_back(u, v);
+  }
+  g.pred_begin.assign(n + 1, 0);
+  for (const auto& [u, v] : es) ++g.pred_begin[v + 1];
+  for (std::size_t v = 0; v < n; ++v) g.pred_begin[v + 1] += g.pred_begin[v];
+  g.pred.resize(es.size());
+  {
+    std::vector<std::uint32_t> fill(g.pred_begin.begin(),
+                                    g.pred_begin.end() - 1);
+    for (const auto& [u, v] : es) g.pred[fill[v]++] = u;
   }
 
-  // Kahn's algorithm; ties broken by task id so the order is deterministic.
   g.topo.reserve(n);
-  std::vector<std::uint32_t> ready;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (indeg[v] == 0) ready.push_back(v);
-  }
-  // ids are sorted, so vertex index order == submission order; a plain
-  // FIFO over ascending indices keeps the order stable.
-  std::size_t head = 0;
-  while (head < ready.size()) {
-    const std::uint32_t v = ready[head++];
-    g.topo.push_back(v);
-    for (std::uint32_t w : g.adj[v]) {
-      if (--indeg[w] == 0) ready.push_back(w);
-    }
-  }
-  if (g.topo.size() != n) {
-    g.cycle = true;
+  if (ascending) {
+    // Discovery adds edges from earlier tasks into the one being
+    // submitted, so captured edges ascend in id and submission order is
+    // already topological. An inoutset redirect node, created while its
+    // first reader is discovered, points back to a lower id and takes
+    // the path below, as does a malformed trace.
+    for (std::uint32_t v = 0; v < n; ++v) g.topo.push_back(v);
+  } else {
+    // Kahn's algorithm over successor lists; a FIFO over ascending
+    // indices keeps the order deterministic (ties broken by task id).
+    std::vector<std::uint32_t> succ_begin(n + 1, 0);
+    for (const auto& [u, v] : es) ++succ_begin[u + 1];
+    for (std::size_t v = 0; v < n; ++v) succ_begin[v + 1] += succ_begin[v];
+    std::vector<std::uint32_t> succ(es.size());
+    std::vector<std::uint32_t> fill(succ_begin.begin(), succ_begin.end() - 1);
+    for (const auto& [u, v] : es) succ[fill[u]++] = v;
+    std::vector<std::uint32_t> indeg(n);
     for (std::uint32_t v = 0; v < n; ++v) {
-      if (indeg[v] != 0) {
-        g.cycle_task = g.ids[v];
-        break;
+      indeg[v] = g.pred_begin[v + 1] - g.pred_begin[v];
+    }
+    std::vector<std::uint32_t> ready;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      if (indeg[v] == 0) ready.push_back(v);
+    }
+    std::size_t head = 0;
+    while (head < ready.size()) {
+      const std::uint32_t v = ready[head++];
+      g.topo.push_back(v);
+      for (std::uint32_t k = succ_begin[v]; k < succ_begin[v + 1]; ++k) {
+        if (--indeg[succ[k]] == 0) ready.push_back(succ[k]);
+      }
+    }
+    if (g.topo.size() != n) {
+      g.cycle = true;
+      for (std::uint32_t v = 0; v < n; ++v) {
+        if (indeg[v] != 0) {
+          g.cycle_task = g.ids[v];
+          break;
+        }
       }
     }
   }
@@ -202,65 +269,69 @@ Graph build_graph(std::span<const AccessRecord> accesses,
   return g;
 }
 
-/// O(1)-query reachability: one bitset row per vertex, filled in reverse
-/// topological order (row[v] = bit(v) | union of successor rows). Memory is
-/// n^2/8 bytes, which is why it is gated behind dense_limit.
+/// O(1)-query reachability from a set of source vertices: one bitset row
+/// per vertex holding the sources that reach it, filled in topological
+/// order (row[v] = own bit if v is a source | union of predecessor rows).
+/// Only tasks with an access record start a required pair, so they are
+/// the sources; sample mode's subset shrinks the rows as much as the
+/// pairs. Memory is n*k/8 bytes for k sources, which is why it is gated
+/// behind dense_limit.
 class DenseReach {
  public:
-  explicit DenseReach(const Graph& g)
-      : words_((g.ids.size() + 63) / 64), rows_(g.ids.size() * words_, 0) {
-    for (auto it = g.topo.rbegin(); it != g.topo.rend(); ++it) {
-      const std::uint32_t v = *it;
+  DenseReach(const Graph& g, std::span<const std::uint32_t> sources)
+      : col_(g.ids.size(), kNoVertex),
+        words_((sources.size() + 63) / 64),
+        rows_(g.ids.size() * words_, 0) {
+    for (std::uint32_t k = 0; k < sources.size(); ++k) {
+      col_[sources[k]] = k;
+      rows_[std::size_t{sources[k]} * words_ + k / 64] |= std::uint64_t{1}
+                                                          << (k % 64);
+    }
+    for (const std::uint32_t v : g.topo) {
       std::uint64_t* row = rows_.data() + std::size_t{v} * words_;
-      row[v / 64] |= std::uint64_t{1} << (v % 64);
-      for (std::uint32_t w : g.adj[v]) {
-        const std::uint64_t* succ = rows_.data() + std::size_t{w} * words_;
-        for (std::size_t i = 0; i < words_; ++i) row[i] |= succ[i];
+      for (const std::uint32_t p : g.preds(v)) {
+        const std::uint64_t* in = rows_.data() + std::size_t{p} * words_;
+        for (std::size_t i = 0; i < words_; ++i) row[i] |= in[i];
       }
     }
   }
+  /// `from` must be a source (or equal to `to`).
   bool reachable(std::uint32_t from, std::uint32_t to) const {
-    const std::uint64_t* row = rows_.data() + std::size_t{from} * words_;
-    return (row[to / 64] >> (to % 64)) & 1;
+    const std::uint32_t c = col_[from];
+    if (c == kNoVertex) return from == to;
+    const std::uint64_t* row = rows_.data() + std::size_t{to} * words_;
+    return (row[c / 64] >> (c % 64)) & 1;
   }
 
  private:
+  std::vector<std::uint32_t> col_;  ///< vertex -> source column
   std::size_t words_;
   std::vector<std::uint64_t> rows_;
 };
 
-/// Per-pair DFS fallback for graphs above dense_limit: a direct-edge hash
-/// hit answers common pairs in O(1); misses walk successors, pruned by
-/// topological position (a vertex past the target's position cannot reach
-/// it). Visited marks use a query stamp so no per-query clearing.
+/// Per-pair DFS fallback for graphs above dense_limit: walks predecessors
+/// back from the later task, pruned by topological position (a vertex at
+/// or before the earlier task's position cannot be reached from it), so a
+/// direct edge is found on the first step. Visited marks use a query stamp
+/// so no per-query clearing.
 class SparseReach {
  public:
-  explicit SparseReach(const Graph& g) : g_(g), stamp_(g.ids.size(), 0) {
-    direct_.reserve(g.ids.size() * 2);
-    for (std::uint32_t u = 0; u < g.adj.size(); ++u) {
-      for (std::uint32_t v : g.adj[u]) {
-        direct_.insert((static_cast<std::uint64_t>(u) << 32) | v);
-      }
-    }
-  }
+  explicit SparseReach(const Graph& g) : g_(g), stamp_(g.ids.size(), 0) {}
   bool reachable(std::uint32_t from, std::uint32_t to) {
     if (from == to) return true;
-    if (direct_.count((static_cast<std::uint64_t>(from) << 32) | to) != 0) {
-      return true;
-    }
     ++query_;
-    const std::uint32_t limit = g_.topo_pos[to];
+    const std::uint32_t limit = g_.topo_pos[from];
     stack_.clear();
-    stack_.push_back(from);
-    stamp_[from] = query_;
+    stack_.push_back(to);
+    stamp_[to] = query_;
     while (!stack_.empty()) {
       const std::uint32_t v = stack_.back();
       stack_.pop_back();
-      for (std::uint32_t w : g_.adj[v]) {
-        if (w == to) return true;
-        if (stamp_[w] == query_ || g_.topo_pos[w] >= limit) continue;
-        stamp_[w] = query_;
-        stack_.push_back(w);
+      for (const std::uint32_t p : g_.preds(v)) {
+        if (p == from) return true;
+        if (stamp_[p] == query_ || g_.topo_pos[p] <= limit) continue;
+        stamp_[p] = query_;
+        stack_.push_back(p);
       }
     }
     return false;
@@ -268,7 +339,6 @@ class SparseReach {
 
  private:
   const Graph& g_;
-  std::unordered_set<std::uint64_t> direct_;
   std::vector<std::uint32_t> stamp_;
   std::vector<std::uint32_t> stack_;
   std::uint32_t query_ = 0;
@@ -278,14 +348,36 @@ class SparseReach {
 
 std::string RaceFinding::to_string() const {
   std::ostringstream os;
-  os << "determinacy race on ";
-  append_hex(os, addr);
-  os << ": task " << pred_id;
-  if (!pred_label.empty()) os << " [" << pred_label << "]";
-  os << " (" << dep_type_name(pred_type) << ") and task " << succ_id;
-  if (!succ_label.empty()) os << " [" << succ_label << "]";
-  os << " (" << dep_type_name(succ_type)
-     << ") conflict but are not ordered by the discovered graph";
+  auto endpoint = [&](std::uint64_t id, const std::string& label,
+                      DependType type, std::uint64_t base,
+                      std::uint32_t bytes) {
+    os << "task " << id;
+    if (!label.empty()) os << " [" << label << "]";
+    os << " (" << dep_type_name(type);
+    if (kind == Kind::RangeOverlap) {
+      os << " ";
+      append_hex(os, base);
+      os << "+" << bytes;
+    }
+    os << ")";
+  };
+  if (kind == Kind::SameBase) {
+    os << "determinacy race on ";
+    append_hex(os, addr);
+    os << ": ";
+  } else {
+    os << "range-overlap race: ";
+  }
+  endpoint(pred_id, pred_label, pred_type, addr, pred_bytes);
+  os << " and ";
+  endpoint(succ_id, succ_label, succ_type, succ_addr, succ_bytes);
+  if (kind == Kind::SameBase) {
+    os << " conflict but are not ordered by the discovered graph";
+  } else {
+    os << " declare overlapping byte ranges under different bases; "
+          "discovery matches base identity only and the discovered graph "
+          "does not order them";
+  }
   return os.str();
 }
 
@@ -311,9 +403,20 @@ VerifyEnvMode verify_env_mode() {
   if (v == nullptr) return VerifyEnvMode::Default;
   const std::string s(v);
   if (s == "off") return VerifyEnvMode::Off;
+  if (s == "sample") return VerifyEnvMode::Sample;
   if (s == "post") return VerifyEnvMode::Post;
   if (s == "strict") return VerifyEnvMode::Strict;
   return VerifyEnvMode::Default;
+}
+
+bool verify_samples_task(std::uint64_t id) {
+  // splitmix64 finalizer: bijective and well mixed, so "one in N" is a
+  // uniform pseudo-random subset of the ids.
+  std::uint64_t x = id + 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return x % kVerifySampleRate == 0;
 }
 
 VerifyReport verify_tdg(std::span<const AccessRecord> accesses,
@@ -343,10 +446,17 @@ VerifyReport verify_tdg(std::span<const AccessRecord> accesses,
     return rep;
   }
 
-  // Labels for reporting: the first clause item of each task carries it.
-  std::unordered_map<std::uint64_t, const char*> labels;
-  labels.reserve(accesses.size());
-  for (const AccessRecord& a : accesses) labels.emplace(a.task_id, a.label);
+  // Labels for reporting (the first clause item of each task carries it),
+  // and the tasks with accesses: the only vertices a required pair starts
+  // from.
+  std::vector<const char*> labels(g.ids.size(), nullptr);
+  std::vector<std::uint32_t> sources;
+  for (const AccessRecord& a : accesses) {
+    const std::uint32_t v = g.index(a.task_id);
+    if (labels[v] != nullptr) continue;
+    labels[v] = a.label != nullptr ? a.label : "";
+    sources.push_back(v);
+  }
 
   // Taskwait cutoffs order pairs that span a barrier even when the edge was
   // pruned before recording ever existed (e.g. pre-trace history). Sorted
@@ -360,43 +470,119 @@ VerifyReport verify_tdg(std::span<const AccessRecord> accesses,
 
   DenseReach* dense = nullptr;
   SparseReach* sparse = nullptr;
-  // Construct lazily-by-mode: the dense table is O(n^2) bits.
+  // Construct lazily-by-mode: the dense table is O(n * sources) bits.
   std::unique_ptr<DenseReach> dense_owner;
   std::unique_ptr<SparseReach> sparse_owner;
   if (g.ids.size() <= opts.dense_limit) {
-    dense_owner = std::make_unique<DenseReach>(g);
+    dense_owner = std::make_unique<DenseReach>(g, sources);
     dense = dense_owner.get();
   } else {
     sparse_owner = std::make_unique<SparseReach>(g);
     sparse = sparse_owner.get();
   }
 
+  // One test per task pair: a pair already proven (or reported) through
+  // another address is not re-checked.
   std::unordered_set<std::uint64_t> checked;
   checked.reserve(pairs.size());
-  for (const RequiredPair& p : pairs) {
-    const std::uint32_t u = g.index.at(p.pred);
-    const std::uint32_t v = g.index.at(p.succ);
+  auto label_of = [&](std::uint64_t id) -> std::string {
+    const char* label = labels[g.index(id)];
+    return label != nullptr ? label : "";
+  };
+  // True when the pair is new and the graph does not order it.
+  auto unordered = [&](std::uint64_t pred, std::uint64_t succ) {
+    const std::uint32_t u = g.index(pred);
+    const std::uint32_t v = g.index(succ);
     const std::uint64_t key = (static_cast<std::uint64_t>(u) << 32) | v;
-    if (!checked.insert(key).second) continue;  // same pair, another addr
+    if (!checked.insert(key).second) return false;
     ++rep.pairs_checked;
-    if (barrier_separated(p.pred, p.succ)) continue;
-    const bool ordered =
-        dense != nullptr ? dense->reachable(u, v) : sparse->reachable(u, v);
-    if (ordered) continue;
+    if (barrier_separated(pred, succ)) return false;
+    return !(dense != nullptr ? dense->reachable(u, v)
+                              : sparse->reachable(u, v));
+  };
+  auto report = [&](RaceFinding f) {
     ++rep.races_total;
-    if (rep.races.size() < opts.max_reports) {
-      RaceFinding f;
-      f.addr = p.addr;
-      f.pred_id = p.pred;
-      f.succ_id = p.succ;
-      f.pred_type = p.pred_type;
-      f.succ_type = p.succ_type;
-      auto pl = labels.find(p.pred);
-      if (pl != labels.end()) f.pred_label = pl->second;
-      auto sl = labels.find(p.succ);
-      if (sl != labels.end()) f.succ_label = sl->second;
-      rep.races.push_back(std::move(f));
+    if (rep.races.size() >= opts.max_reports) return;
+    f.pred_label = label_of(f.pred_id);
+    f.succ_label = label_of(f.succ_id);
+    rep.races.push_back(std::move(f));
+  };
+
+  for (const RequiredPair& p : pairs) {
+    if (!unordered(p.pred, p.succ)) continue;
+    RaceFinding f;
+    f.addr = p.addr;
+    f.succ_addr = p.addr;
+    f.pred_id = p.pred;
+    f.succ_id = p.succ;
+    f.pred_type = p.pred_type;
+    f.succ_type = p.succ_type;
+    report(std::move(f));
+  }
+
+  // Cross-base range overlaps: extent-annotated accesses of different
+  // tasks whose byte ranges overlap under different bases, at least one
+  // writing. Discovery matches base identity only, so no clause rule
+  // derives these pairs. A barrier orders a pair that straddles it and a
+  // scope clear exempts one, so only pairs within one segment between
+  // consecutive cuts (of either kind) are candidates. Each segment's
+  // accesses are grouped per base; a sweep over the bases in address
+  // order finds the overlapping groups.
+  std::vector<std::uint64_t> segment_cuts = cuts;
+  segment_cuts.insert(segment_cuts.end(), scope_clears.begin(),
+                      scope_clears.end());
+  std::sort(segment_cuts.begin(), segment_cuts.end());
+  struct BaseGroup {
+    std::uint64_t end = 0;  ///< furthest byte any access here reaches
+    std::vector<const AccessRecord*> items;
+  };
+  // Keyed (segment, base): segment-major, then address order.
+  std::map<std::pair<std::size_t, std::uint64_t>, BaseGroup> groups;
+  for (const AccessRecord& a : accesses) {
+    if (a.bytes == 0) continue;
+    const std::size_t seg = static_cast<std::size_t>(
+        std::lower_bound(segment_cuts.begin(), segment_cuts.end(),
+                         a.task_id) -
+        segment_cuts.begin());
+    BaseGroup& bg = groups[{seg, a.addr}];
+    bg.end = std::max(bg.end, a.addr + a.bytes);
+    bg.items.push_back(&a);
+  }
+  std::vector<const BaseGroup*> open;  // same segment, reaching past here
+  std::size_t open_seg = 0;
+  for (const auto& [key, bg] : groups) {
+    const auto [seg, base] = key;
+    if (seg != open_seg) open.clear();
+    open_seg = seg;
+    std::erase_if(open, [base = base](const BaseGroup* o) {
+      return o->end <= base;
+    });
+    for (const BaseGroup* o : open) {
+      for (const AccessRecord* x : o->items) {
+        for (const AccessRecord* y : bg.items) {
+          if (x->task_id == y->task_id) continue;
+          if (x->type == DependType::In && y->type == DependType::In) {
+            continue;
+          }
+          if (x->addr + x->bytes <= y->addr) continue;  // x starts lower
+          const AccessRecord* p = x->task_id < y->task_id ? x : y;
+          const AccessRecord* q = p == x ? y : x;
+          if (!unordered(p->task_id, q->task_id)) continue;
+          RaceFinding f;
+          f.kind = RaceFinding::Kind::RangeOverlap;
+          f.addr = p->addr;
+          f.succ_addr = q->addr;
+          f.pred_bytes = p->bytes;
+          f.succ_bytes = q->bytes;
+          f.pred_id = p->task_id;
+          f.succ_id = q->task_id;
+          f.pred_type = p->type;
+          f.succ_type = q->type;
+          report(std::move(f));
+        }
+      }
     }
+    open.push_back(&bg);
   }
   return rep;
 }
@@ -405,32 +591,41 @@ VerifyReport verify_window(std::span<const AccessRecord> accesses,
                            std::span<const TraceEdge> edges,
                            std::span<const std::uint64_t> barriers,
                            std::span<const std::uint64_t> scope_clears,
-                           std::uint64_t window_lo,
+                           std::uint64_t window_lo, bool sample,
                            const VerifyOptions& opts) {
-  // Restrict every stream to ids > window_lo. This is sound for in-window
-  // pair proofs: discovered edges always point from an earlier id to a
-  // later one, so any ordering path between two in-window tasks ascends
-  // through in-window ids only — boundary-crossing edges are never needed
-  // and dropping them cannot invent a violation.
+  // Accesses arrive in submission order, so the window is a suffix; only
+  // sampling needs a copy. Edges into the window may leave vertices at or
+  // below the cutoff: those are never needed (a task gets its in-edges at
+  // its own submission and a redirect node at its creation, so no path
+  // from an in-window task reaches one) and dropping them cannot invent a
+  // violation.
+  accesses = accesses.subspan(static_cast<std::size_t>(
+      std::partition_point(accesses.begin(), accesses.end(),
+                           [window_lo](const AccessRecord& a) {
+                             return a.task_id <= window_lo;
+                           }) -
+      accesses.begin()));
   std::vector<AccessRecord> acc;
-  acc.reserve(accesses.size());
-  for (const AccessRecord& a : accesses) {
-    if (a.task_id > window_lo) acc.push_back(a);
+  if (sample) {
+    for (const AccessRecord& a : accesses) {
+      if (verify_samples_task(a.task_id)) acc.push_back(a);
+    }
+    accesses = acc;
   }
   std::vector<TraceEdge> edg;
   edg.reserve(edges.size());
   for (const TraceEdge& e : edges) {
     if (e.pred > window_lo && e.succ > window_lo) edg.push_back(e);
   }
-  std::vector<std::uint64_t> bar;
-  for (std::uint64_t b : barriers) {
-    if (b > window_lo) bar.push_back(b);
-  }
-  std::vector<std::uint64_t> cuts;
-  for (std::uint64_t c : scope_clears) {
-    if (c > window_lo) cuts.push_back(c);
-  }
-  return verify_tdg(acc, edg, bar, cuts, opts);
+  auto after = [window_lo](std::span<const std::uint64_t> cuts) {
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t c : cuts) {
+      if (c > window_lo) out.push_back(c);
+    }
+    return out;
+  };
+  return verify_tdg(accesses, edg, after(barriers), after(scope_clears),
+                    opts);
 }
 
 // ---------------------------------------------------------------------------

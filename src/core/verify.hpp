@@ -11,9 +11,10 @@
 //
 // Everything here is pure: inputs are the Profiler's access/edge/barrier
 // streams (or a parsed trace file), outputs are value-type reports, so the
-// in-runtime TDG_VERIFY modes, the tdg-lint CLI and the self-tests share
-// one code path. The checker re-derives the *required* ordering relation
-// from the clauses alone (a shadow of the sequential discovery semantics,
+// in-runtime TDG_VERIFY modes (the runtime's one determinacy checker), the
+// tdg-trace / tdg-lint CLI and the self-tests share one code path. The
+// checker re-derives the *required* ordering relation from the clauses
+// alone (a shadow of the sequential discovery semantics,
 // deliberately independent of DependencyMap's dedup/redirect machinery)
 // and then proves or refutes each required pair against the graph the
 // runtime actually built, using a reachability-bitset pass over the
@@ -30,17 +31,33 @@
 
 namespace tdg {
 
-/// `TDG_VERIFY` runtime switch.
+/// `TDG_VERIFY` runtime switch. Every mode but off captures the clause,
+/// edge, barrier and scope-clear streams (no timing) and checks the window
+/// since the previous taskwait at each taskwait; post and strict also diff
+/// PTSG replay clauses at each end_iteration.
 ///   off    — no capture, no checking (default).
-///   post   — the checker runs at every taskwait / end_iteration;
-///            violations are reported to stderr, execution continues.
-///   strict — violations raise tdg::VerifyError at the taskwait.
-enum class VerifyMode : std::uint8_t { Off, Post, Strict };
+///   sample — checks one task in kVerifySampleRate against every edge;
+///            violations are reported to stderr, execution continues, and
+///            the verified prefix of the streams is dropped (bounded memory).
+///            No replay diff.
+///   post   — checks every task; reports to stderr, execution continues.
+///   strict — checks every task; violations (and replay drift) raise
+///            tdg::VerifyError at the taskwait (end_iteration).
+enum class VerifyMode : std::uint8_t { Off, Sample, Post, Strict };
 
-/// Parse TDG_VERIFY (off | post | strict; anything else = Default, which
-/// leaves the Config value in charge).
-enum class VerifyEnvMode : std::uint8_t { Default, Off, Post, Strict };
+/// Parse TDG_VERIFY (off | sample | post | strict; anything else =
+/// Default, which leaves the Config value in charge).
+enum class VerifyEnvMode : std::uint8_t { Default, Off, Sample, Post, Strict };
 VerifyEnvMode verify_env_mode();
+
+/// Sample mode checks the accesses of one task in this many.
+inline constexpr std::uint64_t kVerifySampleRate = 16;
+
+/// Sample mode's task subset: a splitmix64 hash of the id, so the subset is
+/// a pure function of the id and two runs check the same tasks. Checking a
+/// subset of the accesses against the full edge set can only hide
+/// violations, never invent them (see verify_tdg).
+bool verify_samples_task(std::uint64_t id);
 
 struct VerifyOptions {
   /// Cap on the findings materialized in the report (the totals keep
@@ -57,7 +74,19 @@ struct VerifyOptions {
 /// One determinacy race: a conflicting access pair the discovered graph
 /// does not order.
 struct RaceFinding {
-  std::uint64_t addr = 0;
+  enum class Kind : std::uint8_t {
+    /// Conflicting accesses to the same clause base address.
+    SameBase,
+    /// Conflicting accesses whose declared byte ranges overlap under
+    /// different base addresses. Discovery matches base identity only, so
+    /// the depend clauses cannot express this ordering at all.
+    RangeOverlap,
+  };
+  Kind kind = Kind::SameBase;
+  std::uint64_t addr = 0;        ///< pred's clause base
+  std::uint64_t succ_addr = 0;   ///< succ's clause base (== addr if same)
+  std::uint32_t pred_bytes = 0;  ///< declared extents (0 = identity only)
+  std::uint32_t succ_bytes = 0;
   std::uint64_t pred_id = 0;  ///< earlier submission
   std::uint64_t succ_id = 0;  ///< later submission
   DependType pred_type = DependType::In;
@@ -93,22 +122,36 @@ struct VerifyReport {
 /// ordered even without a path. `scope_clears` mirrors
 /// Runtime::clear_dependency_scope — the shadow history resets at each
 /// cutoff, since the program explicitly severed discovery there.
+///
+/// Two finding kinds: same-base pairs re-derived from the clause rules,
+/// and range-overlap pairs (extent-annotated accesses from different tasks
+/// whose byte ranges overlap under different bases, at least one writing)
+/// in the same barrier / scope-clear segment.
+///
+/// `accesses` may be any per-task subset of the program's stream (sample
+/// mode): every pair derived from a sub-stream also conflicts in the full
+/// program, and dropping accesses can only merge inoutset generations, so
+/// a subset hides violations but never invents one.
 VerifyReport verify_tdg(std::span<const AccessRecord> accesses,
                         std::span<const TraceEdge> edges,
                         std::span<const std::uint64_t> barriers = {},
                         std::span<const std::uint64_t> scope_clears = {},
                         const VerifyOptions& opts = {});
 
-/// Escalation entry point for the online race detector: run verify_tdg
-/// restricted to tasks with id > window_lo (the barrier cutoff in force
-/// when a window was flagged). Edges/barriers/scope-clears are filtered to
-/// the window too — sound because discovered edges ascend in id, so an
-/// ordering path between in-window tasks never leaves the window.
+/// verify_tdg restricted to tasks with id > window_lo, where window_lo is a
+/// barrier cutoff (the runtime passes the cutoff of the last verified
+/// taskwait and the streams captured since). Records at or below the
+/// cutoff are skipped — sound because a task gets its in-edges at its own
+/// submission and a redirect node at its creation, so an ordering path
+/// between in-window tasks never leaves the window, and the barrier
+/// orders every pair that straddles it. With `sample`, only the
+/// accesses of tasks verify_samples_task selects are checked, against
+/// every edge. The window is selected in one pass over the streams.
 VerifyReport verify_window(std::span<const AccessRecord> accesses,
                            std::span<const TraceEdge> edges,
                            std::span<const std::uint64_t> barriers,
                            std::span<const std::uint64_t> scope_clears,
-                           std::uint64_t window_lo,
+                           std::uint64_t window_lo, bool sample,
                            const VerifyOptions& opts = {});
 
 // ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
-// Online sampling race detector: vector-clock ordering queries, seeded
-// edge-drop detection at discovery time, strict-mode escalation through
-// the offline verifier, deterministic sampling, cross-base range-overlap
-// flags, taskbench/multi-tenant cleanliness, shadow-table churn, the
-// clause lint's overlapping-range check and the trace extent round-trip.
+// The runtime's one determinacy checker, exercised end to end: TDG_VERIFY
+// parsing and sample mode, seeded edge drops caught at the taskwait,
+// per-window checking (constant cost per identical window, bounded
+// sample-mode footprint), the subset-soundness of sampling, cross-base
+// range-overlap findings, sampling misses caught offline on the exported
+// trace, taskbench/multi-tenant cleanliness and the clause lint's
+// overlapping-range check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <functional>
+#include <random>
 #include <sstream>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "apps/taskbench/taskbench.hpp"
-#include "core/race.hpp"
 #include "core/tdg.hpp"
 #include "core/verify.hpp"
 #include "core/worker_pool.hpp"
@@ -20,138 +26,162 @@ namespace {
 
 namespace tb = tdg::apps::taskbench;
 
-Runtime::Config race_config(RaceMode mode, int threads = 1) {
+Runtime::Config verify_config(VerifyMode mode, int threads = 1) {
   Runtime::Config cfg;
   cfg.num_threads = threads;
-  cfg.race.mode = mode;  // strict forces trace capture in the ctor
+  cfg.verify = mode;
   return cfg;
 }
 
-// --- env parsing ------------------------------------------------------------
-
-TEST(RaceEnv, UnsetAndOffLeaveModeOff) {
-  unsetenv("TDG_RACE");
-  EXPECT_EQ(race_env_options().mode, RaceMode::Off);
-  setenv("TDG_RACE", "off", 1);
-  EXPECT_EQ(race_env_options().mode, RaceMode::Off);
-  setenv("TDG_RACE", "garbage", 1);
-  EXPECT_EQ(race_env_options().mode, RaceMode::Off);  // unknown -> off
-  unsetenv("TDG_RACE");
+std::uint64_t metric(Runtime& rt, const char* name) {
+  return rt.metrics().snapshot().value(name);
 }
 
-TEST(RaceEnv, SampleAndStrictDefaultsAndOverrides) {
-  setenv("TDG_RACE", "sample", 1);
-  RaceOptions o = race_env_options();
-  EXPECT_EQ(o.mode, RaceMode::Sample);
-  EXPECT_EQ(o.sample_tasks, 16u);  // sample default: every 16th task
-
-  setenv("TDG_RACE", "strict", 1);
-  o = race_env_options();
-  EXPECT_EQ(o.mode, RaceMode::Strict);
-  EXPECT_EQ(o.sample_tasks, 1u);  // strict default: check everything
-  EXPECT_EQ(o.sample_addrs, 1u);
-
-  setenv("TDG_RACE_SAMPLE_TASKS", "8", 1);
-  setenv("TDG_RACE_SAMPLE_ADDRS", "4", 1);
-  setenv("TDG_RACE_SEED", "7", 1);
-  o = race_env_options();
-  EXPECT_EQ(o.sample_tasks, 8u);
-  EXPECT_EQ(o.sample_addrs, 4u);
-  EXPECT_EQ(o.seed, 7u);
-
-  unsetenv("TDG_RACE");
-  unsetenv("TDG_RACE_SAMPLE_TASKS");
-  unsetenv("TDG_RACE_SAMPLE_ADDRS");
-  unsetenv("TDG_RACE_SEED");
-}
-
-// --- clock-ordering unit tests (detector used directly) ---------------------
-
-RaceOptions unit_opts(RaceMode mode = RaceMode::Sample) {
-  RaceOptions o;
-  o.mode = mode;
-  o.live_report = false;
-  return o;
-}
-
-TEST(RaceClocks, EdgeJoinsProveOrderTransitively) {
-  RaceDetector det(unit_opts(), 1);
-  const std::vector<Depend> none;
-  for (std::uint64_t id = 1; id <= 3; ++id) {
-    det.on_task_discovered(id, none.data(), 0, "");
+/// The first two task ids that sample mode checks (or, with `sampled`
+/// false, skips).
+std::pair<std::uint64_t, std::uint64_t> id_pair(bool sampled) {
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t id = 1; ids.size() < 2; ++id) {
+    if (verify_samples_task(id) == sampled) ids.push_back(id);
   }
-  det.on_edge(1, 2);
-  det.on_edge(2, 3);
-  EXPECT_TRUE(det.ordered(1, 2));
-  EXPECT_TRUE(det.ordered(2, 3));
-  EXPECT_TRUE(det.ordered(1, 3));   // transitive through the join
-  EXPECT_FALSE(det.ordered(3, 1));  // direction matters
-  EXPECT_FALSE(det.ordered(2, 1));
+  return {ids[0], ids[1]};
 }
 
-TEST(RaceClocks, UnrelatedTasksAreUnorderedEvenAcrossLaneAliases) {
-  // Ids 1 and 1+W share a clock lane; aliasing must never *invent* order.
-  RaceOptions o = unit_opts();
-  o.clock_lanes = 4;
-  RaceDetector det(o, 1);
-  const std::vector<Depend> none;
-  for (std::uint64_t id = 1; id <= 9; ++id) {
-    det.on_task_discovered(id, none.data(), 0, "");
+/// Submit dependence-free tasks until the next submission gets id `id`.
+/// `last` is the id of the latest submission (0 before the first).
+void pad_to(Runtime& rt, std::uint64_t id, std::uint64_t& last) {
+  while (last + 1 < id) last = rt.submit([] {}, {});
+}
+
+/// A writer and a reader of `x` at the given ids, with the writer->reader
+/// edge dropped by the seeded discovery fault.
+void submit_dropped_pair(Runtime& rt, std::pair<std::uint64_t,
+                         std::uint64_t> ids, int& x) {
+  std::uint64_t last = 0;
+  pad_to(rt, ids.first, last);
+  last = rt.submit([&x] { x = 1; }, {Depend::out(&x)}, {.label = "writer"});
+  ASSERT_EQ(last, ids.first);
+  pad_to(rt, ids.second, last);
+  last = rt.submit([&x] { (void)x; }, {Depend::in(&x)}, {.label = "reader"});
+  ASSERT_EQ(last, ids.second);
+}
+
+// --- TDG_VERIFY=sample ------------------------------------------------------
+
+TEST(VerifySampleEnv, SampleParsesAndUnknownLeavesConfigInCharge) {
+  unsetenv("TDG_VERIFY");
+  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Default);
+  setenv("TDG_VERIFY", "sample", 1);
+  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Sample);
+  setenv("TDG_VERIFY", "off", 1);
+  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Off);
+  setenv("TDG_VERIFY", "garbage", 1);
+  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Default);
+  unsetenv("TDG_VERIFY");
+}
+
+TEST(VerifySampleEnv, EnvSampleCapturesStreamsWithoutTiming) {
+  // Verification reads the clause/edge/barrier streams only: it must not
+  // turn on trace mode (per-task records, clock stamps).
+  setenv("TDG_VERIFY", "sample", 1);
+  Runtime::Config cfg;
+  cfg.num_threads = 2;
+  cfg.metrics = false;
+  Runtime rt(cfg);
+  unsetenv("TDG_VERIFY");
+  EXPECT_EQ(rt.config().verify, VerifyMode::Sample);
+  EXPECT_FALSE(rt.config().trace);
+  EXPECT_FALSE(rt.profiler().trace_enabled());
+  EXPECT_TRUE(rt.profiler().capturing());
+  double a = 0;
+  rt.submit([&] { a = 1; }, {Depend::out(&a)});
+  rt.submit([&] { (void)a; }, {Depend::in(&a)});
+  rt.taskwait();
+  EXPECT_TRUE(rt.profiler().merged_trace().empty());
+  EXPECT_EQ(metric(rt, "verify.windows"), 1u);
+}
+
+TEST(VerifySampling, SampledSetIsAPureFunctionOfTheId) {
+  std::size_t sampled = 0, strided = 0;
+  for (std::uint64_t id = 1; id <= 4096; ++id) {
+    const bool s = verify_samples_task(id);
+    EXPECT_EQ(s, verify_samples_task(id)) << id;
+    sampled += s ? 1 : 0;
+    // A hash, not a stride: the subset is not simply every 16th id.
+    strided += s == (id % kVerifySampleRate == 0) ? 1 : 0;
   }
-  det.on_edge(1, 2);
-  EXPECT_FALSE(det.ordered(5, 2));  // 5 aliases lane of 1, never joined
-  EXPECT_FALSE(det.ordered(1, 9));
+  EXPECT_GT(sampled, 4096u / (2 * kVerifySampleRate));
+  EXPECT_LT(sampled, 4096u * 2 / kVerifySampleRate);
+  EXPECT_LT(strided, 4096u);
 }
 
-TEST(RaceClocks, BarrierCutoffOrdersEverythingBefore) {
-  RaceDetector det(unit_opts(), 1);
-  const std::vector<Depend> none;
-  det.on_task_discovered(1, none.data(), 0, "");
-  det.on_task_discovered(2, none.data(), 0, "");
-  EXPECT_FALSE(det.ordered(1, 2));
-  det.on_barrier(2);
-  det.on_task_discovered(3, none.data(), 0, "");
-  EXPECT_TRUE(det.ordered(1, 3));  // pre-barrier id vs post-barrier id
-  EXPECT_TRUE(det.ordered(2, 3));
-  // Barrier freed every clock; task 3 has no edges yet (records are lazy).
-  EXPECT_EQ(det.live_clock_records(), 0u);
+TEST(VerifySampling, TwoRunsCheckTheSamePairs) {
+  auto run = [] {
+    Runtime rt(verify_config(VerifyMode::Sample, 2));
+    std::vector<double> cells(8, 0.0);
+    for (int i = 0; i < 256; ++i) {
+      double* a = &cells[i % 8];
+      double* b = &cells[(i + 3) % 8];
+      rt.submit([a, b] { *a += *b; }, {Depend::inout(a), Depend::in(b)});
+    }
+    rt.taskwait();
+    return metric(rt, "verify.pairs_checked");
+  };
+  const std::uint64_t first = run();
+  EXPECT_GT(first, 0u);
+  EXPECT_EQ(first, run());
 }
 
-TEST(RaceSampling, SampledSetIsAPureFunctionOfSeed) {
-  RaceOptions o = unit_opts();
-  o.sample_tasks = 4;
-  o.seed = 42;
-  RaceDetector a(o, 1);
-  RaceDetector b(o, 1);
-  o.seed = 43;
-  RaceDetector c(o, 1);
-  std::size_t sampled = 0, differs = 0;
-  for (std::uint64_t id = 1; id <= 256; ++id) {
-    EXPECT_EQ(a.would_sample_task(id), b.would_sample_task(id));
-    sampled += a.would_sample_task(id) ? 1 : 0;
-    differs += a.would_sample_task(id) != c.would_sample_task(id) ? 1 : 0;
+TEST(VerifySampling, SubsetsOfASoundProgramNeverReportAViolation) {
+  // The subset-soundness argument, tested: every per-task sub-stream of a
+  // correctly discovered program (inoutset generations and redirect nodes
+  // included) verifies clean against the full edge set.
+  Runtime::Config cfg;
+  cfg.num_threads = 4;
+  cfg.trace = true;
+  Runtime rt(cfg);
+  std::mt19937 rng(7);
+  std::vector<double> cells(4, 0.0);
+  const DependType types[] = {DependType::In, DependType::Out,
+                              DependType::InOut, DependType::InOutSet};
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 200; ++i) {
+      std::vector<Depend> deps;
+      const int n = 1 + static_cast<int>(rng() % 2);
+      for (int k = 0; k < n; ++k) {
+        deps.push_back(Depend{&cells[rng() % cells.size()], types[rng() % 4]});
+      }
+      rt.submit([] {}, std::span<const Depend>(deps));
+    }
+    rt.taskwait();
   }
-  // Roughly 1-in-4 sampled, and a different seed picks a different set.
-  EXPECT_GT(sampled, 256u / 16);
-  EXPECT_LT(sampled, 256u / 2);
-  EXPECT_GT(differs, 0u);
-  // Rate 1 samples everything (strict default).
-  RaceDetector all(unit_opts(RaceMode::Strict), 1);
-  for (std::uint64_t id = 1; id <= 32; ++id) {
-    EXPECT_TRUE(all.would_sample_task(id));
-    EXPECT_TRUE(all.would_sample_addr(id * 64));
+  Profiler& prof = rt.profiler();
+  ASSERT_TRUE(rt.verify_graph().ok());
+  std::vector<std::function<bool(std::uint64_t)>> subsets = {
+      [](std::uint64_t id) { return verify_samples_task(id); },
+      [](std::uint64_t id) { return id % 2 == 0; },
+      [](std::uint64_t id) { return id % 3 != 0; },
+      [](std::uint64_t id) { return id % 7 == 1; },
+  };
+  for (std::size_t k = 0; k < subsets.size(); ++k) {
+    std::vector<AccessRecord> sub;
+    for (const AccessRecord& a : prof.accesses()) {
+      if (subsets[k](a.task_id)) sub.push_back(a);
+    }
+    const VerifyReport rep = verify_tdg(sub, prof.edges(), prof.barriers(),
+                                        prof.scope_clears());
+    EXPECT_TRUE(rep.ok()) << "subset " << k << ": " << rep.summary();
+    EXPECT_GT(rep.pairs_checked, 0u) << "subset " << k;
   }
 }
 
-// --- online detection on the live runtime -----------------------------------
+// --- seeded drops caught at the taskwait ------------------------------------
 
-TEST(RaceOnline, SeededEdgeDropCaughtAtRateOneAndEscalatedPrecisely) {
+TEST(VerifyOnline, SeededEdgeDropCaughtAtRateOne) {
   // Drop the writer->reader edge exactly as a missing depend clause would:
-  // the pair is then unordered in the discovered TDG, the reader's shadow
-  // check must flag it (rate 1: both endpoints checked), and strict mode
-  // must escalate through the offline verifier into a RaceError whose
-  // report names both endpoints.
-  Runtime::Config cfg = race_config(RaceMode::Strict);
+  // strict mode checks every task, so the taskwait must throw a report
+  // naming both endpoints.
+  Runtime::Config cfg = verify_config(VerifyMode::Strict);
   cfg.discovery.seed_drop_edge = 1;
   Runtime rt(cfg);
   int x = 0;
@@ -159,45 +189,42 @@ TEST(RaceOnline, SeededEdgeDropCaughtAtRateOneAndEscalatedPrecisely) {
   rt.submit([&] { (void)x; }, {Depend::in(&x)}, {.label = "reader"});
   try {
     rt.taskwait();
-    FAIL() << "strict race mode must throw on the seeded drop";
-  } catch (const RaceError& e) {
-    EXPECT_NE(e.report().find("race[same-base]"), std::string::npos)
+    FAIL() << "strict mode must throw on the seeded drop";
+  } catch (const VerifyError& e) {
+    EXPECT_NE(e.report().find("determinacy race"), std::string::npos)
         << e.report();
     EXPECT_NE(e.report().find("writer"), std::string::npos) << e.report();
     EXPECT_NE(e.report().find("reader"), std::string::npos) << e.report();
-    // Escalation ran the offline verifier over the flagged window and
-    // confirmed the violation with the precise pair report.
-    EXPECT_NE(e.report().find("determinacy race"), std::string::npos)
-        << e.report();
   }
-  ASSERT_NE(rt.race_detector(), nullptr);
-  EXPECT_GE(rt.race_detector()->flag_total(), 1u);
+  EXPECT_EQ(metric(rt, "verify.races"), 1u);
 }
 
-TEST(RaceOnline, SampleModeReportsWithoutThrowing) {
-  Runtime::Config cfg = race_config(RaceMode::Sample);
-  cfg.race.sample_tasks = 1;  // deterministic: check every task
+TEST(VerifyOnline, SampleModeReportsWithoutThrowing) {
+  Runtime::Config cfg = verify_config(VerifyMode::Sample);
   cfg.discovery.seed_drop_edge = 1;
   Runtime rt(cfg);
   int x = 0;
-  rt.submit([&] { x = 1; }, {Depend::out(&x)});
-  rt.submit([&] { (void)x; }, {Depend::in(&x)});
-  rt.taskwait();  // reports to stderr, must not throw
-  EXPECT_GE(rt.race_detector()->flag_total(), 1u);
-  EXPECT_EQ(rt.race_detector()->tracked_count(), 2u);
+  submit_dropped_pair(rt, id_pair(/*sampled=*/true), x);
+  EXPECT_NO_THROW(rt.taskwait());  // reports to stderr
+  EXPECT_EQ(metric(rt, "verify.races"), 1u);
 }
 
-TEST(RaceOnline, SeededDropComposesWithBatchSubmissionAndIsAttributable) {
+TEST(VerifyOnline, SeededDropUnderBatchSubmissionIsCaughtAndAttributable) {
   // Under batched submission one discovery window covers the whole batch;
   // the drop log must still attribute the suppressed edge to its endpoints
-  // and clause address, and the detector must still flag the pair.
-  Runtime::Config cfg = race_config(RaceMode::Sample);
-  cfg.race.sample_tasks = 1;
+  // and clause address, and the sampled check must still find the pair.
+  Runtime::Config cfg = verify_config(VerifyMode::Sample);
   cfg.discovery.seed_drop_edge = 1;
   Runtime rt(cfg);
+  const auto ids = id_pair(/*sampled=*/true);
+  std::uint64_t last = 0;
+  pad_to(rt, ids.first, last);
   int x = 0;
   std::vector<BatchItem<std::function<void()>>> items;
   items.push_back({[&] { x = 1; }, {Depend::out(&x)}, {.label = "bw"}});
+  for (std::uint64_t id = ids.first + 1; id < ids.second; ++id) {
+    items.push_back({[] {}, {}, {}});
+  }
   items.push_back({[&] { (void)x; }, {Depend::in(&x)}, {.label = "br"}});
   rt.submit_batch(items);
   rt.taskwait();
@@ -205,28 +232,30 @@ TEST(RaceOnline, SeededDropComposesWithBatchSubmissionAndIsAttributable) {
   ASSERT_EQ(drops.size(), 1u);
   EXPECT_EQ(drops[0].nth, 1u);
   EXPECT_EQ(drops[0].addr, static_cast<const void*>(&x));
-  EXPECT_LT(drops[0].pred_id, drops[0].succ_id);
-  EXPECT_GE(rt.race_detector()->flag_total(), 1u);
+  EXPECT_EQ(drops[0].pred_id, ids.first);
+  EXPECT_EQ(drops[0].succ_id, ids.second);
+  EXPECT_EQ(metric(rt, "verify.races"), 1u);
 }
 
-TEST(RaceOnline, RuntimeStaysUsableAfterRaceError) {
-  Runtime::Config cfg = race_config(RaceMode::Strict);
+TEST(VerifyOnline, RuntimeStaysUsableAfterVerifyError) {
+  Runtime::Config cfg = verify_config(VerifyMode::Strict);
   cfg.discovery.seed_drop_edge = 1;
   Runtime rt(cfg);
   int x = 0;
   rt.submit([&] { x = 1; }, {Depend::out(&x)});
   rt.submit([&] { (void)x; }, {Depend::in(&x)});
-  EXPECT_THROW(rt.taskwait(), RaceError);
-  // The flagged window was drained at the barrier; clean work proceeds.
+  EXPECT_THROW(rt.taskwait(), VerifyError);
+  // The failed window was consumed at the barrier; clean work proceeds.
   int y = 0;
   rt.submit([&] { y = 1; }, {Depend::out(&y)});
   rt.submit([&] { (void)y; }, {Depend::in(&y)});
   EXPECT_NO_THROW(rt.taskwait());
   EXPECT_EQ(y, 1);
+  EXPECT_EQ(metric(rt, "verify.races"), 1u);
 }
 
-TEST(RaceOnline, CleanGraphsRaiseNoFlags) {
-  Runtime rt(race_config(RaceMode::Strict, 2));
+TEST(VerifyOnline, CleanGraphsGiveNoFindings) {
+  Runtime rt(verify_config(VerifyMode::Strict, 2));
   double a = 0, b = 0, c = 0;
   for (int iter = 0; iter < 3; ++iter) {
     rt.submit([&] { a = 1; }, {Depend::out(&a)});
@@ -236,28 +265,30 @@ TEST(RaceOnline, CleanGraphsRaiseNoFlags) {
               {Depend::in(&b), Depend::in(&c), Depend::inout(&a)});
     EXPECT_NO_THROW(rt.taskwait());
   }
-  EXPECT_EQ(rt.race_detector()->flag_total(), 0u);
-  EXPECT_GE(rt.race_detector()->check_count(), 12u);
+  EXPECT_EQ(metric(rt, "verify.windows"), 3u);
+  EXPECT_EQ(metric(rt, "verify.races"), 0u);
+  // Five ordering constraints per window: a->b, a->c, a->a', b->a', c->a'.
+  EXPECT_EQ(metric(rt, "verify.pairs_checked"), 15u);
 }
 
-TEST(RaceOnline, ScopeClearSeparatedPairsAreNotFlagged) {
+TEST(VerifyOnline, ScopeClearSeparatedPairsAreNotFlagged) {
   // No ordering is *required* across a dependency-scope clear, so reusing
   // an address after the clear must not flag against the pre-clear writer.
-  Runtime rt(race_config(RaceMode::Strict));
+  Runtime rt(verify_config(VerifyMode::Strict));
   int x = 0;
   rt.submit([&] { x = 1; }, {Depend::out(&x)});
   rt.clear_dependency_scope();
   rt.submit([&] { x = 2; }, {Depend::out(&x)});
   EXPECT_NO_THROW(rt.taskwait());
-  EXPECT_EQ(rt.race_detector()->flag_total(), 0u);
+  EXPECT_EQ(metric(rt, "verify.races"), 0u);
 }
 
-TEST(RaceOnline, CrossBaseRangeOverlapIsFlagged) {
+// --- cross-base range overlaps ----------------------------------------------
+
+TEST(VerifyRangeOverlap, CrossBaseOverlapIsFlaggedNamingBothLabels) {
   // Two different base addresses whose declared extents overlap: discovery
-  // matches identity only, so the depend clauses are structurally unable
-  // to order the pair — the interval shadow table must flag it.
-  Runtime::Config cfg = race_config(RaceMode::Strict);
-  Runtime rt(cfg);
+  // matches identity only, so the depend clauses cannot order the pair.
+  Runtime rt(verify_config(VerifyMode::Strict));
   alignas(8) char buf[32] = {};
   rt.submit([&] { buf[0] = 1; }, {Depend::out(&buf[0], 16)},
             {.label = "head-writer"});
@@ -266,93 +297,305 @@ TEST(RaceOnline, CrossBaseRangeOverlapIsFlagged) {
   try {
     rt.taskwait();
     FAIL() << "overlapping cross-base ranges must throw in strict mode";
-  } catch (const RaceError& e) {
-    EXPECT_NE(e.report().find("race[range-overlap]"), std::string::npos)
+  } catch (const VerifyError& e) {
+    EXPECT_NE(e.report().find("range-overlap"), std::string::npos)
         << e.report();
     EXPECT_NE(e.report().find("head-writer"), std::string::npos);
     EXPECT_NE(e.report().find("tail-reader"), std::string::npos);
   }
 }
 
-TEST(RaceOnline, DisjointRangesOnDifferentBasesStayClean) {
-  Runtime rt(race_config(RaceMode::Strict));
+TEST(VerifyRangeOverlap, DisjointRangesOnDifferentBasesStayClean) {
+  Runtime rt(verify_config(VerifyMode::Strict));
   alignas(8) char buf[32] = {};
   rt.submit([&] { buf[0] = 1; }, {Depend::out(&buf[0], 8)});
   rt.submit([&] { (void)buf[16]; }, {Depend::in(&buf[16], 8)});
   EXPECT_NO_THROW(rt.taskwait());
-  EXPECT_EQ(rt.race_detector()->flag_total(), 0u);
+  EXPECT_EQ(metric(rt, "verify.races"), 0u);
 }
 
-TEST(RaceOnline, ShadowAndClockStateDrainToZeroAcrossWindows) {
-  // Churn check: repeated windows must not leak shadow entries or clock
-  // records (both are slab-backed; the leak shows up as a live count).
-  Runtime rt(race_config(RaceMode::Sample, 2));
+TEST(VerifyRangeOverlap, FindingKindAndEndpointsAreExact) {
+  const std::vector<AccessRecord> accesses = {
+      AccessRecord{1, 0x1000, DependType::Out, 16, "w"},
+      AccessRecord{2, 0x1008, DependType::In, 16, "r"},
+      AccessRecord{3, 0x1004, DependType::In, 4, "r2"},  // In/In with 2
+  };
+  const VerifyReport rep = verify_tdg(accesses, {});
+  // 1-2 and 1-3 race; 2-3 are both readers.
+  ASSERT_EQ(rep.races_total, 2u) << rep.summary();
+  for (const RaceFinding& f : rep.races) {
+    EXPECT_EQ(f.kind, RaceFinding::Kind::RangeOverlap);
+    EXPECT_EQ(f.pred_id, 1u);
+    EXPECT_EQ(f.addr, 0x1000u);
+    EXPECT_EQ(f.pred_bytes, 16u);
+  }
+  EXPECT_EQ(rep.races[0].succ_id, 3u);  // base 0x1004 sweeps before 0x1008
+  EXPECT_EQ(rep.races[1].succ_id, 2u);
+  EXPECT_EQ(rep.races[1].succ_addr, 0x1008u);
+}
+
+TEST(VerifyRangeOverlap, OrderedBarrierAndScopeSeparatedPairsAreClean) {
+  const std::vector<AccessRecord> accesses = {
+      AccessRecord{1, 0x1000, DependType::Out, 16, "a"},
+      AccessRecord{2, 0x1008, DependType::Out, 16, "b"},
+      AccessRecord{3, 0x1004, DependType::Out, 16, "c"},
+      AccessRecord{4, 0x100c, DependType::Out, 16, "d"},
+  };
+  // An edge path 1 -> 2 orders that pair; 3 is cut from 1-2 by a barrier
+  // and 4 from 3 by a scope clear.
+  const std::vector<TraceEdge> edges = {{1, 2}};
+  const std::vector<std::uint64_t> barriers = {2};
+  const std::vector<std::uint64_t> clears = {3};
+  const VerifyReport rep = verify_tdg(accesses, edges, barriers, clears);
+  EXPECT_TRUE(rep.ok()) << rep.summary();
+  // Without the cuts, 1-3, 1-4, 2-3, 2-4 and 3-4 all race.
+  EXPECT_EQ(verify_tdg(accesses, edges).races_total, 5u);
+}
+
+// --- per-window checking ----------------------------------------------------
+
+TEST(VerifyWindows, PairsCheckedPerTaskwaitStaysConstant) {
+  // Each taskwait checks only its own window, so identical windows cost
+  // the same; re-checking the history would grow the increment linearly.
+  Runtime rt(verify_config(VerifyMode::Post, 2));
+  std::vector<double> cells(16, 0.0);
+  std::vector<std::uint64_t> increments;
+  std::uint64_t before = 0;
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i < 128; ++i) {
+      double* a = &cells[i % 16];
+      double* b = &cells[(i + 1) % 16];
+      rt.submit([a, b] { *a += *b; }, {Depend::inout(a), Depend::in(b)});
+    }
+    rt.taskwait();
+    const std::uint64_t now = metric(rt, "verify.pairs_checked");
+    increments.push_back(now - before);
+    before = now;
+  }
+  EXPECT_GT(increments[0], 0u);
+  for (std::uint64_t inc : increments) EXPECT_EQ(inc, increments[0]);
+  EXPECT_EQ(metric(rt, "verify.windows"), 5u);
+  // Post keeps the whole history for verify_graph().
+  EXPECT_EQ(rt.profiler().accesses().size(), 5u * 128 * 2);
+  EXPECT_TRUE(rt.verify_graph().ok());
+}
+
+TEST(VerifyWindows, SampleFootprintStaysBoundedAcrossWindows) {
+  // Without a trace to export, sample mode drops each verified window:
+  // capture memory is bounded by one window, as the detector's was.
+  Runtime rt(verify_config(VerifyMode::Sample, 2));
   std::vector<double> cells(16, 0.0);
   for (int round = 0; round < 4; ++round) {
     for (int t = 0; t < 64; ++t) {
       double* cell = &cells[t % cells.size()];
       rt.submit([cell] { *cell += 1; }, {Depend::inout(cell)});
     }
+    rt.clear_dependency_scope();
     rt.taskwait();
-    EXPECT_EQ(rt.race_detector()->live_shadow_entries(), 0u);
-    EXPECT_EQ(rt.race_detector()->live_clock_records(), 0u);
+    EXPECT_TRUE(rt.profiler().accesses().empty());
+    EXPECT_TRUE(rt.profiler().edges().empty());
+    EXPECT_TRUE(rt.profiler().scope_clears().empty());
+    EXPECT_EQ(rt.profiler().barriers().size(), 1u);
   }
-  EXPECT_EQ(rt.race_detector()->flag_total(), 0u);
-  EXPECT_EQ(rt.race_detector()->tracked_count(),
-            rt.race_detector()->finished_tracked_count());
+  EXPECT_EQ(metric(rt, "verify.windows"), 4u);
+  EXPECT_EQ(metric(rt, "verify.races"), 0u);
 }
 
-TEST(RaceOnline, MetricsExposeDetectorCounters) {
-  Runtime rt(race_config(RaceMode::Sample));
+TEST(VerifyWindows, IdleTaskwaitsCheckNothing) {
+  Runtime rt(verify_config(VerifyMode::Strict));
+  int x = 0;
+  rt.submit([&] { x = 1; }, {Depend::out(&x)});
+  rt.taskwait();
+  rt.taskwait();
+  rt.taskwait();
+  EXPECT_EQ(metric(rt, "verify.windows"), 1u);
+}
+
+TEST(VerifyWindows, CheckerSeesOnlyTheNewWindow) {
+  // The taskwait hands the checker the records captured since the last
+  // checked taskwait, however long the history: each check costs its own
+  // window. Post keeps the history itself for verify_graph().
+  Runtime rt(verify_config(VerifyMode::Post, 2));
+  std::vector<double> cells(16, 0.0);
+  std::size_t edges_before = 0;
+  for (std::size_t round = 1; round <= 5; ++round) {
+    for (int i = 0; i < 128; ++i) {
+      double* a = &cells[i % 16];
+      double* b = &cells[(i + 1) % 16];
+      rt.submit([a, b] { *a += *b; }, {Depend::inout(a), Depend::in(b)});
+    }
+    const Profiler::CaptureView window = rt.profiler().unchecked();
+    ASSERT_EQ(window.accesses.size(), 128u * 2);
+    EXPECT_EQ(window.edges.size(), rt.profiler().edges().size() - edges_before);
+    EXPECT_GT(window.accesses.front().task_id, (round - 1) * 128);
+    rt.taskwait();
+    const Profiler::CaptureView after = rt.profiler().unchecked();
+    EXPECT_TRUE(after.accesses.empty());
+    EXPECT_TRUE(after.edges.empty());
+    EXPECT_TRUE(after.barriers.empty());
+    EXPECT_EQ(rt.profiler().accesses().size(), round * 128 * 2);
+    edges_before = rt.profiler().edges().size();
+  }
+  EXPECT_EQ(metric(rt, "verify.windows"), 5u);
+  EXPECT_TRUE(rt.verify_graph().ok());
+}
+
+TEST(VerifyWindows, SampleModeSkipsTheReplayDiff) {
+  // The replay-drift diff re-discovers whole persistent iterations, so
+  // only post and strict run it; sample keeps its per-window price.
+  for (VerifyMode mode : {VerifyMode::Sample, VerifyMode::Post}) {
+    Runtime rt(verify_config(mode));
+    int a = 0, b = 0;
+    PersistentRegion region(rt);
+    region.begin_iteration();
+    rt.submit([&] { a = 1; }, {Depend::out(&a)});
+    rt.submit([&] {}, {Depend::in(&a)});
+    region.end_iteration();
+    region.begin_iteration();
+    rt.submit([&] { a = 1; }, {Depend::out(&a)});
+    rt.submit([&] {}, {Depend::in(&b)});  // drifted address
+    region.end_iteration();
+    EXPECT_EQ(region.last_drift().empty(), mode == VerifyMode::Sample);
+  }
+}
+
+TEST(VerifyWindows, RedirectNodeFromAnEarlierWindowIsClean) {
+  // An inoutset redirect node takes an id above its first reader's, and a
+  // reader in a later window gets an edge from the old node. The window
+  // check drops that edge (the barrier orders the pair) and stays clean.
+  Runtime rt(verify_config(VerifyMode::Strict, 2));
+  double x = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (int m = 0; m < 3; ++m) {
+      rt.submit([] {}, {Depend::inoutset(&x)});
+    }
+    rt.submit([] {}, {Depend::in(&x)});
+    rt.taskwait();
+    rt.submit([] {}, {Depend::in(&x)});
+    rt.taskwait();
+  }
+  EXPECT_GT(rt.stats().discovery.redirect_nodes, 0u);
+  EXPECT_EQ(metric(rt, "verify.windows"), 6u);
+  EXPECT_EQ(metric(rt, "verify.races"), 0u);
+  EXPECT_TRUE(rt.verify_graph().ok());
+}
+
+TEST(VerifyGraph, IdLayoutDoesNotChangeTheReport) {
+  // The checker indexes dense ids through a table and takes submission
+  // order as topological when every edge ascends; sparse ids (merged
+  // multi-rank traces) sort instead, and descending edges run Kahn. Every
+  // layout, dense or sparse reachability, must give the same report.
+  Runtime::Config cfg = verify_config(VerifyMode::Post);
+  cfg.discovery.seed_drop_edge = 1;
+  Runtime rt(cfg);
+  std::vector<double> cells(4, 0.0);
+  for (int i = 0; i < 48; ++i) {
+    double* a = &cells[i % 4];
+    double* b = &cells[(i + 1) % 4];
+    if (i % 12 < 4) {
+      rt.submit([] {}, {Depend::inoutset(&cells[0])});
+    } else {
+      rt.submit([a, b] { *a += *b; }, {Depend::inout(a), Depend::in(b)});
+    }
+  }
+  rt.taskwait();
+  ASSERT_GT(rt.stats().discovery.redirect_nodes, 0u);
+  const Profiler& prof = rt.profiler();
+  std::uint64_t max_id = 0;
+  for (const TraceEdge& e : prof.edges()) max_id = std::max(max_id, e.succ);
+  using Relabel = std::function<std::uint64_t(std::uint64_t)>;
+  auto check = [&](const Relabel& to, const VerifyOptions& opts) {
+    std::vector<AccessRecord> acc(prof.accesses().begin(),
+                                  prof.accesses().end());
+    for (AccessRecord& a : acc) a.task_id = to(a.task_id);
+    std::vector<TraceEdge> edges(prof.edges().begin(), prof.edges().end());
+    for (TraceEdge& e : edges) e = {to(e.pred), to(e.succ)};
+    const VerifyReport rep = verify_tdg(acc, edges, {}, {}, opts);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> races;
+    for (const RaceFinding& f : rep.races) {
+      races.emplace_back(f.pred_id, f.succ_id);
+    }
+    return std::make_tuple(rep.tasks, rep.edges, rep.pairs_checked,
+                           rep.races_total, rep.cycle, races);
+  };
+  const Relabel same = [](std::uint64_t id) { return id; };
+  const auto base = check(same, {});
+  EXPECT_GT(std::get<3>(base), 0u);
+  EXPECT_FALSE(std::get<4>(base));
+  VerifyOptions sparse_reach;
+  sparse_reach.dense_limit = 0;
+  const Relabel spread = [](std::uint64_t id) { return id << 40; };
+  const Relabel reverse = [max_id](std::uint64_t id) {
+    return max_id + 1 - id;
+  };
+  for (const VerifyOptions& opts : {VerifyOptions{}, sparse_reach}) {
+    EXPECT_EQ(check(same, opts), base);
+    auto spread_rep = check(spread, opts);
+    for (auto& [p, s] : std::get<5>(spread_rep)) {
+      p >>= 40;
+      s >>= 40;
+    }
+    EXPECT_EQ(spread_rep, base);
+    auto reverse_rep = check(reverse, opts);
+    for (auto& [p, s] : std::get<5>(reverse_rep)) {
+      p = max_id + 1 - p;
+      s = max_id + 1 - s;
+    }
+    EXPECT_EQ(reverse_rep, base);
+  }
+}
+
+TEST(VerifyMetrics, CheckerCountersLiveInTheOneRegistry) {
+  Runtime rt(verify_config(VerifyMode::Sample));
   int x = 0;
   rt.submit([&] { x = 1; }, {Depend::out(&x)});
   rt.submit([&] { (void)x; }, {Depend::in(&x)});
   rt.taskwait();
-  const auto snap = rt.metrics().snapshot();
-  EXPECT_GE(snap.value("race.tracked_tasks"), 1u);
-  EXPECT_GE(snap.value("race.checks"), 1u);
-  EXPECT_EQ(snap.value("race.flags"), 0u);
-  EXPECT_EQ(snap.value("race.shadow_entries"), 0u);  // drained at barrier
+  const MetricsSnapshot snap = rt.metrics().snapshot();
+  EXPECT_NE(snap.find("verify.windows"), nullptr);
+  EXPECT_NE(snap.find("verify.pairs_checked"), nullptr);
+  EXPECT_NE(snap.find("verify.races"), nullptr);
+  EXPECT_EQ(snap.value("verify.windows"), 1u);
+  EXPECT_EQ(snap.value("verify.races"), 0u);
+  for (const char* gone : {"race.checks", "race.flags", "race.tracked_tasks",
+                           "race.escalations", "race.shadow_entries"}) {
+    EXPECT_EQ(snap.find(gone), nullptr) << gone;
+  }
 }
 
-// --- sampling miss -> offline escalation ------------------------------------
+// --- sampling miss -> offline verification of the exported trace ----------
 
-TEST(RaceOffline, SamplingMissIsCaughtByStrictTraceReplay) {
-  // Pick a seed under which neither racing task is sampled, so the online
-  // pass provably misses the drop; the exported streams replayed through
-  // race_scan (strict: rate 1) must then produce the precise report.
-  RaceOptions probe = unit_opts();
-  probe.sample_tasks = 1 << 20;
-  while (true) {
-    RaceDetector det(probe, 1);
-    if (!det.would_sample_task(1) && !det.would_sample_task(2)) break;
-    ++probe.seed;
-  }
-  Runtime::Config cfg = race_config(RaceMode::Sample);
-  cfg.race.sample_tasks = probe.sample_tasks;
-  cfg.race.seed = probe.seed;
-  cfg.trace = true;  // sample mode does not force capture; opt in
+TEST(VerifyOffline, SamplingMissIsCaughtByTraceVerify) {
+  // Both racing tasks sit outside the sampled set, so the online check
+  // provably misses the drop; the exported trace, verified in full the
+  // way `tdg-trace verify` does it, must then report the pair.
+  Runtime::Config cfg = verify_config(VerifyMode::Sample);
+  cfg.trace = true;  // keep the streams for export
   cfg.discovery.seed_drop_edge = 1;
   Runtime rt(cfg);
   int x = 0;
-  rt.submit([&] { x = 1; }, {Depend::out(&x)}, {.label = "writer"});
-  rt.submit([&] { (void)x; }, {Depend::in(&x)}, {.label = "reader"});
+  submit_dropped_pair(rt, id_pair(/*sampled=*/false), x);
   rt.taskwait();
-  EXPECT_EQ(rt.race_detector()->flag_total(), 0u);  // the online miss
+  EXPECT_EQ(metric(rt, "verify.races"), 0u);  // the online miss
 
   Profiler& prof = rt.profiler();
-  const RaceScanResult res =
-      race_scan(prof.accesses(), prof.edges(), prof.barriers(),
-                prof.scope_clears());
-  ASSERT_GE(res.flags.size(), 1u) << res.report;
-  EXPECT_TRUE(res.any_confirmed());
-  EXPECT_EQ(res.flags[0].addr, reinterpret_cast<std::uint64_t>(&x));
-  EXPECT_NE(res.report.find("writer"), std::string::npos) << res.report;
-  EXPECT_NE(res.report.find("reader"), std::string::npos) << res.report;
+  std::ostringstream os;
+  write_perfetto(os, prof.merged_trace(), prof.edges(), prof.accesses(),
+                 prof.barriers(), prof.scope_clears());
+  std::istringstream is(os.str());
+  const ParsedTrace parsed = parse_perfetto(is);
+  const VerifyReport rep = verify_tdg(parsed.accesses, parsed.edges,
+                                      parsed.barriers, parsed.scope_clears);
+  ASSERT_EQ(rep.races_total, 1u) << rep.summary();
+  EXPECT_EQ(rep.races[0].addr, reinterpret_cast<std::uint64_t>(&x));
+  const std::string text = rep.summary();
+  EXPECT_NE(text.find("writer"), std::string::npos) << text;
+  EXPECT_NE(text.find("reader"), std::string::npos) << text;
 }
 
-TEST(RaceOffline, CleanTraceScansClean) {
-  Runtime::Config cfg = race_config(RaceMode::Off);
+TEST(VerifyOffline, CleanTraceVerifiesClean) {
+  Runtime::Config cfg;
+  cfg.num_threads = 1;
   cfg.trace = true;
   Runtime rt(cfg);
   int x = 0, y = 0;
@@ -361,18 +604,17 @@ TEST(RaceOffline, CleanTraceScansClean) {
   rt.taskwait();
   rt.submit([&] { x = y; }, {Depend::in(&y), Depend::out(&x)});
   rt.taskwait();
-  Profiler& prof = rt.profiler();
-  const RaceScanResult res =
-      race_scan(prof.accesses(), prof.edges(), prof.barriers(),
-                prof.scope_clears());
-  EXPECT_TRUE(res.flags.empty()) << res.report;
-  EXPECT_FALSE(res.any_confirmed());
+  EXPECT_EQ(metric(rt, "verify.windows"), 0u);  // verify off
+  const VerifyReport rep = rt.verify_graph();
+  EXPECT_TRUE(rep.ok()) << rep.summary();
+  EXPECT_GT(rep.pairs_checked, 0u);
 }
 
-TEST(RaceOffline, ClauseExtentsSurviveTheTraceRoundTrip) {
+TEST(VerifyOffline, ClauseExtentsSurviveTheTraceRoundTrip) {
   // The `/hexbytes` suffix is emitted only for sized clauses, so legacy
   // zero-extent traces stay byte-identical and both forms parse back.
-  Runtime::Config cfg = race_config(RaceMode::Off);
+  Runtime::Config cfg;
+  cfg.num_threads = 1;
   cfg.trace = true;
   Runtime rt(cfg);
   alignas(8) char buf[32] = {};
@@ -424,26 +666,26 @@ TEST(RaceLint, ZeroExtentClausesNeverTriggerOverlapFindings) {
 
 // --- taskbench & multi-tenant cleanliness -----------------------------------
 
-TEST(RaceWorkloads, AllNineTaskbenchPatternsAreRaceCleanUnderStrict) {
+TEST(RaceWorkloads, AllNineTaskbenchPatternsAreCleanUnderStrict) {
   for (const tb::Pattern p : tb::all_patterns()) {
     tb::Config cfg;
     cfg.pattern = p;
     cfg.width = 8;
     cfg.steps = 4;
     cfg.iterations = 1;
-    Runtime rt(race_config(RaceMode::Strict, 4));
+    Runtime rt(verify_config(VerifyMode::Strict, 4));
     const auto res = tb::run_taskbased(rt, cfg, /*persistent=*/false);
     EXPECT_EQ(res.tasks_executed,
               static_cast<std::uint64_t>(cfg.width) * cfg.steps)
         << tb::pattern_name(p);
-    EXPECT_EQ(rt.race_detector()->flag_total(), 0u) << tb::pattern_name(p);
-    EXPECT_GT(rt.race_detector()->tracked_count(), 0u);
+    EXPECT_GE(metric(rt, "verify.windows"), 1u) << tb::pattern_name(p);
+    EXPECT_EQ(metric(rt, "verify.races"), 0u) << tb::pattern_name(p);
   }
 }
 
 TEST(RaceWorkloads, TenantsAreIsolatedOnASharedPool) {
   // A race in one tenant must throw in *that* tenant only; the co-located
-  // clean tenant keeps running with zero flags (per-tenant detectors).
+  // clean tenant keeps running with zero findings (per-tenant capture).
   WorkerPool::Config pc;
   pc.num_workers = 2;
   pc.max_tenants = 4;
@@ -451,13 +693,13 @@ TEST(RaceWorkloads, TenantsAreIsolatedOnASharedPool) {
 
   Runtime::Config ca;
   ca.pool = &pool;
-  ca.race.mode = RaceMode::Strict;
+  ca.verify = VerifyMode::Strict;
   ca.discovery.seed_drop_edge = 1;
   Runtime racy(ca);
 
   Runtime::Config cb;
   cb.pool = &pool;
-  cb.race.mode = RaceMode::Strict;
+  cb.verify = VerifyMode::Strict;
   Runtime clean(cb);
 
   int x = 0;
@@ -469,11 +711,12 @@ TEST(RaceWorkloads, TenantsAreIsolatedOnASharedPool) {
     clean.submit([&] { y += 1; }, {Depend::inout(&y)});
   }
 
-  EXPECT_THROW(racy.taskwait(), RaceError);
+  EXPECT_THROW(racy.taskwait(), VerifyError);
   EXPECT_NO_THROW(clean.taskwait());
   EXPECT_EQ(y, 8);
-  EXPECT_GE(racy.race_detector()->flag_total(), 1u);
-  EXPECT_EQ(clean.race_detector()->flag_total(), 0u);
+  EXPECT_EQ(metric(racy, "verify.races"), 1u);
+  EXPECT_EQ(metric(clean, "verify.races"), 0u);
+  EXPECT_EQ(metric(clean, "verify.pairs_checked"), 7u);
 }
 
 }  // namespace

@@ -509,7 +509,7 @@ TEST(VerifyTraceRoundTrip, RuntimeStreamsSurviveExport) {
   std::vector<std::uint64_t> barriers;
   std::vector<std::uint64_t> scope_clears;
   {
-    Runtime rt(verified_config(VerifyMode::Post, 2));
+    Runtime rt({.num_threads = 2, .trace = true, .verify = VerifyMode::Post});
     double a = 0, b = 0;
     rt.submit([&] { a = 1; }, {Depend::out(&a)}, {.label = "p"});
     rt.submit([&] { b = a; }, {Depend::in(&a), Depend::out(&b)},

@@ -10,21 +10,16 @@
 //                                       + top comm-blocked task labels
 //   tdg-trace verify   <trace> [-n K]   TDG soundness check (races, cycles)
 //   tdg-trace lint     <trace> [--strict]   depend-clause lint
-//   tdg-trace race     <trace> [--sample-tasks N] [--sample-addrs M]
-//                                       replay the online race detector
-//                                       over the recorded streams and
-//                                       escalate flagged windows offline
 //
 // Installing (or symlinking) the binary as `tdg-lint` makes it default to
 // the lint command: `tdg-lint trace.json` == `tdg-trace lint trace.json`.
 //
 // <trace> is a Perfetto JSON file produced with TDG_TRACE=perfetto (or "-"
-// for stdin); merge writes the same format. verify/lint/race need the
-// depend-clause access stream, which traces carry when recorded with
-// TDG_VERIFY=post|strict. Exit status: 0 ok, 1 bad input, 2 usage error,
-// 3 verification failed / lint --strict found issues / race confirmed a
-// violation. `<command> --help` prints a man-style page with the
-// command's exit codes.
+// for stdin); merge writes the same format. verify/lint need the
+// depend-clause access stream, which every TDG_TRACE=perfetto trace
+// carries. Exit status: 0 ok, 1 bad input, 2 usage error, 3 verification
+// failed / lint --strict found issues. `<command> --help` prints a
+// man-style page with the command's exit codes.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -39,7 +34,6 @@
 
 #include "core/analysis.hpp"
 #include "core/error.hpp"
-#include "core/race.hpp"
 #include "core/trace_export.hpp"
 #include "core/trace_merge.hpp"
 #include "core/verify.hpp"
@@ -82,18 +76,9 @@ int usage(const char* argv0) {
                "                                   work for nothing; exit 3 "
                "only with --strict\n"
                "\n"
-               "  race     <trace> [--sample-tasks N] [--sample-addrs M] "
-               "[--seed S]\n"
-               "                                   replay the online race "
-               "detector over the\n"
-               "                                   recorded streams; exit 3 "
-               "on confirmed\n"
-               "                                   violations\n"
-               "\n"
                "<trace> is the Perfetto JSON written under TDG_TRACE, or '-' "
-               "for stdin.\nverify/lint/race need a trace recorded with\n"
-               "TDG_VERIFY=post (or strict), "
-               "which embeds the depend-clause stream.\nRun '%s <command> "
+               "for stdin.\nverify/lint read the depend-clause stream every "
+               "such trace embeds.\nRun '%s <command> "
                "--help' for a command's full page and exit codes.\n",
                argv0, argv0);
   return 2;
@@ -148,8 +133,11 @@ int sub_help(const std::string& cmd) {
       {"verify", "tdg-trace verify <trace> [-n K]",
        "Offline TDG soundness check: re-derive the required ordering\n"
        "relation from the embedded depend-clause stream and prove or\n"
-       "refute every conflicting access pair against the recorded graph.\n"
-       "Requires a trace recorded with TDG_VERIFY=post or strict.",
+       "refute every conflicting access pair against the recorded graph,\n"
+       "including cross-base pairs whose declared byte ranges overlap.\n"
+       "This is the check TDG_VERIFY runs at each taskwait, over the\n"
+       "whole trace and every task (the runtime's sample mode checks one\n"
+       "task in 16, so a trace catches what sampling missed).",
        "  -n K   materialize at most K findings (totals keep counting)",
        "  0  graph is sound\n"
        "  1  trace unreadable or lacks the depend-clause stream\n"
@@ -166,26 +154,6 @@ int sub_help(const std::string& cmd) {
        "  1  trace unreadable or lacks the depend-clause stream\n"
        "  2  usage error\n"
        "  3  findings present and --strict given"},
-      {"race",
-       "tdg-trace race <trace> [--sample-tasks N] [--sample-addrs M] "
-       "[--seed S]",
-       "Replay the online sampling race detector (core/race.hpp) over the\n"
-       "recorded access/edge/barrier streams in submission order, then\n"
-       "escalate flagged windows through the offline verifier exactly as\n"
-       "the strict runtime mode would at a taskwait. Same-base flags are\n"
-       "confirmed by the verifier; range-overlap flags (cross-base byte\n"
-       "overlap) are confirmed as flagged, since identity-based discovery\n"
-       "structurally cannot order them. Defaults to checking everything\n"
-       "(sampling rate 1).",
-       "  --sample-tasks N   shadow-check every Nth task (default 1)\n"
-       "  --sample-addrs M   of a checked task's clauses, check every Mth\n"
-       "                     address (default 1)\n"
-       "  --seed S           sampling hash seed (default 0); the sampled\n"
-       "                     set is a pure function of (seed, id)",
-       "  0  no confirmed violation\n"
-       "  1  trace unreadable or lacks the depend-clause stream\n"
-       "  2  usage error\n"
-       "  3  a violation was confirmed"},
   };
   for (const auto& p : pages) {
     if (cmd != p.name) continue;
@@ -449,7 +417,7 @@ bool require_accesses(const tdg::ParsedTrace& trace, const char* cmd) {
   if (!trace.accesses.empty()) return true;
   std::fprintf(stderr,
                "tdg-trace: %s: trace has no depend-clause accesses; "
-               "re-record it with\ntdg-trace: TDG_VERIFY=post (or strict) "
+               "re-record it with\ntdg-trace: TDG_TRACE=perfetto "
                "so the clause stream is embedded\n",
                cmd);
   return false;
@@ -464,25 +432,6 @@ int cmd_verify(const tdg::ParsedTrace& trace, std::size_t max_reports) {
                       trace.scope_clears, opts);
   std::printf("%s\n", rep.summary().c_str());
   return rep.ok() ? 0 : 3;
-}
-
-int cmd_race(const tdg::ParsedTrace& trace, std::uint64_t sample_tasks,
-             std::uint64_t sample_addrs, std::uint64_t seed) {
-  if (!require_accesses(trace, "race")) return 1;
-  tdg::RaceOptions opts;
-  opts.mode = tdg::RaceMode::Strict;
-  opts.sample_tasks = sample_tasks;
-  opts.sample_addrs = sample_addrs;
-  opts.seed = seed;
-  opts.live_report = false;
-  const tdg::RaceScanResult res =
-      tdg::race_scan(trace.accesses, trace.edges, trace.barriers,
-                     trace.scope_clears, opts);
-  std::printf("%s", res.report.c_str());
-  std::printf("race scan: %zu flag%s (%zu total), %zu confirmed\n",
-              res.flags.size(), res.flags.size() == 1 ? "" : "s",
-              res.flags_total, res.confirmed);
-  return res.any_confirmed() ? 3 : 0;
 }
 
 int cmd_lint(const tdg::ParsedTrace& trace, bool strict) {
@@ -531,9 +480,6 @@ int main(int argc, char** argv) {
   std::string out_path;
   bool strict = false;
   bool estimate_offsets = true;
-  std::uint64_t sample_tasks = 1;
-  std::uint64_t sample_addrs = 1;
-  std::uint64_t seed = 0;
   // merge accepts several input traces; every other command exactly one.
   std::vector<std::string> paths{argv[lint_alias ? 1 : 2]};
   for (int i = lint_alias ? 2 : 3; i < argc; ++i) {
@@ -546,12 +492,6 @@ int main(int argc, char** argv) {
       strict = true;
     } else if (a == "--no-offsets") {
       estimate_offsets = false;
-    } else if (a == "--sample-tasks" && i + 1 < argc) {
-      sample_tasks = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--sample-addrs" && i + 1 < argc) {
-      sample_addrs = std::strtoull(argv[++i], nullptr, 10);
-    } else if (a == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (cmd == "merge" && (a.empty() || a[0] != '-')) {
       paths.push_back(a);
     } else {
@@ -570,9 +510,6 @@ int main(int argc, char** argv) {
     if (cmd == "timeline") return cmd_timeline(trace);
     if (cmd == "verify") return cmd_verify(trace, top);
     if (cmd == "lint") return cmd_lint(trace, strict);
-    if (cmd == "race") {
-      return cmd_race(trace, sample_tasks, sample_addrs, seed);
-    }
     std::fprintf(stderr, "tdg-trace: unknown command: %s\n", cmd.c_str());
     return usage(argv[0]);
   } catch (const tdg::UsageError& e) {
