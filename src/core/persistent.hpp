@@ -72,9 +72,9 @@ class PersistentRegion {
   friend class Runtime;
 
   /// One compiled replay slot, handed to Runtime::replay_submit_erased.
-  /// copy_dst is the task's stored-capture address when the capture is
-  /// trivially copyable (replay = one memcpy), nullptr otherwise (replay
-  /// goes through the type-erased update dispatch).
+  /// copy_dst is the task's stored-capture address: the submit site, which
+  /// knows whether the capture is trivially copyable, either memcpys into
+  /// it or goes through the type-erased update dispatch.
   struct ReplayRef {
     Task* task;
     void* copy_dst;
@@ -94,10 +94,8 @@ class PersistentRegion {
   Runtime& rt_;
   std::vector<Task*> tasks_;        // creation order; holds references
   std::size_t replayed_ = 0;        // user tasks replayed this iteration
-  std::size_t replayable_count_ = 0;
   std::uint32_t iterations_done_ = 0;
   bool active_ = false;
-  double iter_begin_s_ = 0;
   std::vector<double> discovery_seconds_;
 
   // Compiled replay plan (built once, at first-iteration end).
@@ -106,6 +104,7 @@ class PersistentRegion {
   std::vector<Task*> plan_tasks_;
   std::vector<void*> plan_copy_dst_;
   std::vector<std::uint32_t> plan_copy_bytes_;
+  std::uint64_t plan_bytes_ = 0;  // capture bytes one replay iteration copies
   // Re-arm sweep: parallel to tasks_ (internal nodes included).
   // npred = persistent_indegree + discovery guard (0 for internal nodes,
   // which are not re-submitted); latch = 2 with a detach event, else 1.

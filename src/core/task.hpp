@@ -75,9 +75,9 @@ class Event {
 ///
 /// Persistent-graph replay (optimization (p) of the paper) overwrites the
 /// stored capture with the bytes of a freshly-built callable of the same
-/// type: a plain memcpy for trivially-copyable captures, the type's copy
-/// assignment otherwise. This mirrors the paper's "task initialization cost
-/// reduced to a single memcpy on firstprivate data".
+/// type: a plain memcpy for trivially-copyable captures, destroy and
+/// move-construct otherwise. This mirrors the paper's "task initialization
+/// cost reduced to a single memcpy on firstprivate data".
 ///
 /// Layout: one pointer to a per-type static operations table, then the
 /// inline capture bytes. A capture that is larger than kInlineBytes or
@@ -125,11 +125,15 @@ class TaskBody {
     using Fn = std::decay_t<F>;
     TDG_DCHECK(capture_bytes() == sizeof(Fn),
                "persistent replay type mismatch");
-    Fn tmp(std::forward<F>(fn));
     if constexpr (std::is_trivially_copyable_v<Fn>) {
+      const Fn tmp(std::forward<F>(fn));
       std::memcpy(static_cast<void*>(at<Fn>(slot())), &tmp, sizeof(Fn));
     } else {
-      ops_->assign(slot(), &tmp);
+      // Lambdas have no assignment: destroy, then construct in place from
+      // the new callable (a move for the usual rvalue submission).
+      Fn* dst = at<Fn>(slot());
+      dst->~Fn();
+      ::new (static_cast<void*>(dst)) Fn(std::forward<F>(fn));
     }
   }
 
@@ -142,15 +146,13 @@ class TaskBody {
   std::size_t capture_bytes() const noexcept {
     return ops_ != nullptr ? ops_->size : 0;
   }
-  bool trivially_copyable() const noexcept {
-    return ops_ == nullptr || ops_->assign == nullptr;
-  }
 
   /// Stable pointer to the stored capture bytes, for compiled PTSG replay
-  /// plans: when the capture is trivially copyable, replay overwrites it
-  /// with one memcpy straight from the freshly-built callable, skipping
-  /// the type-erased update() dispatch. Valid while a callable is stored;
-  /// replay never re-emplaces, so the pointer is stable across iterations.
+  /// plans: when the capture is trivially copyable (known at the submit
+  /// site), replay overwrites it with one memcpy straight from the
+  /// freshly-built callable, skipping the type-erased update() dispatch.
+  /// Valid while a callable is stored; replay never re-emplaces, so the
+  /// pointer is stable across iterations.
   void* capture_dst() noexcept {
     if (ops_ == nullptr) return nullptr;
     return ops_->heap_align == 0 ? static_cast<void*>(inline_) : heap_;
@@ -172,9 +174,8 @@ class TaskBody {
   struct Ops {
     void (*invoke)(void*);
     void (*destroy)(void*);
-    void (*assign)(void*, const void*);  ///< nullptr: memcpy is valid
-    std::uint32_t size;                  ///< sizeof the callable
-    std::uint32_t heap_align;            ///< 0: inline; else heap alignment
+    std::uint32_t size;        ///< sizeof the callable
+    std::uint32_t heap_align;  ///< 0: inline; else heap alignment
   };
 
   template <class Fn>
@@ -195,14 +196,6 @@ class TaskBody {
     Ops ops{};
     ops.invoke = [](void* s) { (*at<Fn>(s))(); };
     ops.destroy = [](void* s) { at<Fn>(s)->~Fn(); };
-    if constexpr (!std::is_trivially_copyable_v<Fn>) {
-      // Lambdas have no copy assignment: destroy + copy-construct.
-      ops.assign = [](void* s, const void* src) {
-        Fn* dst = at<Fn>(s);
-        dst->~Fn();
-        ::new (static_cast<void*>(dst)) Fn(*static_cast<const Fn*>(src));
-      };
-    }
     ops.size = sizeof(Fn);
     ops.heap_align = kFitsInline<Fn> ? 0 : alignof(Fn);
     return ops;
@@ -322,6 +315,8 @@ class Task {
   /// failed/cancelled state cancels the successor immediately — pruning
   /// must not let a late-discovered dependent escape cancellation.
   EdgeResult add_successor(Task* succ, bool persistent) {
+    TDG_DCHECK(!successors_frozen_,
+               "edge added to a replayed persistent task");
     SpinGuard g(succ_lock_);
     if (try_prune(succ)) {  // finished; a poisoned instance cancelled succ
       if (!persistent) return EdgeResult::Pruned;
@@ -368,18 +363,29 @@ class Task {
     return std::move(successors_);
   }
 
+  /// Freeze the successor list of a persistent task once its discovery
+  /// iteration is over: the access history no longer holds it, so no edge
+  /// can be added again, and replayed instances read the list in place —
+  /// no lock, no copy, no finish-state store (see frozen_successors).
+  void freeze_successors() noexcept { successors_frozen_ = true; }
+  bool successors_frozen() const noexcept { return successors_frozen_; }
+  /// The frozen list (valid only after freeze_successors()).
+  const SuccessorList& frozen_successors() const noexcept {
+    TDG_DCHECK(successors_frozen_, "successor list is not frozen");
+    return successors_;
+  }
+
   /// Persistent re-arm: clear the finished flag so the recorded successor
   /// list applies again next iteration (the list is NOT cleared), and
-  /// reset the failure state of the previous iteration's instance.
+  /// reset the failure state of the previous iteration's instance. Runs at
+  /// the iteration barrier: every instance has completed and no discovery
+  /// can reach the task, so nothing races it.
   void rearm_persistent() {
-    SpinGuard g(succ_lock_);
     finish_state_.store(0, std::memory_order_relaxed);
     failed = false;
     retry_attempts = 0;  // each replayed instance gets the full budget
     cancelled.store(false, std::memory_order_relaxed);
   }
-
-  const SuccessorList& successors_unsafe() const { return successors_; }
 
  private:
   ~Task() = default;  // heap-only; destroyed via release()
@@ -435,6 +441,10 @@ class Task {
   std::uint32_t exec_thread = 0;
   bool persistent = false;
 
+ private:
+  bool successors_frozen_ = false;  // see freeze_successors()
+
+ public:
   // === line 3: discovery group ===============================================
   /// Id of the most recent successor an edge was created to. Discovery is
   /// sequential, so a repeated (pred,succ) pair is detected in O(1)

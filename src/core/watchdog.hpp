@@ -3,17 +3,18 @@
 //
 // Design: there is no monitor thread. Every blocking wait in the runtime is
 // a spin-with-yield loop already; arming the watchdog wraps that loop in a
-// Scope whose poll() compares a shared progress epoch (bumped by task
-// starts/completions, detach fulfilment, message delivery, ...) against a
-// no-progress deadline. On expiry it assembles a diagnostic report from
+// Scope whose poll() compares a progress epoch against a no-progress
+// deadline. The epoch comes from a source the owner installs (for a
+// runtime, the sum of its `exec.*` completion and retry counters) and is
+// read only while a wait is armed, so the task path pays nothing for it.
+// On expiry it assembles a diagnostic report from
 // registered providers — live/ready task counts, unfulfilled detach events
 // with owning task labels, pending MPI requests — and either throws
 // DeadlineError or invokes a user callback (which may log and keep
-// waiting). Polling is a relaxed atomic load plus a clock read; the
-// disabled path is a single branch.
+// waiting). Polling is one epoch read plus a clock read; the disabled path
+// is a single branch.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -28,9 +29,9 @@ namespace tdg {
 /// Watchdog knobs. A zero deadline disables the watchdog entirely.
 struct WatchdogConfig {
   /// Seconds without observed progress before the watchdog trips. Must
-  /// exceed the longest task body / injected fault delay; progress is
-  /// noted at task start, task completion, retry attempts and detach
-  /// fulfilment, not inside user code.
+  /// exceed the longest task body / injected fault delay; progress is a
+  /// task completing (finished, failed or cancelled, detach fulfilment
+  /// included) or a retry attempt, never anything inside user code.
   double deadline_seconds = 0.0;
   /// If set, invoked with the diagnostic report instead of throwing
   /// DeadlineError; the wait then continues (the timer re-arms), so a
@@ -39,9 +40,10 @@ struct WatchdogConfig {
 };
 
 /// Progress monitor shared by one runtime and its attached waiters.
-/// Thread-safety: note_progress() is wait-free from any thread;
-/// add/remove_diagnostic are mutex-guarded; configure() must precede
-/// arming (it is read unsynchronized by waiters).
+/// Thread-safety: the progress source must be callable from any waiting
+/// thread; add/remove_diagnostic are mutex-guarded; configure() and
+/// set_progress_source() must precede arming (they are read unsynchronized
+/// by waiters).
 class Watchdog {
  public:
   Watchdog() = default;
@@ -60,12 +62,14 @@ class Watchdog {
   void set_name(std::string name) { name_ = std::move(name); }
   const std::string& name() const noexcept { return name_; }
 
-  /// Record forward progress (any thread, hot path).
-  void note_progress() noexcept {
-    progress_.fetch_add(1, std::memory_order_relaxed);
+  /// Monotone count of forward-progress events, read by armed waits only:
+  /// any change since the last poll restarts the no-progress timer.
+  using ProgressSource = std::function<std::uint64_t()>;
+  void set_progress_source(ProgressSource fn) {
+    progress_source_ = std::move(fn);
   }
-  std::uint64_t progress_epoch() const noexcept {
-    return progress_.load(std::memory_order_relaxed);
+  std::uint64_t progress_epoch() const {
+    return progress_source_ ? progress_source_() : 0;
   }
 
   /// A diagnostic provider appends stuck-state details to the report.
@@ -98,7 +102,7 @@ class Watchdog {
  private:
   WatchdogConfig cfg_;
   std::string name_;
-  std::atomic<std::uint64_t> progress_{0};
+  ProgressSource progress_source_;
   mutable std::mutex mu_;  // diagnostics registry
   std::vector<std::pair<std::uint64_t, Diagnostic>> diags_;
   std::uint64_t next_token_ = 1;

@@ -42,12 +42,12 @@ WorkerPool::WorkerPool(Config cfg, Runtime* solo)
   for (unsigned i = 0; i < nw; ++i) {
     deques_.push_back(std::make_unique<WorkDeque>());
   }
-  rng_ = std::vector<Rng>(nw);
+  wstate_ = std::vector<WorkerState>(nw);
   for (unsigned i = 0; i < nw; ++i) {
     // Worker i occupies what used to be runtime slot i+1; seed the same
     // xorshift stream the pre-pool runtime used for that slot.
-    rng_[i].s.store(0x9e3779b97f4a7c15ull * (i + 2) + 1,
-                    std::memory_order_relaxed);
+    wstate_[i].rng.store(0x9e3779b97f4a7c15ull * (i + 2) + 1,
+                         std::memory_order_relaxed);
   }
   workers_.reserve(nw);
   for (unsigned i = 0; i < nw; ++i) {
@@ -87,10 +87,10 @@ unsigned WorkerPool::attach(Runtime* rt, const TenantOptions& opts) {
   unsigned id = static_cast<unsigned>(tenants_.size());
   for (unsigned i = 0; i < tenants_.size(); ++i) {
     // Acquire on both: everything the detacher and the last pinned
-    // workers did to this slot (wd_token read, vruntime charge) must
-    // happen-before the re-initialization below overwrites it.
+    // workers did to this slot (wd_token read, vruntime and served
+    // charges) must happen-before the re-initialization below.
     if (tenants_[i].rt.load(std::memory_order_acquire) == nullptr &&
-        tenants_[i].pins.load(std::memory_order_acquire) == 0) {
+        !hazard_on(i)) {
       id = i;
       break;
     }
@@ -112,7 +112,9 @@ unsigned WorkerPool::attach(Runtime* rt, const TenantOptions& opts) {
   }
   slot.vruntime.store(vmin == UINT64_MAX ? 0 : vmin,
                       std::memory_order_relaxed);
-  slot.served.store(0, std::memory_order_relaxed);
+  for (WorkerState& w : wstate_) {
+    w.served[id].store(0, std::memory_order_relaxed);
+  }
   // Per-tenant hang isolation: the pool state is appended to this tenant's
   // OWN watchdog report — a wedged tenant trips its own deadline with the
   // pool context attached, without flagging (or being masked by) siblings.
@@ -138,10 +140,10 @@ void WorkerPool::detach(unsigned id) {
   rt->watchdog_.remove_diagnostic(slot.wd_token);
   // Publish the vacancy, then wait out every worker still inside its
   // pinned window: either the worker's seq_cst rt load sees the nullptr,
-  // or this seq_cst pins load sees the worker's increment.
+  // or this seq_cst hazard load sees the worker's store (see pin).
   slot.rt.store(nullptr, std::memory_order_seq_cst);
   Backoff bo;
-  while (slot.pins.load(std::memory_order_seq_cst) != 0) bo.pause();
+  while (hazard_on(id)) bo.pause();
   if (solo_ == nullptr && rt->metrics_->enabled()) {
     fold_aggregate(rt->metrics_->snapshot());
   }
@@ -215,9 +217,33 @@ Task* WorkerPool::poll_tenant(Runtime* r, bool& stole, bool& deferred) {
   return nullptr;
 }
 
+Runtime* WorkerPool::pin(unsigned slot, unsigned id) {
+  hold(slot, id);
+  return tenants_[id].rt.load(std::memory_order_seq_cst);
+}
+
+void WorkerPool::hold(unsigned slot, unsigned id) {
+  std::atomic<unsigned>& h = wstate_[slot].hazard;
+  // A hazard already naming `id` was stored seq_cst and not changed since,
+  // so it still precedes any later rt load.
+  if (h.load(std::memory_order_relaxed) != id) {
+    h.store(id, std::memory_order_seq_cst);
+  }
+}
+
+void WorkerPool::unpin(unsigned slot) {
+  wstate_[slot].hazard.store(kNoTenant, std::memory_order_release);
+}
+
+bool WorkerPool::hazard_on(unsigned id) const {
+  for (const WorkerState& w : wstate_) {
+    if (w.hazard.load(std::memory_order_seq_cst) == id) return true;
+  }
+  return false;
+}
+
 Task* WorkerPool::take_tenant_work(unsigned slot, Runtime*& owner,
                                    bool& stole, bool& deferred) {
-  (void)slot;
   const unsigned hi = std::min<unsigned>(
       tenant_high_.load(std::memory_order_acquire),
       static_cast<unsigned>(tenants_.size()));
@@ -245,20 +271,11 @@ Task* WorkerPool::take_tenant_work(unsigned slot, Runtime*& owner,
     }
     if (best >= hi) return nullptr;
     visited |= 1ull << best;
-    TenantSlot& ts = tenants_[best];
-    // Pin protocol (Dekker with detach): pin BEFORE loading rt, both
-    // seq_cst. A non-null load means the detacher has not yet passed its
-    // pins==0 spin, so the runtime stays alive for this probe. The unpin
-    // is a release so the detacher's pins==0 observation orders every
-    // probe-side read before the teardown that follows it. Executing the
-    // task after unpinning is safe without the pin: a popped task is
-    // pending, and its owner's destructor drains pending work before it
-    // can detach (try_execute_one re-pins around the execution so the
-    // post-completion epilogue cannot outlive the tenant either).
-    ts.pins.fetch_add(1, std::memory_order_seq_cst);
-    Runtime* r = ts.rt.load(std::memory_order_seq_cst);
+    // The hazard stays on the probed tenant: the next probe overwrites it,
+    // a find keeps it for the execution, and a failed scan clears it in
+    // try_execute_one.
+    Runtime* r = pin(slot, best);
     Task* t = r != nullptr ? poll_tenant(r, stole, deferred) : nullptr;
-    ts.pins.fetch_sub(1, std::memory_order_release);
     if (t != nullptr) {
       owner = r;
       return t;
@@ -286,13 +303,24 @@ Task* WorkerPool::steal_for(Runtime* self, std::atomic<std::uint64_t>& rng) {
   return nullptr;
 }
 
-void WorkerPool::note_served(unsigned id) {
-  if (id >= tenants_.size()) return;
+void WorkerPool::note_served(unsigned slot, unsigned id) {
+  // Only this worker writes its counter: a plain load and store, no RMW.
+  std::atomic<std::uint64_t>& n = wstate_[slot].served[id];
+  n.store(n.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  if (tenant_count_.load(std::memory_order_relaxed) < 2) return;
   TenantSlot& ts = tenants_[id];
-  ts.served.fetch_add(1, std::memory_order_relaxed);
   ts.vruntime.fetch_add(
       kVrUnit / std::max(1u, ts.weight.load(std::memory_order_relaxed)),
       std::memory_order_relaxed);
+}
+
+std::uint64_t WorkerPool::served(unsigned id) const {
+  if (id >= tenants_.size()) return 0;
+  std::uint64_t total = 0;
+  for (const WorkerState& w : wstate_) {
+    total += w.served[id].load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 bool WorkerPool::try_execute_one(unsigned slot) {
@@ -318,7 +346,7 @@ bool WorkerPool::try_execute_one(unsigned slot) {
   // 3) Randomized steal from sibling workers.
   if (t == nullptr && deques_.size() > 1) {
     const unsigned n = static_cast<unsigned>(deques_.size());
-    const unsigned start = rng_next(rng_[slot].s, n - 1);
+    const unsigned start = rng_next(wstate_[slot].rng, n - 1);
     for (unsigned k = 0; k < n - 1 && t == nullptr; ++k) {
       const unsigned v = (slot + 1 + (start + k) % (n - 1)) % n;
       t = deques_[v]->steal();
@@ -326,6 +354,7 @@ bool WorkerPool::try_execute_one(unsigned slot) {
     stole = t != nullptr;
   }
   if (t == nullptr) {
+    unpin(slot);
     if (s == nullptr) return false;
     // Work existed somewhere but every probe came up empty.
     if (work_existed) s->metrics_->add(s->m_.steal_failures, 1, 1 + slot);
@@ -341,32 +370,29 @@ bool WorkerPool::try_execute_one(unsigned slot) {
   }
   if (owner == nullptr) owner = t->owner();
   TDG_DCHECK(owner != nullptr, "pool task without an owning runtime");
-  // Pin the tenant for the WHOLE execution, not just the poll: run_task's
+  // The hazard names the owner for the WHOLE execution, not just the
+  // poll, and stays until this worker moves on: run_task's
   // post-completion epilogue (overhead attribution, metrics) touches the
-  // owner after the publication that lets its drain return, so an unpinned
-  // epilogue races the tenant's destructor. The owner cannot detach
-  // between acquiring the task and this pin — the un-completed task keeps
-  // its drain from returning — so no rt re-check is needed.
-  TenantSlot& ts = tenants_[owner->tenant_id_];
-  ts.pins.fetch_add(1, std::memory_order_seq_cst);
-  note_served(owner->tenant_id_);
-  owner->run_from_pool(t, 1 + slot, stole, deferred, t0);
-  ts.pins.fetch_sub(1, std::memory_order_seq_cst);
+  // owner after the publication that lets its drain return, so an
+  // unpinned epilogue races the tenant's destructor. The owner cannot
+  // detach between acquiring the task and this store — the un-completed
+  // task keeps its drain from returning — so no rt re-check is needed.
+  hold(slot, owner->tenant_id_);
+  owner->run_acquired(t, 1 + slot, stole, deferred, t0,
+                      cfg_.policy == SchedulePolicy::DepthFirstLifo);
   return true;
 }
 
-void WorkerPool::poll_tenants() {
+void WorkerPool::poll_tenants(unsigned slot) {
   const unsigned hi = std::min<unsigned>(
       tenant_high_.load(std::memory_order_acquire),
       static_cast<unsigned>(tenants_.size()));
   for (unsigned i = 0; i < hi; ++i) {
-    TenantSlot& ts = tenants_[i];
-    if (ts.rt.load(std::memory_order_relaxed) == nullptr) continue;
-    ts.pins.fetch_add(1, std::memory_order_seq_cst);
-    Runtime* r = ts.rt.load(std::memory_order_seq_cst);
+    if (tenants_[i].rt.load(std::memory_order_relaxed) == nullptr) continue;
+    Runtime* r = pin(slot, i);
     if (r != nullptr) r->poll();
-    ts.pins.fetch_sub(1, std::memory_order_release);
   }
+  unpin(slot);
 }
 
 void WorkerPool::park_worker(unsigned slot) {
@@ -390,10 +416,8 @@ void WorkerPool::park_worker(unsigned slot) {
         tenant_high_.load(std::memory_order_acquire),
         static_cast<unsigned>(tenants_.size()));
     for (unsigned i = 0; i < hi; ++i) {
-      TenantSlot& ts = tenants_[i];
-      if (ts.rt.load(std::memory_order_relaxed) == nullptr) continue;
-      ts.pins.fetch_add(1, std::memory_order_seq_cst);
-      Runtime* r = ts.rt.load(std::memory_order_seq_cst);
+      if (tenants_[i].rt.load(std::memory_order_relaxed) == nullptr) continue;
+      Runtime* r = pin(slot, i);
       if (r != nullptr) {
         const std::uint64_t nd =
             r->next_deferred_ns_.load(std::memory_order_relaxed);
@@ -402,8 +426,8 @@ void WorkerPool::park_worker(unsigned slot) {
           wait_ns = nd > now ? std::min(wait_ns, nd - now) : 0;
         }
       }
-      ts.pins.fetch_sub(1, std::memory_order_release);
     }
+    unpin(slot);
     if (wait_ns > 0) {
       park_cv_.wait_for(lk, std::chrono::nanoseconds(wait_ns));
     }
@@ -424,7 +448,7 @@ void WorkerPool::worker_loop(unsigned slot) {
     Runtime* const s = solo_;
     const std::uint64_t t0 = (s != nullptr && s->timed_) ? now_ns() : 0;
     const bool work_existed = ready_.load(std::memory_order_relaxed) > 0;
-    poll_tenants();
+    poll_tenants(slot);
     if (bo.should_park()) {
       park_worker(slot);
     } else {
@@ -458,7 +482,7 @@ void WorkerPool::diagnostic(std::string& out) const {
     const TenantSlot& ts = tenants_[i];
     if (ts.rt.load(std::memory_order_relaxed) == nullptr) continue;
     out += "\n  pool tenant " + std::to_string(i) + ": served " +
-           std::to_string(ts.served.load(std::memory_order_relaxed)) +
+           std::to_string(served(i)) +
            ", weight " +
            std::to_string(ts.weight.load(std::memory_order_relaxed)) +
            ", vruntime " +

@@ -61,7 +61,7 @@ class WorkerPool {
   /// Sentinel: size the pool to hardware_concurrency - 1 workers.
   static constexpr unsigned kAutoWorkers = ~0u;
   /// Tenant-table capacity ceiling (the fair scan uses a 64-bit visited
-  /// mask, and per-slot pin counters are scanned on detach).
+  /// mask, and every worker keeps one served counter per slot).
   static constexpr unsigned kMaxTenantCap = 64;
 
   struct Config {
@@ -93,13 +93,10 @@ class WorkerPool {
   unsigned tenant_count() const {
     return tenant_count_.load(std::memory_order_relaxed);
   }
-  /// Tasks a pool worker executed on behalf of tenant `id` (fairness
-  /// accounting; tenant producers self-helping are not counted).
-  std::uint64_t served(unsigned id) const {
-    return id < tenants_.size()
-               ? tenants_[id].served.load(std::memory_order_relaxed)
-               : 0;
-  }
+  /// Tasks a pool worker executed on behalf of tenant `id`, handed-off
+  /// successors included (fairness accounting; tenant producers
+  /// self-helping are not counted). Exact: the per-worker counts summed.
+  std::uint64_t served(unsigned id) const;
   unsigned parked() const { return parked_.load(std::memory_order_relaxed); }
   /// Pool-wide ready mirror (sum of attached tenants' ready backlogs).
   std::size_t ready() const {
@@ -147,21 +144,39 @@ class WorkerPool {
   bool try_execute_one(unsigned slot);
   /// Weighted-fair tenant scan: probe tenants in ascending vruntime order
   /// (shard steal, then inject, then due deferred retries). On success the
-  /// owner is pinned-safe to run (a pending task keeps its runtime alive).
+  /// worker's hazard names the owner (see pin), which stays safe to run:
+  /// a pending task keeps its runtime alive.
   Task* take_tenant_work(unsigned slot, Runtime*& owner, bool& stole,
                          bool& deferred);
   /// Probe one pinned tenant for work.
   static Task* poll_tenant(Runtime* r, bool& stole, bool& deferred);
+  /// Pin protocol (Dekker with detach): publish tenant `id` in worker
+  /// `slot`'s hazard (seq_cst; skipped when it already names `id`), then
+  /// load the tenant's runtime (seq_cst). A non-null result stays alive
+  /// until the hazard changes: detach stores nullptr first and then waits
+  /// until no hazard names the slot.
+  Runtime* pin(unsigned slot, unsigned id);
+  /// Name `id` in the hazard without re-loading rt: for a task already
+  /// acquired, whose pending state keeps its owner from detaching.
+  void hold(unsigned slot, unsigned id);
+  /// Clear the hazard (release: orders every read made under it before a
+  /// detacher's teardown).
+  void unpin(unsigned slot);
+  /// True while some worker's hazard names tenant slot `id`.
+  bool hazard_on(unsigned id) const;
   /// Producer-side steal from the pool worker deques. Only tasks owned by
   /// `self` are returned; foreign tasks are rerouted to their owner's
   /// inject queue (bounded displacement, preserves tenant isolation).
   Task* steal_for(Runtime* self, std::atomic<std::uint64_t>& rng);
-  void note_served(unsigned id);
+  /// Charge one task run by worker `slot` to tenant `id`: the worker's own
+  /// served counter, plus the tenant's vruntime while two or more tenants
+  /// are attached (with one there is nothing to arbitrate).
+  void note_served(unsigned slot, unsigned id);
   void worker_loop(unsigned slot);
   void park_worker(unsigned slot);
   /// Run every attached tenant's polling hook (MPI progress etc.) from an
   /// idle worker.
-  void poll_tenants();
+  void poll_tenants(unsigned slot);
   static unsigned rng_next(std::atomic<std::uint64_t>& state, unsigned n);
   /// Fold a detaching tenant's final counters into the pool aggregate
   /// (TDG_METRICS=dump prints it at pool teardown, keeping aggregate
@@ -169,22 +184,29 @@ class WorkerPool {
   void fold_aggregate(const MetricsSnapshot& snap);
 
   struct alignas(kCacheLine) TenantSlot {
-    /// Published with release at attach; workers pin (pins++) BEFORE
-    /// loading rt (both seq_cst), detach stores nullptr (seq_cst) and then
-    /// spins until pins drain — either the worker sees the nullptr or the
-    /// detacher sees the pin.
+    /// Published seq_cst at attach; see pin() for the detach protocol.
     std::atomic<Runtime*> rt{nullptr};
-    std::atomic<int> pins{0};
-    std::atomic<std::uint64_t> served{0};
-    /// Virtual runtime, fixed-point: += kVrUnit / weight per served task.
+    /// Virtual runtime, fixed-point: += kVrUnit / weight per served task
+    /// while two or more tenants are attached.
     std::atomic<std::uint64_t> vruntime{0};
-    /// Relaxed: note_served runs after the pinned poll (and on steal
-    /// paths with no pin), so a recycling attach can race it — a stale
-    /// read only mischarges a single serve.
+    /// Relaxed: a stale read only mischarges a single serve.
     std::atomic<std::uint32_t> weight{1};
     std::uint64_t wd_token = 0;  // pool diagnostic in the tenant's watchdog
   };
   static constexpr std::uint64_t kVrUnit = 1u << 16;
+  static constexpr unsigned kNoTenant = ~0u;
+
+  /// Per-worker state, on the worker's own lines: only the worker writes
+  /// it (attach zeroes a free slot's counters); detach and served() read.
+  struct alignas(kCacheLine) WorkerState {
+    /// The tenant slot this worker is probing or executing, kNoTenant when
+    /// neither — the worker's single pin (see pin()).
+    std::atomic<unsigned> hazard{kNoTenant};
+    /// Xorshift state for randomized victim selection.
+    std::atomic<std::uint64_t> rng{0};
+    /// Tasks this worker ran per tenant slot (see served()).
+    std::atomic<std::uint64_t> served[kMaxTenantCap] = {};
+  };
 
   Config cfg_;
   /// Non-null for private pools: the one runtime that owns us, enabling
@@ -195,10 +217,7 @@ class WorkerPool {
   /// across tenants through the arena's remote-free stack.
   TaskArena arena_;
   std::vector<std::unique_ptr<WorkDeque>> deques_;  // one per worker
-  struct alignas(kCacheLine) Rng {
-    std::atomic<std::uint64_t> s;
-  };
-  std::vector<Rng> rng_;
+  std::vector<WorkerState> wstate_;                 // one per worker
   std::vector<TenantSlot> tenants_;
   std::atomic<unsigned> tenant_count_{0};
   /// Scan bound: one past the highest slot ever attached.

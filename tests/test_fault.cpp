@@ -97,6 +97,43 @@ TEST(ErrorPropagation, DependentsCancelledIndependentsRun) {
   EXPECT_EQ(rt.ready_tasks(), 0u);
 }
 
+// The successor a failing task's thread keeps for itself (the depth-first
+// handoff) is poisoned like a queued one: its body is skipped and the
+// cancellation propagates down the chain. One thread always hands off in
+// its drain; four exercise the pool workers' handoff.
+TEST(ErrorPropagation, HandedOffSuccessorOfFailedTaskIsCancelled) {
+  for (unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    Runtime rt({.num_threads = threads});
+    int chain = 0;
+    std::atomic<int> ran{0};
+    std::atomic<bool> go{false};
+    // The root waits until its successors are discovered, so they become
+    // ready only through its completion.
+    rt.submit(
+        [&go] {
+          while (!go.load()) std::this_thread::yield();
+          throw std::runtime_error("root fails");
+        },
+        {Depend::out(&chain)}, {.label = "root"});
+    rt.submit([&] { ++ran; }, {Depend::inout(&chain)}, {.label = "next"});
+    rt.submit([&] { ++ran; }, {Depend::inout(&chain)}, {.label = "last"});
+    go.store(true);
+    try {
+      rt.taskwait();
+      FAIL() << "taskwait did not throw";
+    } catch (const TaskGroupError& e) {
+      ASSERT_EQ(e.failures().size(), 1u);
+      ASSERT_EQ(e.cancelled().size(), 2u);
+      EXPECT_EQ(e.cancelled()[0].label, "next");
+      EXPECT_EQ(e.cancelled()[1].label, "last");
+    }
+    EXPECT_EQ(ran.load(), 0);
+    EXPECT_EQ(rt.metrics().read(rt.metric_ids().spawns), 3u);
+    EXPECT_EQ(rt.live_tasks(), 0u);
+  }
+}
+
 TEST(ErrorPropagation, LateDiscoveredDependentOfFailedTaskIsCancelled) {
   // The failed task finishes (its failure is even reported) before the
   // dependent is submitted: the normally-pruned edge to a finished
@@ -490,6 +527,30 @@ TEST(Watchdog, CallbackModeReportsAndKeepsWaiting) {
   EXPECT_GE(reports.load(), 2);
   std::lock_guard<std::mutex> g(report_mu);
   EXPECT_NE(first_report.find("slow-event"), std::string::npos);
+}
+
+// The progress epoch is read from the exec.* counters, which count with
+// the timing metrics off too: a wedged detach event still trips the
+// deadline, after tasks that did complete moved the epoch.
+TEST(Watchdog, TripsWithMetricsOff) {
+  Runtime::Config cfg;
+  cfg.num_threads = 2;
+  cfg.metrics = false;
+  cfg.watchdog.deadline_seconds = 0.2;
+  Runtime rt(cfg);
+  for (int i = 0; i < 16; ++i) rt.submit([] {}, {});
+  rt.taskwait();
+  Event* ev = rt.create_event();
+  rt.submit([] {}, {}, {.label = "stuck-metrics-off", .detach = ev});
+  try {
+    rt.taskwait();
+    FAIL() << "taskwait did not trip the watchdog";
+  } catch (const DeadlineError& e) {
+    EXPECT_NE(e.report().find("stuck-metrics-off"), std::string::npos)
+        << e.report();
+  }
+  ev->fulfill();
+  rt.taskwait();
 }
 
 TEST(Watchdog, QuietWhenTasksProgress) {

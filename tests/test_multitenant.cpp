@@ -142,7 +142,13 @@ TEST(Multitenant, EightSubmittersExactlyOnce) {
 // counts. A test thread sampling them instead can be descheduled on a busy
 // host until the heavy backlog has run dry and the light tenant has had
 // every worker to itself, which drifts the shares toward 0.5.
-TEST(Multitenant, WeightedFairStealDistribution) {
+//
+// Each tenant's tasks form chains of `heavy_chain` / `light_chain` tasks
+// (1 = independent); a chain's successors reach a worker by handoff, not
+// through the scan, and must be charged to the tenant all the same.
+// Returns {heavy served, light served} at the close of the window.
+std::pair<std::uint64_t, std::uint64_t> weighted_fair_window(
+    int heavy_chain, int light_chain) {
   constexpr int kTasks = 8000;
   constexpr int kWindow = 2000;  // well before either backlog can run dry
   WorkerPool::Config pc;
@@ -176,29 +182,34 @@ TEST(Multitenant, WeightedFairStealDistribution) {
     std::this_thread::yield();
   }
 
-  auto producer = [&](std::uint32_t weight, std::atomic<unsigned>& id_out) {
+  auto producer = [&](std::uint32_t weight, int chain,
+                      std::atomic<unsigned>& id_out) {
     Runtime rt(tenant_cfg(pool, weight));
     id_out.store(rt.tenant_id());
+    std::vector<int> cells(kTasks / chain);
     rt.begin_batch();
     for (int i = 0; i < kTasks; ++i) {
-      rt.submit(
-          [&] {
-            if (executed.fetch_add(1) + 1 == kWindow) {
-              heavy_served.store(pool.served(heavy_id.load()));
-              light_served.store(pool.served(light_id.load()));
-              window_closed.store(true);
-            }
-            spin_us(1);
-          },
-          {});
+      auto body = [&] {
+        if (executed.fetch_add(1) + 1 == kWindow) {
+          heavy_served.store(pool.served(heavy_id.load()));
+          light_served.store(pool.served(light_id.load()));
+          window_closed.store(true);
+        }
+        spin_us(1);
+      };
+      if (chain == 1) {
+        rt.submit(body, {});
+      } else {
+        rt.submit(body, {Depend::inout(&cells[i / chain])});
+      }
     }
     rt.end_batch();
     ready_producers.fetch_add(1);
     while (!release.load()) std::this_thread::yield();
     rt.taskwait();
   };
-  std::thread th(producer, 4u, std::ref(heavy_id));
-  std::thread tl(producer, 1u, std::ref(light_id));
+  std::thread th(producer, 4u, heavy_chain, std::ref(heavy_id));
+  std::thread tl(producer, 1u, light_chain, std::ref(light_id));
 
   while (ready_producers.load() != 2) std::this_thread::yield();
   // Both 8000-task backlogs are in their shards and no worker has been
@@ -214,9 +225,11 @@ TEST(Multitenant, WeightedFairStealDistribution) {
   th.join();
   tl.join();
   plug_rt.taskwait();
+  return {heavy_served.load(), light_served.load()};
+}
 
-  const std::uint64_t h = heavy_served.load();
-  const std::uint64_t l = light_served.load();
+TEST(Multitenant, WeightedFairStealDistribution) {
+  const auto [h, l] = weighted_fair_window(1, 1);
   ASSERT_GE(h + l, 2000u) << "pool workers served too little in 30s";
   const double heavy_frac =
       static_cast<double>(h) / static_cast<double>(h + l);
@@ -224,6 +237,50 @@ TEST(Multitenant, WeightedFairStealDistribution) {
   // above the 0.5 an unweighted scan would produce.
   EXPECT_GE(heavy_frac, 0.55) << "heavy=" << h << " light=" << l;
   EXPECT_GT(l, 0u);  // weighted, not starved: the light tenant ran too
+}
+
+// The light tenant's work is chains of 8, so 7 of every 8 of its tasks
+// reach a worker by handoff. Charging only what the scan hands out would
+// give it ~8x its weight (heavy share ~4/12 = 0.33); charging every task
+// keeps the expected 0.8.
+TEST(Multitenant, WeightedFairStealDistributionChargesHandoffs) {
+  const auto [h, l] = weighted_fair_window(1, 8);
+  ASSERT_GE(h + l, 2000u) << "pool workers served too little in 30s";
+  const double heavy_frac =
+      static_cast<double>(h) / static_cast<double>(h + l);
+  EXPECT_GE(heavy_frac, 0.55) << "heavy=" << h << " light=" << l;
+  EXPECT_GT(l, 0u);
+}
+
+// served() sums per-worker counts and must be exact, handoffs included,
+// with a single tenant attached (where the vruntime charge is skipped).
+TEST(Multitenant, ServedIsExactWithOneTenant) {
+  WorkerPool::Config pc;
+  pc.num_workers = 2;
+  pc.max_tenants = 2;
+  WorkerPool pool(pc);
+  Runtime rt(tenant_cfg(pool));
+  const std::thread::id producer = std::this_thread::get_id();
+  std::atomic<std::uint64_t> on_workers{0};
+  constexpr int kChains = 64;
+  constexpr int kLen = 16;
+  std::vector<int> cells(kChains);
+  for (int i = 0; i < kChains * kLen; ++i) {
+    rt.submit(
+        [&on_workers, producer] {
+          if (std::this_thread::get_id() != producer) ++on_workers;
+          spin_us(2);
+        },
+        {Depend::inout(&cells[i % kChains])});
+  }
+  // Hold the producer back until the pool has run something: a producer
+  // that drained everything itself would leave nothing to count.
+  while (on_workers.load() == 0) std::this_thread::yield();
+  rt.taskwait();
+  EXPECT_EQ(rt.stats().tasks_executed,
+            static_cast<std::uint64_t>(kChains) * kLen);
+  EXPECT_GT(on_workers.load(), 0u);
+  EXPECT_EQ(pool.served(rt.tenant_id()), on_workers.load());
 }
 
 // One tenant's failing graph must neither poison a sibling tenant nor

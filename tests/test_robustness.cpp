@@ -9,6 +9,7 @@
 #include <iterator>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/tdg.hpp"
@@ -56,7 +57,7 @@ TEST(TaskBody, HeapCaptureReplaysWithUpdatedValues) {
 }
 
 TEST(TaskBody, NonTriviallyCopyableCaptureReplays) {
-  // std::string captures exercise the destroy + copy-construct replay
+  // std::string captures exercise the destroy + move-construct replay
   // path (no memcpy shortcut).
   Runtime rt({.num_threads = 2});
   std::string result;
@@ -153,14 +154,14 @@ struct Tracked {
 };
 
 /// Emplace a capture made by `make`, replay it through update() (destroy
-/// + copy-construct in place), then reset: exactly one copy is live until
+/// + move-construct in place), then reset: exactly one copy is live until
 /// the reset, none after.
 template <class Make>
 void destroyed_once(Make make, bool spill, const int& live) {
   tdg::TaskBody body;
   body.emplace(make());
   EXPECT_EQ(inside(body, body.capture_dst()), !spill);
-  EXPECT_FALSE(body.trivially_copyable());
+  static_assert(!std::is_trivially_copyable_v<decltype(make())>);
   EXPECT_EQ(live, 1);
   body.update(make());
   EXPECT_EQ(live, 1);

@@ -25,6 +25,20 @@ TEST(Runtime, RunsASingleTask) {
   EXPECT_EQ(hits.load(), 1);
 }
 
+// submit() returns the id of a task a worker may already have run and
+// recycled; the id must be read while the discovery guard still holds the
+// task. Using the returned ids keeps the read alive in optimized builds,
+// so a ThreadSanitizer build flags a read after the guard drop.
+TEST(Runtime, SubmitReturnsIdsOfTasksAlreadyRecycled) {
+  Runtime rt({.num_threads = 4});
+  constexpr int kTasks = 4000;
+  std::vector<std::uint64_t> ids;
+  ids.reserve(kTasks);
+  for (int i = 0; i < kTasks; ++i) ids.push_back(rt.submit([] {}, {}));
+  rt.taskwait();
+  for (int i = 1; i < kTasks; ++i) ASSERT_LT(ids[i - 1], ids[i]);
+}
+
 TEST(Runtime, ManyIndependentTasksAllRun) {
   Runtime rt({.num_threads = 4});
   constexpr int kTasks = 2000;
@@ -343,6 +357,41 @@ TEST_P(RuntimeStress, RandomLayeredGraphRespectsAllEdges) {
   EXPECT_EQ(rt.stats().tasks_executed,
             static_cast<std::uint64_t>(kLayers) * kWidth);
 }
+
+// --- successor handoff ---------------------------------------------------------
+
+// A chain where every task but the first becomes ready when its
+// predecessor completes: under DepthFirstLifo the completing thread runs it
+// next without queueing it (the successor handoff). The chain must still
+// run in order, and every handed-off task counts as a spawn like a queued
+// one: sched.spawns == exec.tasks == N.
+class HandoffChain : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(HandoffChain, RunsInOrderAndCountsEverySpawn) {
+  Runtime rt({.num_threads = GetParam()});
+  constexpr int kLen = 3000;
+  int next = 0;
+  std::atomic<int> out_of_order{0};
+  for (int i = 0; i < kLen; ++i) {
+    rt.submit(
+        [&next, &out_of_order, i] {
+          if (next != i) ++out_of_order;
+          next = i + 1;
+        },
+        {Depend::inout(&next)});
+  }
+  rt.taskwait();
+  EXPECT_EQ(next, kLen);
+  EXPECT_EQ(out_of_order.load(), 0);
+  const auto& ids = rt.metric_ids();
+  EXPECT_EQ(rt.metrics().read(ids.tasks_executed),
+            static_cast<std::uint64_t>(kLen));
+  EXPECT_EQ(rt.metrics().read(ids.spawns), static_cast<std::uint64_t>(kLen));
+  EXPECT_EQ(rt.ready_tasks(), 0u);
+  EXPECT_EQ(rt.metrics().snapshot().find("sched.ready_depth")->level, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, HandoffChain, ::testing::Values(1u, 2u, 4u));
 
 INSTANTIATE_TEST_SUITE_P(
     ThreadsAndPolicies, RuntimeStress,
