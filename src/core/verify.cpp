@@ -42,6 +42,7 @@ struct ShadowAddr {
   std::vector<ShadowRef> gen_base;  ///< accesses the open generation follows
   std::vector<ShadowRef> readers;   ///< readers since the last modification
   bool mod_is_set = false;
+  std::size_t scope = 0;  ///< the scope-clear segment the state is from
 };
 
 /// A conflicting access pair the graph must order (pred submitted first).
@@ -59,25 +60,29 @@ struct RequiredPair {
 /// generation base (the pre-generation modification set + readers) and are
 /// mutually unordered within one generation. Transitive closure of these
 /// pairs orders every conflicting access pair, so checking them suffices.
+/// `addresses`, when given, receives the number of distinct addresses.
 std::vector<RequiredPair> shadow_required_pairs(
     std::span<const AccessRecord> accesses,
-    std::span<const std::uint64_t> scope_clears = {}) {
+    std::span<const std::uint64_t> scope_clears = {},
+    std::size_t* addresses = nullptr) {
   std::vector<RequiredPair> pairs;
   std::unordered_map<std::uint64_t, ShadowAddr> table;
   table.reserve(256);
 
   // clear_dependency_scope cutoffs, ascending: when the stream crosses
-  // one, the real history was dropped, so the shadow drops too.
+  // one, the real history was dropped, so the shadow drops too — each
+  // entry when next reached, so the table still counts every address.
   std::vector<std::uint64_t> cuts(scope_clears.begin(), scope_clears.end());
   std::sort(cuts.begin(), cuts.end());
   std::size_t next_cut = 0;
 
   for (const AccessRecord& a : accesses) {
-    while (next_cut < cuts.size() && a.task_id > cuts[next_cut]) {
-      table.clear();
-      ++next_cut;
-    }
+    while (next_cut < cuts.size() && a.task_id > cuts[next_cut]) ++next_cut;
     ShadowAddr& st = table[a.addr];
+    if (st.scope != next_cut) {
+      st = ShadowAddr{};
+      st.scope = next_cut;
+    }
     auto require = [&](const ShadowRef& from) {
       if (from.id == a.task_id) return;  // same task, both clause items
       pairs.push_back(
@@ -118,21 +123,50 @@ std::vector<RequiredPair> shadow_required_pairs(
         break;
     }
   }
+  if (addresses != nullptr) *addresses = table.size();
   return pairs;
 }
 
 constexpr std::uint32_t kNoVertex = ~std::uint32_t{0};
 
-/// Dense-index graph with topological order, shared by both query modes.
-/// Edges are kept as predecessor lists in CSR form: the predecessors of
-/// vertex v are pred[pred_begin[v] .. pred_begin[v + 1]).
+/// The task ids a check covers, inclusive.
+struct IdRange {
+  std::uint64_t first = 0;
+  std::uint64_t last = ~std::uint64_t{0};
+  bool bounded() const { return last != ~std::uint64_t{0}; }
+  bool contains(const TraceEdge& e) const {
+    return e.pred >= first && e.succ >= first && e.pred <= last &&
+           e.succ <= last;
+  }
+};
+
+/// Dense-index graph over a captured edge stream, shared by both query
+/// modes. The edges stay in the capture's buffer and are indexed as they
+/// are visited. A `streamed` graph needs nothing more for the dense pass;
+/// otherwise (or for the sparse mode) build_order() adds predecessor lists in
+/// CSR form — the predecessors of vertex v are
+/// pred[pred_begin[v] .. pred_begin[v + 1]) — and a topological order.
 struct Graph {
-  std::vector<std::uint64_t> ids;  ///< sorted task ids; index = position
-  /// id -> index over [base, base + slot.size()) when the ids are dense
-  /// (captured ids come from one counter); empty = binary search on ids.
+  /// Index space [0, n). Dense ids (captured ids come from one counter)
+  /// index as id - base, and the ids in the range that no record names
+  /// are isolated vertices; otherwise `ids` holds the sorted ids and
+  /// index = position.
+  std::size_t n = 0;
+  std::size_t vertices = 0;  ///< ids named by a record
   std::uint64_t base = 0;
-  std::vector<std::uint32_t> slot;
-  std::vector<std::uint32_t> pred_begin;
+  std::vector<std::uint64_t> ids;  ///< empty for dense ids
+  std::span<const TraceEdge> raw;  ///< the captured edges, unfiltered
+  IdRange range;          ///< edges with an endpoint outside are skipped
+  std::size_t edges = 0;  ///< edges examined (self-edges included)
+  /// Every edge ascends and the successors never decrease in capture
+  /// order, so a vertex's in-edges all come before its out-edges: one
+  /// pass over the edges in order is a topological sweep. Discovery
+  /// captures exactly this — a task's in-edges are added, from earlier
+  /// tasks, while it is submitted. An inoutset redirect node, created
+  /// while its first reader is discovered, points back to a lower id and
+  /// clears the flag, as does a malformed trace.
+  bool streamed = true;
+  std::vector<std::uint32_t> pred_begin;  ///< filled by build_order()
   std::vector<std::uint32_t> pred;
   std::vector<std::uint32_t> topo_pos;  ///< vertex -> position in topo order
   std::vector<std::uint32_t> topo;      ///< position -> vertex
@@ -144,101 +178,147 @@ struct Graph {
   }
   /// Index of a vertex id (the id must be a vertex).
   std::uint32_t index(std::uint64_t id) const {
-    if (!slot.empty()) return slot[id - base];
+    if (ids.empty()) return static_cast<std::uint32_t>(id - base);
     return static_cast<std::uint32_t>(
         std::lower_bound(ids.begin(), ids.end(), id) - ids.begin());
   }
+  std::uint64_t id(std::uint32_t v) const {
+    return ids.empty() ? base + v : ids[v];
+  }
+  /// f(pred, succ) for every edge, as indices, in capture order. A
+  /// repeated pair (pruned-then-created across barrier scopes) is visited
+  /// each time: harmless to reachability, and Kahn counts it on both
+  /// sides. Self-edges are skipped; they surface as a cycle.
+  template <class F>
+  void for_each_edge(F&& f) const {
+    for (const TraceEdge& e : raw) {
+      if (range.contains(e) && e.pred != e.succ) {
+        f(index(e.pred), index(e.succ));
+      }
+    }
+  }
+  /// Build the predecessor lists and the topological order (Kahn's
+  /// algorithm; flags a cycle).
+  void build_order();
 };
 
+/// The graph of `accesses` and of the edges inside `range` (the rest are
+/// skipped without a copy). `edges` must outlive it.
 Graph build_graph(std::span<const AccessRecord> accesses,
-                  std::span<const TraceEdge> edges) {
+                  std::span<const TraceEdge> edges, IdRange range) {
   Graph g;
-  std::uint64_t lo = ~std::uint64_t{0};
-  std::uint64_t hi = 0;
-  auto see = [&](std::uint64_t id) {
-    lo = std::min(lo, id);
-    hi = std::max(hi, id);
+  g.raw = edges;
+  g.range = range;
+  if (accesses.empty() && edges.empty()) return g;
+  // Counts the edges, flags self-edges and checks the streamed order;
+  // `see` is handed every endpoint.
+  auto scan = [&](auto&& see) {
+    const IdRange r = range;
+    std::size_t count = 0;
+    bool streamed = true;
+    std::uint64_t last_succ = 0;
+    for (const TraceEdge& e : edges) {
+      if (!r.contains(e)) continue;
+      see(e.pred);
+      see(e.succ);
+      ++count;
+      if (e.pred == e.succ) {  // self-edge: malformed
+        g.cycle = true;
+        g.cycle_task = e.pred;
+        continue;
+      }
+      streamed = streamed && e.pred < e.succ && e.succ >= last_succ;
+      last_succ = e.succ;
+    }
+    g.edges = count;
+    g.streamed = streamed;
   };
-  for (const AccessRecord& a : accesses) see(a.task_id);
-  for (const TraceEdge& e : edges) {
-    see(e.pred);
-    see(e.succ);
-  }
-  const std::size_t records = accesses.size() + 2 * edges.size();
-  if (records != 0 && hi - lo < 4 * records + 64) {
-    // Dense ids: a presence table over [lo, hi] yields them sorted
-    // without a sort and doubles as the id -> index map.
+  // Dense ids: a presence table over [base, base + n) counts the
+  // vertices with no sort and no id -> index map.
+  std::vector<std::uint8_t> named;
+  auto use_dense = [&](std::uint64_t lo, std::uint64_t hi) {
     g.base = lo;
-    g.slot.assign(hi - lo + 1, kNoVertex);
-    for (const AccessRecord& a : accesses) g.slot[a.task_id - lo] = 0;
-    for (const TraceEdge& e : edges) {
-      g.slot[e.pred - lo] = 0;
-      g.slot[e.succ - lo] = 0;
-    }
-    for (std::size_t i = 0; i < g.slot.size(); ++i) {
-      if (g.slot[i] == kNoVertex) continue;
-      g.slot[i] = static_cast<std::uint32_t>(g.ids.size());
-      g.ids.push_back(lo + i);
-    }
+    g.n = hi - lo + 1;
+    named.assign(g.n, 0);
+    auto name = [flags = named.data(), lo](std::uint64_t id) {
+      flags[id - lo] = 1;
+    };
+    for (const AccessRecord& a : accesses) name(a.task_id);
+    return name;
+  };
+  if (range.bounded() &&
+      range.last - range.first < 4 * (accesses.size() + 2 * edges.size()) +
+                                     64) {
+    // A window closed by a barrier: its ids are known up front, so the
+    // same pass names the vertices.
+    scan(use_dense(range.first, range.last));
   } else {
-    g.ids.reserve(records);
-    for (const AccessRecord& a : accesses) g.ids.push_back(a.task_id);
-    for (const TraceEdge& e : edges) {
-      g.ids.push_back(e.pred);
-      g.ids.push_back(e.succ);
+    std::uint64_t lo = ~std::uint64_t{0};
+    std::uint64_t hi = 0;
+    auto see = [&](std::uint64_t id) {
+      lo = std::min(lo, id);
+      hi = std::max(hi, id);
+    };
+    for (const AccessRecord& a : accesses) see(a.task_id);
+    scan(see);
+    const std::size_t records = accesses.size() + 2 * g.edges;
+    if (hi - lo < 4 * records + 64) {
+      const auto name = use_dense(lo, hi);
+      for (const TraceEdge& e : edges) {
+        if (!range.contains(e)) continue;
+        name(e.pred);
+        name(e.succ);
+      }
+    } else {
+      g.ids.reserve(records);
+      for (const AccessRecord& a : accesses) g.ids.push_back(a.task_id);
+      for (const TraceEdge& e : edges) {
+        if (!range.contains(e)) continue;
+        g.ids.push_back(e.pred);
+        g.ids.push_back(e.succ);
+      }
+      std::sort(g.ids.begin(), g.ids.end());
+      g.ids.erase(std::unique(g.ids.begin(), g.ids.end()), g.ids.end());
+      g.n = g.vertices = g.ids.size();
     }
-    std::sort(g.ids.begin(), g.ids.end());
-    g.ids.erase(std::unique(g.ids.begin(), g.ids.end()), g.ids.end());
   }
+  if (!named.empty()) {
+    g.vertices = static_cast<std::size_t>(
+        std::count(named.begin(), named.end(), std::uint8_t{1}));
+  }
+  if (!g.streamed) g.build_order();
+  return g;
+}
 
-  // Predecessor lists by counting sort on the target. A repeated pair
-  // (pruned-then-created across barrier scopes) stays repeated: harmless
-  // to reachability, and Kahn below counts it on both sides.
-  const std::size_t n = g.ids.size();
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> es;
-  es.reserve(edges.size());
-  bool ascending = true;  // every edge from a lower id to a higher one
-  for (const TraceEdge& e : edges) {
-    const std::uint32_t u = g.index(e.pred);
-    const std::uint32_t v = g.index(e.succ);
-    if (u == v) {  // self-edge: malformed, surfaces as a cycle
-      g.cycle = true;
-      g.cycle_task = e.pred;
-      continue;
-    }
-    ascending = ascending && u < v;
-    es.emplace_back(u, v);
-  }
-  g.pred_begin.assign(n + 1, 0);
-  for (const auto& [u, v] : es) ++g.pred_begin[v + 1];
-  for (std::size_t v = 0; v < n; ++v) g.pred_begin[v + 1] += g.pred_begin[v];
-  g.pred.resize(es.size());
+void Graph::build_order() {
+  if (!pred_begin.empty()) return;
+  pred_begin.assign(n + 1, 0);
+  for_each_edge([&](std::uint32_t, std::uint32_t v) { ++pred_begin[v + 1]; });
+  for (std::size_t v = 0; v < n; ++v) pred_begin[v + 1] += pred_begin[v];
+  pred.resize(pred_begin[n]);
   {
-    std::vector<std::uint32_t> fill(g.pred_begin.begin(),
-                                    g.pred_begin.end() - 1);
-    for (const auto& [u, v] : es) g.pred[fill[v]++] = u;
+    std::vector<std::uint32_t> fill(pred_begin.begin(), pred_begin.end() - 1);
+    for_each_edge(
+        [&](std::uint32_t u, std::uint32_t v) { pred[fill[v]++] = u; });
   }
 
-  g.topo.reserve(n);
-  if (ascending) {
-    // Discovery adds edges from earlier tasks into the one being
-    // submitted, so captured edges ascend in id and submission order is
-    // already topological. An inoutset redirect node, created while its
-    // first reader is discovered, points back to a lower id and takes
-    // the path below, as does a malformed trace.
-    for (std::uint32_t v = 0; v < n; ++v) g.topo.push_back(v);
+  topo.reserve(n);
+  if (streamed) {
+    // Ascending edges: id order is already topological.
+    for (std::uint32_t v = 0; v < n; ++v) topo.push_back(v);
   } else {
     // Kahn's algorithm over successor lists; a FIFO over ascending
     // indices keeps the order deterministic (ties broken by task id).
     std::vector<std::uint32_t> succ_begin(n + 1, 0);
-    for (const auto& [u, v] : es) ++succ_begin[u + 1];
+    for_each_edge([&](std::uint32_t u, std::uint32_t) { ++succ_begin[u + 1]; });
     for (std::size_t v = 0; v < n; ++v) succ_begin[v + 1] += succ_begin[v];
-    std::vector<std::uint32_t> succ(es.size());
+    std::vector<std::uint32_t> succ(pred.size());
     std::vector<std::uint32_t> fill(succ_begin.begin(), succ_begin.end() - 1);
-    for (const auto& [u, v] : es) succ[fill[u]++] = v;
+    for_each_edge(
+        [&](std::uint32_t u, std::uint32_t v) { succ[fill[u]++] = v; });
     std::vector<std::uint32_t> indeg(n);
     for (std::uint32_t v = 0; v < n; ++v) {
-      indeg[v] = g.pred_begin[v + 1] - g.pred_begin[v];
+      indeg[v] = pred_begin[v + 1] - pred_begin[v];
     }
     std::vector<std::uint32_t> ready;
     for (std::uint32_t v = 0; v < n; ++v) {
@@ -247,52 +327,56 @@ Graph build_graph(std::span<const AccessRecord> accesses,
     std::size_t head = 0;
     while (head < ready.size()) {
       const std::uint32_t v = ready[head++];
-      g.topo.push_back(v);
+      topo.push_back(v);
       for (std::uint32_t k = succ_begin[v]; k < succ_begin[v + 1]; ++k) {
         if (--indeg[succ[k]] == 0) ready.push_back(succ[k]);
       }
     }
-    if (g.topo.size() != n) {
-      g.cycle = true;
+    if (topo.size() != n) {
+      cycle = true;
       for (std::uint32_t v = 0; v < n; ++v) {
         if (indeg[v] != 0) {
-          g.cycle_task = g.ids[v];
+          cycle_task = id(v);
           break;
         }
       }
     }
   }
-  g.topo_pos.assign(n, 0);
-  for (std::uint32_t p = 0; p < g.topo.size(); ++p) {
-    g.topo_pos[g.topo[p]] = p;
-  }
-  return g;
+  topo_pos.assign(n, 0);
+  for (std::uint32_t p = 0; p < topo.size(); ++p) topo_pos[topo[p]] = p;
 }
 
 /// O(1)-query reachability from a set of source vertices: one bitset row
-/// per vertex holding the sources that reach it, filled in topological
-/// order (row[v] = own bit if v is a source | union of predecessor rows).
-/// Only tasks with an access record start a required pair, so they are
-/// the sources; sample mode's subset shrinks the rows as much as the
+/// per vertex holding the sources that reach it (row[v] = own bit if v is
+/// a source | union of predecessor rows). A streamed graph fills the rows
+/// in one pass over its edges; otherwise they are filled in topological
+/// order. Only tasks with an access record start a required pair, so they
+/// are the sources; sample mode's subset shrinks the rows as much as the
 /// pairs. Memory is n*k/8 bytes for k sources, which is why it is gated
 /// behind dense_limit.
 class DenseReach {
  public:
   DenseReach(const Graph& g, std::span<const std::uint32_t> sources)
-      : col_(g.ids.size(), kNoVertex),
+      : col_(g.n, kNoVertex),
         words_((sources.size() + 63) / 64),
-        rows_(g.ids.size() * words_, 0) {
+        rows_(g.n * words_, 0) {
     for (std::uint32_t k = 0; k < sources.size(); ++k) {
       col_[sources[k]] = k;
       rows_[std::size_t{sources[k]} * words_ + k / 64] |= std::uint64_t{1}
                                                           << (k % 64);
     }
+    auto merge = [rows = rows_.data(), words = words_](std::uint32_t v,
+                                                       std::uint32_t p) {
+      std::uint64_t* row = rows + std::size_t{v} * words;
+      const std::uint64_t* in = rows + std::size_t{p} * words;
+      for (std::size_t i = 0; i < words; ++i) row[i] |= in[i];
+    };
+    if (g.streamed) {
+      g.for_each_edge([&](std::uint32_t u, std::uint32_t v) { merge(v, u); });
+      return;
+    }
     for (const std::uint32_t v : g.topo) {
-      std::uint64_t* row = rows_.data() + std::size_t{v} * words_;
-      for (const std::uint32_t p : g.preds(v)) {
-        const std::uint64_t* in = rows_.data() + std::size_t{p} * words_;
-        for (std::size_t i = 0; i < words_; ++i) row[i] |= in[i];
-      }
+      for (const std::uint32_t p : g.preds(v)) merge(v, p);
     }
   }
   /// `from` must be a source (or equal to `to`).
@@ -316,7 +400,7 @@ class DenseReach {
 /// so no per-query clearing.
 class SparseReach {
  public:
-  explicit SparseReach(const Graph& g) : g_(g), stamp_(g.ids.size(), 0) {}
+  explicit SparseReach(const Graph& g) : g_(g), stamp_(g.n, 0) {}
   bool reachable(std::uint32_t from, std::uint32_t to) {
     if (from == to) return true;
     ++query_;
@@ -419,27 +503,24 @@ bool verify_samples_task(std::uint64_t id) {
   return x % kVerifySampleRate == 0;
 }
 
-VerifyReport verify_tdg(std::span<const AccessRecord> accesses,
-                        std::span<const TraceEdge> edges,
-                        std::span<const std::uint64_t> barriers,
-                        std::span<const std::uint64_t> scope_clears,
-                        const VerifyOptions& opts) {
-  VerifyReport rep;
-  rep.edges = edges.size();
+namespace {
 
-  Graph g = build_graph(accesses, edges);
-  rep.tasks = g.ids.size();
+/// verify_tdg over the edges inside `range`; every access must lie in it.
+VerifyReport check_tdg(std::span<const AccessRecord> accesses,
+                       std::span<const TraceEdge> edges,
+                       std::span<const std::uint64_t> barriers,
+                       std::span<const std::uint64_t> scope_clears,
+                       IdRange range, const VerifyOptions& opts) {
+  VerifyReport rep;
+
+  Graph g = build_graph(accesses, edges, range);
+  rep.edges = g.edges;
+  rep.tasks = g.vertices;
   rep.cycle = g.cycle;
   rep.cycle_task = g.cycle_task;
 
   std::vector<RequiredPair> pairs =
-      shadow_required_pairs(accesses, scope_clears);
-  {
-    std::unordered_set<std::uint64_t> addrs;
-    addrs.reserve(64);
-    for (const AccessRecord& a : accesses) addrs.insert(a.addr);
-    rep.addresses = addrs.size();
-  }
+      shadow_required_pairs(accesses, scope_clears, &rep.addresses);
   if (g.cycle) {
     // A cyclic edge set has no topological order; reachability queries
     // would be ill-defined. The cycle itself is the (fatal) finding.
@@ -449,7 +530,7 @@ VerifyReport verify_tdg(std::span<const AccessRecord> accesses,
   // Labels for reporting (the first clause item of each task carries it),
   // and the tasks with accesses: the only vertices a required pair starts
   // from.
-  std::vector<const char*> labels(g.ids.size(), nullptr);
+  std::vector<const char*> labels(g.n, nullptr);
   std::vector<std::uint32_t> sources;
   for (const AccessRecord& a : accesses) {
     const std::uint32_t v = g.index(a.task_id);
@@ -473,10 +554,11 @@ VerifyReport verify_tdg(std::span<const AccessRecord> accesses,
   // Construct lazily-by-mode: the dense table is O(n * sources) bits.
   std::unique_ptr<DenseReach> dense_owner;
   std::unique_ptr<SparseReach> sparse_owner;
-  if (g.ids.size() <= opts.dense_limit) {
+  if (g.n <= opts.dense_limit) {
     dense_owner = std::make_unique<DenseReach>(g, sources);
     dense = dense_owner.get();
   } else {
+    g.build_order();
     sparse_owner = std::make_unique<SparseReach>(g);
     sparse = sparse_owner.get();
   }
@@ -587,36 +669,22 @@ VerifyReport verify_tdg(std::span<const AccessRecord> accesses,
   return rep;
 }
 
+}  // namespace
+
+VerifyReport verify_tdg(std::span<const AccessRecord> accesses,
+                        std::span<const TraceEdge> edges,
+                        std::span<const std::uint64_t> barriers,
+                        std::span<const std::uint64_t> scope_clears,
+                        const VerifyOptions& opts) {
+  return check_tdg(accesses, edges, barriers, scope_clears, IdRange{}, opts);
+}
+
 VerifyReport verify_window(std::span<const AccessRecord> accesses,
                            std::span<const TraceEdge> edges,
                            std::span<const std::uint64_t> barriers,
                            std::span<const std::uint64_t> scope_clears,
                            std::uint64_t window_lo, bool sample,
                            const VerifyOptions& opts) {
-  // Accesses arrive in submission order, so the window is a suffix; only
-  // sampling needs a copy. Edges into the window may leave vertices at or
-  // below the cutoff: those are never needed (a task gets its in-edges at
-  // its own submission and a redirect node at its creation, so no path
-  // from an in-window task reaches one) and dropping them cannot invent a
-  // violation.
-  accesses = accesses.subspan(static_cast<std::size_t>(
-      std::partition_point(accesses.begin(), accesses.end(),
-                           [window_lo](const AccessRecord& a) {
-                             return a.task_id <= window_lo;
-                           }) -
-      accesses.begin()));
-  std::vector<AccessRecord> acc;
-  if (sample) {
-    for (const AccessRecord& a : accesses) {
-      if (verify_samples_task(a.task_id)) acc.push_back(a);
-    }
-    accesses = acc;
-  }
-  std::vector<TraceEdge> edg;
-  edg.reserve(edges.size());
-  for (const TraceEdge& e : edges) {
-    if (e.pred > window_lo && e.succ > window_lo) edg.push_back(e);
-  }
   auto after = [window_lo](std::span<const std::uint64_t> cuts) {
     std::vector<std::uint64_t> out;
     for (std::uint64_t c : cuts) {
@@ -624,8 +692,35 @@ VerifyReport verify_window(std::span<const AccessRecord> accesses,
     }
     return out;
   };
-  return verify_tdg(accesses, edg, after(barriers), after(scope_clears),
-                    opts);
+  const std::vector<std::uint64_t> cuts = after(barriers);
+  // The window's last barrier closes it: every task of the window was
+  // submitted before it.
+  IdRange range{window_lo + 1};
+  if (!cuts.empty()) range.last = *std::max_element(cuts.begin(), cuts.end());
+  // Accesses arrive in submission order, so the window is a slice; only
+  // sampling needs a copy. Edges into the window may leave vertices at or
+  // below the cutoff: those are never needed (a task gets its in-edges at
+  // its own submission and a redirect node at its creation, so no path
+  // from an in-window task reaches one) and skipping them cannot invent a
+  // violation.
+  auto id_below = [](std::uint64_t bound) {
+    return [bound](const AccessRecord& a) { return a.task_id < bound; };
+  };
+  const auto first = std::partition_point(accesses.begin(), accesses.end(),
+                                          id_below(range.first));
+  const auto last = range.bounded()
+                        ? std::partition_point(first, accesses.end(),
+                                               id_below(range.last + 1))
+                        : accesses.end();
+  accesses = std::span<const AccessRecord>(first, last);
+  std::vector<AccessRecord> acc;
+  if (sample) {
+    for (const AccessRecord& a : accesses) {
+      if (verify_samples_task(a.task_id)) acc.push_back(a);
+    }
+    accesses = acc;
+  }
+  return check_tdg(accesses, edges, cuts, after(scope_clears), range, opts);
 }
 
 // ---------------------------------------------------------------------------

@@ -140,13 +140,17 @@ VerifyReport verify_tdg(std::span<const AccessRecord> accesses,
 
 /// verify_tdg restricted to tasks with id > window_lo, where window_lo is a
 /// barrier cutoff (the runtime passes the cutoff of the last verified
-/// taskwait and the streams captured since). Records at or below the
-/// cutoff are skipped — sound because a task gets its in-edges at its own
-/// submission and a redirect node at its creation, so an ordering path
-/// between in-window tasks never leaves the window, and the barrier
-/// orders every pair that straddles it. With `sample`, only the
-/// accesses of tasks verify_samples_task selects are checked, against
-/// every edge. The window is selected in one pass over the streams.
+/// taskwait and the streams captured since), and, when `barriers` has a
+/// cutoff above window_lo, to ids up to the highest one: the taskwait that
+/// closes the window. Records outside are skipped — sound because a task
+/// gets its in-edges at its own submission and a redirect node at its
+/// creation, so an ordering path between in-window tasks never leaves the
+/// window, and the barriers order every pair that straddles one. With
+/// `sample`, only the accesses of tasks verify_samples_task selects are
+/// checked, against every edge. Edges are read in place; when they arrive
+/// as discovery captures them (ascending, successors never decreasing),
+/// the reachability pass follows capture order, with no predecessor lists
+/// and no topological sort.
 VerifyReport verify_window(std::span<const AccessRecord> accesses,
                            std::span<const TraceEdge> edges,
                            std::span<const std::uint64_t> barriers,

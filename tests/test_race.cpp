@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <functional>
 #include <random>
+#include <set>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -113,6 +114,34 @@ TEST(VerifySampling, SampledSetIsAPureFunctionOfTheId) {
   EXPECT_GT(sampled, 4096u / (2 * kVerifySampleRate));
   EXPECT_LT(sampled, 4096u * 2 / kVerifySampleRate);
   EXPECT_LT(strided, 4096u);
+}
+
+TEST(VerifySampling, OnlySampledClausesAreCapturedUnlessTracing) {
+  // Sample mode reads the sampled tasks' clauses alone, so the others are
+  // not recorded; a trace keeps every clause for export.
+  for (const bool trace : {false, true}) {
+    Runtime::Config cfg = verify_config(VerifyMode::Sample);
+    cfg.trace = trace;
+    Runtime rt(cfg);
+    std::vector<double> cells(8, 0.0);
+    std::set<std::uint64_t> submitted;
+    for (int i = 0; i < 128; ++i) {
+      double* a = &cells[i % 8];
+      submitted.insert(rt.submit([a] { *a += 1; }, {Depend::inout(a)}));
+    }
+    std::set<std::uint64_t> captured;
+    for (const AccessRecord& r : rt.profiler().accesses()) {
+      captured.insert(r.task_id);
+    }
+    std::set<std::uint64_t> expected;
+    for (std::uint64_t id : submitted) {
+      if (trace || verify_samples_task(id)) expected.insert(id);
+    }
+    EXPECT_EQ(captured, expected) << "trace " << trace;
+    EXPECT_FALSE(captured.empty());
+    rt.taskwait();
+    EXPECT_EQ(metric(rt, "verify.races"), 0u);
+  }
 }
 
 TEST(VerifySampling, TwoRunsCheckTheSamePairs) {

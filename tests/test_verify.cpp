@@ -217,6 +217,52 @@ TEST(Verify, TransitiveOrderingAccepted) {
   EXPECT_EQ(rep.pairs_checked, 5u);
 }
 
+TEST(Verify, EdgeOrderDoesNotChangeTheVerdict) {
+  // Discovery captures a task's in-edges at its submission, so successors
+  // never decrease and one pass in capture order proves 1->4 through a
+  // reader. A stream whose successors go back down (a merged or hand-made
+  // trace) must take the topological pass and reach the same verdict.
+  const std::vector<AccessRecord> accesses = {
+      acc(1, 0x10, DependType::Out), acc(2, 0x10, DependType::In),
+      acc(3, 0x10, DependType::In), acc(4, 0x10, DependType::Out)};
+  const std::vector<TraceEdge> captured = {{1, 2}, {1, 3}, {2, 4}, {3, 4}};
+  const std::vector<TraceEdge> shuffled = {{2, 4}, {3, 4}, {1, 3}, {1, 2}};
+  for (const auto* edges : {&captured, &shuffled}) {
+    const VerifyReport rep = verify_tdg(accesses, *edges);
+    EXPECT_TRUE(rep.ok()) << rep.summary();
+    EXPECT_EQ(rep.pairs_checked, 5u);
+    EXPECT_EQ(rep.tasks, 4u);
+  }
+  // Without 2->4 the closing writer still follows 1 (through 3) but not
+  // the reader 2, in either order.
+  const std::vector<TraceEdge> dropped = {{3, 4}, {1, 3}, {1, 2}};
+  const VerifyReport rep = verify_tdg(accesses, dropped);
+  ASSERT_EQ(rep.races_total, 1u) << rep.summary();
+  EXPECT_EQ(rep.races[0].pred_id, 2u);
+  EXPECT_EQ(rep.races[0].succ_id, 4u);
+}
+
+TEST(Verify, WindowSkipsEdgesFromBeforeItsCutoff) {
+  // Tasks 1-2 ran before the taskwait at 2; task 3 still gets an edge
+  // from 2 (the history outlives the barrier). The window after 2 checks
+  // 3 -> 4 and counts only the edges with both ends inside it.
+  const std::vector<AccessRecord> accesses = {
+      acc(1, 0x10, DependType::Out), acc(2, 0x10, DependType::InOut),
+      acc(3, 0x10, DependType::InOut), acc(4, 0x10, DependType::InOut)};
+  const std::vector<TraceEdge> edges = {{1, 2}, {2, 3}, {3, 4}};
+  const std::vector<std::uint64_t> barriers = {2, 4};
+  const VerifyReport rep =
+      verify_window(accesses, edges, barriers, {}, 2, /*sample=*/false);
+  EXPECT_TRUE(rep.ok()) << rep.summary();
+  EXPECT_EQ(rep.edges, 1u);
+  EXPECT_EQ(rep.tasks, 2u);
+  EXPECT_EQ(rep.pairs_checked, 1u);
+  const VerifyReport broken = verify_window(
+      accesses, std::vector<TraceEdge>{{1, 2}, {2, 3}}, barriers, {}, 2,
+      /*sample=*/false);
+  EXPECT_EQ(broken.races_total, 1u) << broken.summary();
+}
+
 TEST(Verify, SparseModeAgreesWithDense) {
   // dense_limit=0 forces the per-pair DFS fallback; both modes must agree
   // on a graph mixing sound chains with one seeded violation.
