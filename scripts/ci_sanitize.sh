@@ -82,15 +82,10 @@ for san in "${sanitizers[@]}"; do
   # Per-worker hazard pins against tenant attach/detach, frozen successor
   # lists and moved captures under PTSG replay, and the depth-first
   # successor handoff (chains, poisoned handoffs, served accounting).
-  # AdmissionQuotaPerTenant is left to the single ctest pass: it needs the
-  # producer to outrun two workers past its quota, which a sanitizer's
-  # slowdown sometimes prevents, and repeating it would only repeat that.
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ASAN_OPTIONS="detect_leaks=1" \
   UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \
-    "$dir"/tests/test_multitenant \
-          --gtest_filter='-Multitenant.AdmissionQuotaPerTenant' \
-          --gtest_repeat=3
+    "$dir"/tests/test_multitenant --gtest_repeat=3
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ASAN_OPTIONS="detect_leaks=1" \
   UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \

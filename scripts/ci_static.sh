@@ -11,8 +11,9 @@
 #      isolation.
 #   4. The dependence-rule suites on both engines (tests/test_depend for
 #      the runtime, tests/test_sim_graph for the simulator and exact
-#      edge-list parity between the two), plain and under
-#      TDG_VERIFY=strict.
+#      edge-list parity between the two, tests/test_depend_closure for
+#      bounded histories and closure equality with a naive reference
+#      model), plain and under TDG_VERIFY=strict.
 #   5. The observability suites (tests/test_metrics, test_profiler,
 #      test_trace_export, test_distributed_trace): the one metrics store,
 #      the §2.3.1 breakdown read from it, the lossless Perfetto trace
@@ -40,6 +41,7 @@ cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 echo "=== [static] build ==="
 cmake --build "$dir" -j "$jobs" \
       --target test_verify test_race test_depend test_sim_graph \
+               test_depend_closure \
                test_metrics test_profiler test_trace_export \
                test_distributed_trace \
                test_cholesky test_lulesh test_taskbench tdg-trace \
@@ -64,8 +66,10 @@ echo "=== [static] runtime checker self-tests ==="
 echo "=== [static] dependence rules on both engines ==="
 "$dir"/tests/test_depend
 "$dir"/tests/test_sim_graph
+"$dir"/tests/test_depend_closure
 TDG_VERIFY=strict "$dir"/tests/test_depend
 TDG_VERIFY=strict "$dir"/tests/test_sim_graph
+TDG_VERIFY=strict "$dir"/tests/test_depend_closure
 
 echo "=== [static] observability suites ==="
 "$dir"/tests/test_metrics

@@ -1,6 +1,7 @@
 #include "apps/lulesh/lulesh.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "apps/lulesh/kernels.hpp"
 
@@ -39,7 +40,7 @@ struct Deps {
   Deps& inoutset(Field f, int b = 0) {
     return add(f, b, DependType::InOutSet);
   }
-  std::span<const LDep> span() const { return v_; }
+  std::span<const LDep> span() const { return {v_.data(), v_.size()}; }
 
  private:
   Deps& add(Field f, int b, DependType t) {
@@ -47,18 +48,37 @@ struct Deps {
     if (!minimized_) v_.push_back(LDep{Alias(f, b), t});
     return *this;
   }
-  std::vector<LDep> v_;
+  // Inline storage for the widest clause (Kinematics: 6 items, doubled
+  // without optimization (a)), so building a clause never allocates.
+  small_vector<LDep, 16> v_;
   bool minimized_;
 };
 
+/// Block bounds in 32 bits, so a loop body's capture [mesh, lo, hi] is
+/// 16 bytes (see compute()). emit_iteration checks the mesh fits.
 struct Blocking {
   std::int64_t n;
   int tpl;
-  std::int64_t lo(int b) const {
-    return 1 + n * b / tpl;
+  std::int32_t lo(int b) const {
+    return static_cast<std::int32_t>(1 + n * b / tpl);
   }
-  std::int64_t hi(int b) const { return 1 + n * (b + 1) / tpl; }
+  std::int32_t hi(int b) const {
+    return static_cast<std::int32_t>(1 + n * (b + 1) / tpl);
+  }
 };
+
+/// Emit a compute task. std::function (libstdc++) keeps its target in
+/// place only when it is trivially copyable and at most 16 bytes; any
+/// other body costs one malloc per task on the producer, freed by the
+/// worker that retires it. Every LULESH body goes through here so that
+/// stays checked at compile time.
+template <class Body>
+void compute(Emitter& em, const char* label, const Deps& d, double est,
+             std::uint64_t bytes, Body body) {
+  static_assert(std::is_trivially_copyable_v<Body> && sizeof(Body) <= 16,
+                "compute body would be heap-allocated by std::function");
+  em.compute(label, d.span(), est, bytes, body);
+}
 
 /// Reads of the position stencil x[lo-1 .. hi]: own block, neighbours,
 /// ghosts at the partition frontier.
@@ -104,6 +124,7 @@ void run_reference(Mesh& m, const Config& cfg) {
 void emit_iteration(Emitter& em, Mesh& mesh, const Config& cfg,
                     std::uint32_t, Halo* halo) {
   Mesh* m = &mesh;
+  TDG_CHECK(mesh.n < INT32_MAX, "lulesh: mesh too large for 32-bit blocks");
   const Blocking blk{mesh.n, cfg.tpl};
   const bool min = cfg.minimized_deps;
   const int tpl = cfg.tpl;
@@ -131,8 +152,8 @@ void emit_iteration(Emitter& em, Mesh& mesh, const Config& cfg,
     {
       Deps d(min);
       d.in(FSSUM).out(FDTLOCAL);
-      em.compute("CalcLocalDt", d.span(), est_full, bytes_full,
-                 [m, h] { h->dt_local = k::local_dt(*m, 1, m->n + 1); });
+      compute(em, "CalcLocalDt", d, est_full, bytes_full,
+              [m, h] { h->dt_local = k::local_dt(*m, 1, m->n + 1); });
     }
     {
       Deps d(min);
@@ -143,7 +164,7 @@ void emit_iteration(Emitter& em, Mesh& mesh, const Config& cfg,
     {
       Deps d(min);
       d.in(FDTRED).out(FDT);
-      em.compute("CommitDt", d.span(), 1e-7, 0, [m, h] {
+      compute(em, "CommitDt", d, 1e-7, 0, [m, h] {
         m->dt = k::apply_dt_bounds(h->dt_red, m->dt);
         m->time += m->dt;
       });
@@ -151,7 +172,7 @@ void emit_iteration(Emitter& em, Mesh& mesh, const Config& cfg,
   } else {
     Deps d(min);
     d.in(FSSUM).out(FDT);
-    em.compute("CalcDt", d.span(), est_full, bytes_full, [m] {
+    compute(em, "CalcDt", d, est_full, bytes_full, [m] {
       m->dt = k::apply_dt_bounds(k::local_dt(*m, 1, m->n + 1), m->dt);
       m->time += m->dt;
     });
@@ -161,52 +182,55 @@ void emit_iteration(Emitter& em, Mesh& mesh, const Config& cfg,
   for (int b = 0; b < tpl; ++b) {
     Deps d(min);
     d.in(FP, b).in(FQ, b).in(FAREALG, b).out(FF, b);
-    const std::int64_t lo = blk.lo(b), hi = blk.hi(b);
-    em.compute("StressForce", d.span(), est(b), bytes(b),
-               [m, lo, hi] { k::stress_force(*m, lo, hi); });
+    const std::int32_t lo = blk.lo(b), hi = blk.hi(b);
+    compute(em, "StressForce", d, est(b), bytes(b),
+            [m, lo, hi] { k::stress_force(*m, lo, hi); });
   }
   // ---- L2: hourglass force ----------------------------------------------------
   for (int b = 0; b < tpl; ++b) {
     Deps d(min);
     x_stencil(d, b, tpl);
     d.inout(FF, b);
-    const std::int64_t lo = blk.lo(b), hi = blk.hi(b);
-    em.compute("HourglassForce", d.span(), est(b), bytes(b),
-               [m, lo, hi] { k::hourglass_force(*m, lo, hi); });
+    const std::int32_t lo = blk.lo(b), hi = blk.hi(b);
+    compute(em, "HourglassForce", d, est(b), bytes(b),
+            [m, lo, hi] { k::hourglass_force(*m, lo, hi); });
   }
   // ---- L3: acceleration --------------------------------------------------------
   for (int b = 0; b < tpl; ++b) {
     Deps d(min);
     d.in(FF, b).out(FXDD, b);
-    const std::int64_t lo = blk.lo(b), hi = blk.hi(b);
-    em.compute("Acceleration", d.span(), est(b), bytes(b),
-               [m, lo, hi] { k::acceleration(*m, lo, hi); });
+    const std::int32_t lo = blk.lo(b), hi = blk.hi(b);
+    compute(em, "Acceleration", d, est(b), bytes(b),
+            [m, lo, hi] { k::acceleration(*m, lo, hi); });
   }
   // ---- L4: boundary conditions ---------------------------------------------------
   for (int b = 0; b < tpl; ++b) {
     Deps d(min);
     d.inout(FXDD, b);
-    const std::int64_t lo = blk.lo(b), hi = blk.hi(b);
-    em.compute("Boundary", d.span(), est(b) * 0.1, 0,
-               [m, lo, hi, global_first, global_last] {
-                 k::boundary(*m, lo, hi, global_first, global_last);
-               });
+    // The kernel only clamps points 1 and n, so the block bounds fold
+    // into the two flags and the capture stays 16 bytes.
+    const std::int32_t lo = blk.lo(b), hi = blk.hi(b);
+    const bool first = global_first && lo <= 1 && 1 < hi;
+    const bool last = global_last && lo <= mesh.n && mesh.n < hi;
+    compute(em, "Boundary", d, est(b) * 0.1, 0, [m, first, last] {
+      k::boundary(*m, 1, m->n + 1, first, last);
+    });
   }
   // ---- L5: velocity ---------------------------------------------------------------
   for (int b = 0; b < tpl; ++b) {
     Deps d(min);
     d.in(FXDD, b).in(FDT).inout(FXD, b);
-    const std::int64_t lo = blk.lo(b), hi = blk.hi(b);
-    em.compute("Velocity", d.span(), est(b), bytes(b),
-               [m, lo, hi] { k::velocity(*m, lo, hi, m->dt); });
+    const std::int32_t lo = blk.lo(b), hi = blk.hi(b);
+    compute(em, "Velocity", d, est(b), bytes(b),
+            [m, lo, hi] { k::velocity(*m, lo, hi, m->dt); });
   }
   // ---- L6: position ----------------------------------------------------------------
   for (int b = 0; b < tpl; ++b) {
     Deps d(min);
     d.in(FXD, b).in(FDT).inout(FX, b);
-    const std::int64_t lo = blk.lo(b), hi = blk.hi(b);
-    em.compute("Position", d.span(), est(b), bytes(b),
-               [m, lo, hi] { k::position(*m, lo, hi, m->dt); });
+    const std::int32_t lo = blk.lo(b), hi = blk.hi(b);
+    compute(em, "Position", d, est(b), bytes(b),
+            [m, lo, hi] { k::position(*m, lo, hi, m->dt); });
   }
 
   // ---- frontier exchange (after the position update, Section 4.1) ----------
@@ -216,8 +240,8 @@ void emit_iteration(Emitter& em, Mesh& mesh, const Config& cfg,
     {
       Deps d(min);
       d.in(FX, 0).out(FSBUFL);
-      em.compute("PackLeft", d.span(), 1e-7, 8,
-                 [m, h] { h->sbuf_l = m->x[1]; });
+      compute(em, "PackLeft", d, 1e-7, 8,
+              [m, h] { h->sbuf_l = m->x[1]; });
     }
     {
       Deps d(min);
@@ -234,14 +258,14 @@ void emit_iteration(Emitter& em, Mesh& mesh, const Config& cfg,
     {
       Deps d(min);
       d.in(FRBUFL).out(FGHOSTL);
-      em.compute("UnpackLeft", d.span(), 1e-7, 8,
-                 [m, h] { m->x[0] = h->rbuf_l; });
+      compute(em, "UnpackLeft", d, 1e-7, 8,
+              [m, h] { m->x[0] = h->rbuf_l; });
     }
   } else {
     Deps d(min);
     d.in(FX, 0).out(FGHOSTL);
-    em.compute("ClampLeftGhost", d.span(), 1e-7, 8,
-               [m] { k::clamp_left_ghost(*m); });
+    compute(em, "ClampLeftGhost", d, 1e-7, 8,
+            [m] { k::clamp_left_ghost(*m); });
   }
   if (cfg.distributed && halo != nullptr && halo->right >= 0) {
     Halo* h = halo;
@@ -249,7 +273,7 @@ void emit_iteration(Emitter& em, Mesh& mesh, const Config& cfg,
     {
       Deps d(min);
       d.in(FX, tpl - 1).out(FSBUFR);
-      em.compute("PackRight", d.span(), 1e-7, 8, [m, h] {
+      compute(em, "PackRight", d, 1e-7, 8, [m, h] {
         h->sbuf_r = m->x[static_cast<std::size_t>(m->n)];
       });
     }
@@ -268,15 +292,15 @@ void emit_iteration(Emitter& em, Mesh& mesh, const Config& cfg,
     {
       Deps d(min);
       d.in(FRBUFR).out(FGHOSTR);
-      em.compute("UnpackRight", d.span(), 1e-7, 8, [m, h] {
+      compute(em, "UnpackRight", d, 1e-7, 8, [m, h] {
         m->x[static_cast<std::size_t>(m->n) + 1] = h->rbuf_r;
       });
     }
   } else {
     Deps d(min);
     d.in(FX, tpl - 1).out(FGHOSTR);
-    em.compute("ClampRightGhost", d.span(), 1e-7, 8,
-               [m] { k::clamp_right_ghost(*m); });
+    compute(em, "ClampRightGhost", d, 1e-7, 8,
+            [m] { k::clamp_right_ghost(*m); });
   }
 
   // ---- L7: kinematics --------------------------------------------------------
@@ -284,33 +308,33 @@ void emit_iteration(Emitter& em, Mesh& mesh, const Config& cfg,
     Deps d(min);
     x_stencil(d, b, tpl);
     d.inout(FV, b).out(FDELV, b).out(FAREALG, b);
-    const std::int64_t lo = blk.lo(b), hi = blk.hi(b);
-    em.compute("Kinematics", d.span(), est(b), bytes(b),
-               [m, lo, hi] { k::kinematics(*m, lo, hi); });
+    const std::int32_t lo = blk.lo(b), hi = blk.hi(b);
+    compute(em, "Kinematics", d, est(b), bytes(b),
+            [m, lo, hi] { k::kinematics(*m, lo, hi); });
   }
   // ---- L8: artificial viscosity --------------------------------------------------
   for (int b = 0; b < tpl; ++b) {
     Deps d(min);
     d.in(FDELV, b).in(FV, b).out(FQ, b);
-    const std::int64_t lo = blk.lo(b), hi = blk.hi(b);
-    em.compute("Viscosity", d.span(), est(b), bytes(b),
-               [m, lo, hi] { k::viscosity(*m, lo, hi); });
+    const std::int32_t lo = blk.lo(b), hi = blk.hi(b);
+    compute(em, "Viscosity", d, est(b), bytes(b),
+            [m, lo, hi] { k::viscosity(*m, lo, hi); });
   }
   // ---- L9: EOS ----------------------------------------------------------------------
   for (int b = 0; b < tpl; ++b) {
     Deps d(min);
     d.in(FDELV, b).in(FQ, b).inout(FE, b).inout(FP, b);
-    const std::int64_t lo = blk.lo(b), hi = blk.hi(b);
-    em.compute("EOS", d.span(), est(b), bytes(b),
-               [m, lo, hi] { k::eos(*m, lo, hi); });
+    const std::int32_t lo = blk.lo(b), hi = blk.hi(b);
+    compute(em, "EOS", d, est(b), bytes(b),
+            [m, lo, hi] { k::eos(*m, lo, hi); });
   }
   // ---- L10: sound speed (inoutset fan-in for the next dt reduction) ----------
   for (int b = 0; b < tpl; ++b) {
     Deps d(min);
     d.in(FP, b).in(FE, b).in(FV, b).out(FSS, b).inoutset(FSSUM);
-    const std::int64_t lo = blk.lo(b), hi = blk.hi(b);
-    em.compute("SoundSpeed", d.span(), est(b), bytes(b),
-               [m, lo, hi] { k::sound_speed(*m, lo, hi); });
+    const std::int32_t lo = blk.lo(b), hi = blk.hi(b);
+    compute(em, "SoundSpeed", d, est(b), bytes(b),
+            [m, lo, hi] { k::sound_speed(*m, lo, hi); });
   }
 }
 

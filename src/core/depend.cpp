@@ -66,6 +66,16 @@ AddrTable::Entry& AddrTable::probe(const void* addr) {
   return *e;
 }
 
+const AddrTable::Entry* AddrTable::history(const void* addr) const {
+  if (cap_ == 0) return nullptr;
+  const std::size_t mask = cap_ - 1;
+  for (std::size_t i = mix_pointer_hash(addr) & mask;
+       slots_[i].entry != nullptr; i = (i + 1) & mask) {
+    if (slots_[i].key == addr) return slots_[i].entry;
+  }
+  return nullptr;
+}
+
 void AddrTable::clear() {
   for (std::size_t i = 0; i < cap_; ++i) {
     Entry* e = slots_[i].entry;

@@ -76,6 +76,10 @@ class AddrTable {
     return probe(addr);
   }
 
+  /// The history of `addr`, or nullptr when it has none. Inspection only:
+  /// unlike lookup() it inserts nothing and leaves the cache alone.
+  const Entry* history(const void* addr) const;
+
   /// Drop the whole access history, releasing task references. The slot
   /// array and arena chunks are retained for the next episode (capacity is
   /// sticky; chunk memory returns to the OS only at destruction).

@@ -152,6 +152,19 @@ class DependRules : public Store {
           break;
 
         case DependType::InOutSet:
+          if (e.mod_is_set && !e.readers.empty()) {
+            // A reader closes the open generation. Every reader follows
+            // all members (readers only arrive after the members they
+            // see), and the members follow the base, so the readers alone
+            // carry the old generation's ordering forward: forget the
+            // members and the base, and open afresh below with the
+            // readers as base. Without this an address alternating
+            // {inoutset..., in} keeps every member and reader forever and
+            // each new member pays for the whole history.
+            Entry::drop(e.last_mod);
+            Entry::drop(e.gen_base);
+            e.mod_is_set = false;
+          }
           if (!e.mod_is_set) {
             // Open a new generation. Its base is the previous writer plus
             // the reads since (their references move along; gen_base is

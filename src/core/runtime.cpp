@@ -21,6 +21,20 @@ namespace {
 thread_local Runtime* tls_runtime = nullptr;
 // Task whose body is executing on this thread (for current_task_event).
 thread_local Task* tls_current_task = nullptr;
+// Polling hook this thread is running, if any (see retire_hook).
+thread_local const Runtime::PollingHookToken* tls_running_hook = nullptr;
+
+/// Wait until no other thread runs the hook in `old`, which is no longer
+/// installed, then drop it. poll() copies the box under hook_lock_, so no
+/// new call can start: wait for the running ones to drop their copies.
+/// Dropping ours last is an acq_rel decrement that synchronizes with
+/// theirs, so everything the hook did happens before we return. A hook
+/// retiring itself does not wait for its own call.
+void retire_hook(std::shared_ptr<const Runtime::PollingHookToken> old) {
+  if (old == nullptr || tls_running_hook == old.get()) return;
+  Backoff bo;
+  while (old.use_count() > 1) bo.pause();
+}
 
 unsigned resolve_threads(unsigned n) {
   return n != 0 ? n : std::max(1u, std::thread::hardware_concurrency());
@@ -928,30 +942,50 @@ void Runtime::throttle(unsigned slot) {
 }
 
 void Runtime::poll() {
-  std::shared_ptr<const std::function<void()>> hook;
+  HookBox hook;
   {
     SpinGuard g(hook_lock_);
     hook = polling_hook_;
   }
-  if (hook) (*hook)();
+  if (!hook) return;
+  // Plain thread-local stores, no RMW: they only let a hook that retires
+  // itself skip waiting for its own call.
+  struct Running {
+    const PollingHookToken* outer = tls_running_hook;
+    explicit Running(const PollingHookToken* h) { tls_running_hook = h; }
+    ~Running() { tls_running_hook = outer; }
+  } running(hook.get());
+  (**hook)();
 }
 
 Runtime::PollingHookToken Runtime::set_polling_hook(
     std::function<void()> hook) {
-  std::shared_ptr<const std::function<void()>> p;
+  PollingHookToken p;
+  HookBox box;
   if (hook) {
     p = std::make_shared<const std::function<void()>>(std::move(hook));
+    box = std::make_shared<const PollingHookToken>(p);
   }
-  SpinGuard g(hook_lock_);
-  polling_hook_ = p;
+  {
+    SpinGuard g(hook_lock_);
+    std::swap(polling_hook_, box);
+  }
+  retire_hook(std::move(box));
   return p;
 }
 
 void Runtime::clear_polling_hook(const PollingHookToken& token) {
   if (token == nullptr) return;
-  SpinGuard g(hook_lock_);
-  if (polling_hook_ == token) polling_hook_.reset();
+  HookBox box;
+  {
+    SpinGuard g(hook_lock_);
+    if (polling_hook_ != nullptr && *polling_hook_ == token) {
+      std::swap(polling_hook_, box);
+    }
+  }
+  retire_hook(std::move(box));
 }
+
 
 Event* Runtime::create_event() {
   SpinGuard g(events_lock_);

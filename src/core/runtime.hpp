@@ -292,6 +292,9 @@ class Runtime {
   /// taskwait: the MPI polling hook of the paper ("polling MPI requests on
   /// OpenMP scheduling points"). Must be thread-safe. Returns a token for
   /// clear_polling_hook; installing a new hook replaces the previous one.
+  /// Both return only once no other thread is still running the hook they
+  /// took out, so its owner may then be destroyed (a call made from
+  /// inside that hook does not wait for itself).
   PollingHookToken set_polling_hook(std::function<void()> hook);
   /// Uninstall the hook identified by `token` — only if it is still the
   /// installed one (a later set_polling_hook wins and is left in place).
@@ -567,9 +570,13 @@ class Runtime {
   std::atomic<std::uint64_t> next_deferred_ns_{UINT64_MAX};
 
   /// The polling hook is installed/cleared concurrently with workers
-  /// invoking it (e.g. a RequestPoller tearing down), so pollers pin the
-  /// closure via a shared_ptr copied under a spin lock.
-  std::shared_ptr<const std::function<void()>> polling_hook_;
+  /// invoking it (e.g. a RequestPoller tearing down), so pollers pin it
+  /// via a shared_ptr copied under a spin lock. It is boxed: the box's
+  /// reference count is the runtime's own plus one per poll() running
+  /// it, whatever copies of the token its owner keeps, so set and clear
+  /// can wait the running calls out.
+  using HookBox = std::shared_ptr<const PollingHookToken>;
+  HookBox polling_hook_;
   mutable SpinLock hook_lock_;
 
   /// Submitted and not finished: taskwait's condition, the throttle's

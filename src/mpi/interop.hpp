@@ -75,7 +75,8 @@ class RequestPoller {
   ~RequestPoller() {
     if (rt_ != nullptr) {
       // Token-based uninstall: only clears the hook if it is still ours —
-      // a second poller installed after us must keep its hook.
+      // a second poller installed after us must keep its hook. It returns
+      // once no worker is still inside poll(), so pending_ can go.
       rt_->clear_polling_hook(hook_token_);
       rt_->watchdog().remove_diagnostic(diag_token_);
     }

@@ -116,6 +116,13 @@ class SimGraphBuilder {
   /// Forget the access history (between independent phases).
   void clear_scope() { rules_.clear(); }
 
+  /// The access history of `addr`, or nullptr when it has none
+  /// (inspection only).
+  const AccessHistory<SimNodes>* history(std::uint64_t addr) const {
+    const auto it = rules_.entries.find(addr);
+    return it == rules_.entries.end() ? nullptr : &it->second;
+  }
+
   /// Number of tasks added so far.
   std::uint32_t size() const {
     return static_cast<std::uint32_t>(graph_.tasks.size());

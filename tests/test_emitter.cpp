@@ -4,10 +4,41 @@
 // the benchmark harnesses study the graphs the real library would run.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "apps/common/emitter.hpp"
 #include "apps/hpcg/hpcg.hpp"
 #include "apps/lulesh/lulesh.hpp"
 #include "core/tdg.hpp"
+
+// Every global allocation of this test binary is counted, so a test can
+// tell how often a steady-state loop reaches the heap.
+namespace {
+std::atomic<std::uint64_t> g_heap_allocations{0};
+
+void* counted_alloc(std::size_t n, std::size_t align) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (n == 0) n = 1;
+  void* p = align <= alignof(std::max_align_t)
+                ? std::malloc(n)
+                : std::aligned_alloc(align, (n + align - 1) / align * align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -195,6 +226,51 @@ TEST(Emitter, TaskwaitAroundCommExecutesCorrectly) {
     }
   });
   for (int r = 0; r < kRanks; ++r) EXPECT_EQ(bad[static_cast<std::size_t>(r)], 0);
+}
+
+TEST(Emitter, SteadyStateLuleshSubmitMakesNoHeapAllocation) {
+  // Emitting, discovering and running a LULESH iteration through the real
+  // runtime must not go through the global allocator per compute task: no
+  // heap-stored body and no growing depend list. Warm-up iterations fill
+  // the slab and the history table first. A throttle of zero pending
+  // tasks runs each task before the next one is submitted, so every edge
+  // is pruned and no successor list is materialized: those lists spill
+  // on wide fan-outs, a cost of graph shape that depends on timing, not
+  // of emission.
+  namespace lulesh = tdg::apps::lulesh;
+  for (bool minimized : {true, false}) {
+    SCOPED_TRACE(testing::Message() << "minimized " << minimized);
+    lulesh::Config cfg;
+    cfg.npoints = 4096;
+    cfg.tpl = 64;
+    cfg.minimized_deps = minimized;
+    constexpr int kWarmup = 3;
+    constexpr int kMeasured = 10;
+    Runtime::Config rc;
+    rc.num_threads = 1;
+    rc.throttle.max_total = 0;
+    Runtime rt(rc);
+    lulesh::Mesh mesh(cfg.npoints);
+    RuntimeEmitter em(rt, {.persistent = false});
+    auto iterate = [&](int it) {
+      em.begin_iteration(static_cast<std::uint32_t>(it));
+      emit_iteration(em, mesh, cfg, static_cast<std::uint32_t>(it), nullptr);
+      em.end_iteration();
+    };
+    for (int it = 0; it < kWarmup; ++it) iterate(it);
+    rt.taskwait();
+    const std::uint64_t tasks0 = rt.stats().tasks_created;
+    const std::uint64_t allocs0 = g_heap_allocations.load();
+    for (int it = kWarmup; it < kWarmup + kMeasured; ++it) iterate(it);
+    rt.taskwait();
+    const std::uint64_t allocs = g_heap_allocations.load() - allocs0;
+    const auto s = rt.stats();
+    const std::uint64_t tasks = s.tasks_created - tasks0;
+    ASSERT_EQ(tasks, kMeasured * (10u * static_cast<unsigned>(cfg.tpl) + 3u));
+    ASSERT_EQ(s.discovery.edges_created, 0u) << "precondition: all pruned";
+    EXPECT_LT(static_cast<double>(allocs) / static_cast<double>(tasks), 0.05)
+        << allocs << " allocations for " << tasks << " compute tasks";
+  }
 }
 
 }  // namespace

@@ -395,11 +395,25 @@ TEST(Multitenant, AdmissionQuotaPerTenant) {
 
   std::atomic<int> qhits{0};
   std::atomic<int> fhits{0};
-  // Quota tasks take a few microseconds each, so the backlog outgrows the
-  // quota however fast the workers drain it: empty bodies could finish as
-  // quickly as they are submitted and never trip the throttle.
+  // Quota tasks wait at a gate that only a quota task run by this producer
+  // thread opens. Submission never runs a task before the quota is
+  // exceeded, so until the throttle makes the producer run one the
+  // workers cannot drain the backlog: the stall is certain, however fast
+  // or slow (sanitizers) the workers are.
+  const std::thread::id producer = std::this_thread::get_id();
+  std::atomic<bool> gate{false};
   for (int i = 0; i < 2000; ++i) {
-    quota.submit([&] { spin_us(5); ++qhits; }, {});
+    quota.submit(
+        [&] {
+          if (std::this_thread::get_id() == producer) {
+            gate.store(true, std::memory_order_release);
+          }
+          while (!gate.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+          ++qhits;
+        },
+        {});
     free_rt.submit([&] { ++fhits; }, {});
   }
   quota.taskwait();

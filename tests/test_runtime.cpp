@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "core/tdg.hpp"
@@ -251,6 +253,48 @@ TEST(Runtime, FulfillIsIdempotent) {
   });
   rt.taskwait();
   EXPECT_EQ(rt.stats().tasks_executed, 1u);
+}
+
+// --- polling hook lifetime ------------------------------------------------------
+
+TEST(Runtime, ClearPollingHookWaitsForARunningCall) {
+  // A RequestPoller frees the state its hook reads right after
+  // clear_polling_hook returns, so the call must not return while a
+  // worker is still inside the hook.
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> cleared{false};
+  Runtime rt({.num_threads = 2});
+  const auto token = rt.set_polling_hook([&] {
+    if (entered.exchange(true)) return;  // only the first call holds on
+    while (!release.load()) std::this_thread::yield();
+  });
+  // The idle worker polls at least every 2 ms, parked or not.
+  while (!entered.load()) std::this_thread::yield();
+  std::thread clearer([&] {
+    rt.clear_polling_hook(token);
+    cleared = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(cleared.load()) << "returned while the hook was running";
+  release = true;
+  clearer.join();
+  EXPECT_TRUE(cleared.load());
+}
+
+TEST(Runtime, PollingHookCanClearItself) {
+  // Waiting for the hook's own call would never end.
+  std::atomic<bool> armed{false};
+  std::atomic<bool> done{false};
+  Runtime::PollingHookToken token;
+  Runtime rt({.num_threads = 2});
+  token = rt.set_polling_hook([&] {
+    if (!armed.load() || done.load()) return;
+    rt.clear_polling_hook(token);
+    done = true;
+  });
+  armed = true;
+  while (!done.load()) std::this_thread::yield();
 }
 
 // --- throttling ----------------------------------------------------------------
