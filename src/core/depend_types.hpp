@@ -16,6 +16,17 @@ enum class DependType : std::uint8_t {
              ///< generation, ordered against any other access type
 };
 
+/// Clause keyword of `t`, as written in a depend clause.
+constexpr const char* dep_type_name(DependType t) {
+  switch (t) {
+    case DependType::In: return "in";
+    case DependType::Out: return "out";
+    case DependType::InOut: return "inout";
+    case DependType::InOutSet: return "inoutset";
+  }
+  return "?";
+}
+
 /// One item of a task's depend clause: a base address plus an access type.
 /// Discovery matches on address identity only (OpenMP list-item base rule),
 /// exactly as in the paper's applications which depend on block base

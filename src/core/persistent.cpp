@@ -1,14 +1,16 @@
 #include "core/persistent.hpp"
 
+#include <algorithm>
+#include <sstream>
+
 namespace tdg {
 
 PersistentRegion::PersistentRegion(Runtime& rt) : rt_(rt) {
   TDG_REQUIRE(rt.region_ == nullptr,
               "nested persistent regions are not supported");
   rt_.region_ = this;
-  // Replay-safety check: capture every iteration's clause stream so
-  // end_iteration can diff replays against the cached discovery graph.
-  // Sample mode skips it: the diff re-discovers whole iterations.
+  // Replay-safety check: every replay's clauses are compared with the
+  // discovery iteration's. Sample mode does not compare them.
   rt_.verify_clauses_ = rt_.config().verify == VerifyMode::Post ||
                         rt_.config().verify == VerifyMode::Strict;
 }
@@ -50,7 +52,7 @@ void PersistentRegion::begin_iteration() {
     rearm_all();
     rt_.replay_active_ = true;
     replayed_ = 0;
-    iter_clauses_.clear();  // fresh capture for this replay iteration
+    last_drift_.clear();  // findings accumulate slot by slot
   }
   rt_.discovery_begin_ns_ = 0;  // per-iteration discovery span
   rt_.discovery_end_ns_ = 0;
@@ -68,13 +70,6 @@ void PersistentRegion::end_iteration() {
     // from the plan.
     rt_.madd(rt_.m_.replay_tasks, replayed_);
     rt_.madd(rt_.m_.replay_bytes, plan_bytes_);
-    // Replay-safety diff (capture complete at this point): re-discover
-    // this iteration's graph from its clauses and compare against the
-    // discovery iteration's. Findings are raised after the barrier and
-    // bookkeeping below, so the region stays consistent either way.
-    if (rt_.verify_clauses_) {
-      last_drift_ = diff_replay_clauses(first_clauses_, iter_clauses_);
-    }
   }
   // Implicit barrier (Section 3.2): every task of iteration n completes
   // before iteration n+1 is instantiated; inter-iteration edges never
@@ -98,6 +93,12 @@ void PersistentRegion::end_iteration() {
   // Rethrow after the region state is consistent: a failed iteration's
   // tasks are re-armed by the next begin_iteration and can be replayed.
   rt_.throw_if_failed();
+  // The implicit barrier checks its window as taskwait does. A replay adds
+  // no task ids, so only the discovery iteration has one to check.
+  rt_.verify_now(/*allow_throw=*/true);
+  // Drift findings were recorded slot by slot during the iteration; they
+  // are raised here, after the barrier and bookkeeping above, so the
+  // region stays consistent either way.
   if (!last_drift_.empty()) {
     std::string report = "PTSG replay drift detected:";
     for (const ReplayDriftFinding& f : last_drift_) {
@@ -118,10 +119,39 @@ void PersistentRegion::record_task(Task* t) {
 void PersistentRegion::log_clause(std::span<const Depend> deps) {
   if (!active_) return;  // submissions outside an iteration: not ours
   if (iterations_done_ == 0) {
-    first_clauses_.add_task(deps);
-  } else {
-    iter_clauses_.add_task(deps);
+    plan_clauses_.insert(plan_clauses_.end(), deps.begin(), deps.end());
+    plan_clause_end_.push_back(
+        static_cast<std::uint32_t>(plan_clauses_.size()));
+    return;
   }
+  // One submit too many: next_replay_slot aborts right after this hook.
+  const std::size_t slot = replayed_;
+  if (slot >= plan_clause_end_.size()) return;
+  const std::uint32_t begin = slot == 0 ? 0 : plan_clause_end_[slot - 1];
+  const std::span<const Depend> ref(plan_clauses_.data() + begin,
+                                    plan_clause_end_[slot] - begin);
+  if (std::ranges::equal(ref, deps) ||
+      last_drift_.size() >= kMaxDriftFindings) {
+    return;
+  }
+  std::ostringstream os;
+  auto print = [&os](std::span<const Depend> clause) {
+    os << '{';
+    for (std::size_t j = 0; j < clause.size(); ++j) {
+      if (j != 0) os << ", ";
+      os << dep_type_name(clause[j].type) << "(0x" << std::hex
+         << reinterpret_cast<std::uintptr_t>(clause[j].addr) << std::dec;
+      if (clause[j].bytes != 0) os << '+' << clause[j].bytes;
+      os << ')';
+    }
+    os << '}';
+  };
+  os << "clause drift at slot " << slot << ": ";
+  print(ref);
+  os << " at discovery vs ";
+  print(deps);
+  os << " at replay -- the cached plan no longer matches the program";
+  last_drift_.push_back(ReplayDriftFinding{slot, os.str()});
 }
 
 void PersistentRegion::compile_replay_plan() {

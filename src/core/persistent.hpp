@@ -19,11 +19,20 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/runtime.hpp"
 
 namespace tdg {
+
+/// One replay slot whose depend clause differs from the discovery
+/// iteration's: the cached graph no longer matches the program
+/// (firstprivate-address drift, stale redirect nodes).
+struct ReplayDriftFinding {
+  std::size_t slot = 0;  ///< submission index within the iteration
+  std::string message;   ///< names the slot and both clauses
+};
 
 /// RAII handle for a persistent-graph region (`#pragma omp ptsg` in the
 /// paper). Usage:
@@ -36,7 +45,8 @@ namespace tdg {
 ///   }
 ///
 /// Every iteration must submit the same tasks in the same order with the
-/// same dependences (checked where cheap).
+/// same dependences (the count always; the clauses under verify post and
+/// strict).
 class PersistentRegion {
  public:
   explicit PersistentRegion(Runtime& rt);
@@ -59,11 +69,11 @@ class PersistentRegion {
     return discovery_seconds_;
   }
 
-  /// Replay-safety findings of the most recent replay iteration (empty
-  /// when the iteration's clauses matched the cached discovery stream, or
-  /// when the runtime's verify mode is Off). In Post mode the findings are
-  /// also printed to stderr at end_iteration; Strict mode throws
-  /// VerifyError there.
+  /// Replay-safety findings of the most recent replay iteration, at most
+  /// kMaxDriftFindings (empty when every slot issued the discovery
+  /// iteration's clause, or when the runtime's verify mode is Off or
+  /// Sample). In Post mode the findings are also printed to stderr at
+  /// end_iteration; Strict mode throws VerifyError there.
   const std::vector<ReplayDriftFinding>& last_drift() const {
     return last_drift_;
   }
@@ -81,9 +91,14 @@ class PersistentRegion {
     std::uint32_t copy_bytes;
   };
 
+  static constexpr std::size_t kMaxDriftFindings = 16;
+
   void record_task(Task* t);        // first-iteration discovery
-  /// Clause capture for the replay-safety check (called from the submit
-  /// template via Runtime::log_verify_clause when verification is on).
+  /// Replay-safety check (called from the submit template via
+  /// Runtime::log_verify_clause when verification is on): the discovery
+  /// iteration stores each clause, a replay compares its clause with the
+  /// stored one of its slot. Equal clauses require exactly the pairs that
+  /// the discovery window was verified against, so nothing is re-derived.
   void log_clause(std::span<const Depend> deps);
   /// Build the SoA replay plan from the discovered graph (end of the
   /// first iteration, after the barrier drained every task).
@@ -111,11 +126,11 @@ class PersistentRegion {
   std::vector<std::int32_t> rearm_npred_;
   std::vector<std::int32_t> rearm_latch_;
 
-  // Replay-safety capture (only populated when the runtime verifies):
-  // the discovery iteration's clause stream is the reference every replay
-  // iteration is diffed against at end_iteration.
-  ClauseStream first_clauses_;
-  ClauseStream iter_clauses_;
+  // Replay-safety reference (only populated when the runtime verifies):
+  // the discovery iteration's clauses, flat, with the end offset of each
+  // slot's clause.
+  std::vector<Depend> plan_clauses_;
+  std::vector<std::uint32_t> plan_clause_end_;
   std::vector<ReplayDriftFinding> last_drift_;
 };
 

@@ -138,13 +138,7 @@ Runtime::Runtime(Config cfg)
   // checking mode turns on the profiler's stream capture only: it reads
   // no clock stamps and no task records, so it leaves `trace` (and with
   // it timed_) alone.
-  switch (verify_env_mode()) {
-    case VerifyEnvMode::Off: cfg_.verify = VerifyMode::Off; break;
-    case VerifyEnvMode::Sample: cfg_.verify = VerifyMode::Sample; break;
-    case VerifyEnvMode::Post: cfg_.verify = VerifyMode::Post; break;
-    case VerifyEnvMode::Strict: cfg_.verify = VerifyMode::Strict; break;
-    case VerifyEnvMode::Default: break;
-  }
+  if (const auto mode = verify_env_mode()) cfg_.verify = *mode;
   timed_ = metrics_on || cfg_.trace;
   // Slot layout: 0 is the producer, 1..num_workers are the pool workers —
   // identical to the pre-pool slot numbering for a solo runtime.

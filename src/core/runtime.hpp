@@ -157,9 +157,10 @@ class Runtime {
     /// taskwait at every taskwait. Sample checks one task in 16 and drops
     /// the verified prefix (unless `trace` keeps it for export); Post
     /// checks every task and reports violations to stderr; Strict throws
-    /// VerifyError. Post and Strict also diff persistent-region replays
-    /// against the discovery iteration. The TDG_VERIFY environment variable
-    /// (off|sample|post|strict) overrides this field.
+    /// VerifyError. Post and Strict also check that every persistent-region
+    /// replay issues the discovery iteration's depend clauses. The
+    /// TDG_VERIFY environment variable (off|sample|post|strict) overrides
+    /// this field.
     VerifyMode verify = VerifyMode::Off;
     /// Attach to a shared WorkerPool (multi-tenant mode) instead of
     /// constructing a private worker team. The pool must outlive the
@@ -186,7 +187,7 @@ class Runtime {
   template <class F>
   std::uint64_t submit(F&& fn, std::span<const Depend> deps,
                        TaskOpts opts = {}) {
-    // Replay-safety capture must see the clause of every iteration —
+    // The replay-safety check must see the clause of every iteration —
     // including replays, which never reach discovery — so it hooks in
     // before the replay branch.
     if (verify_clauses_) log_verify_clause(deps);
@@ -489,7 +490,7 @@ class Runtime {
   /// Strict from contexts that must not throw (destructor) — report to
   /// stderr.
   void verify_now(bool allow_throw);
-  /// Out-of-line clause capture for the replay-safety check (keeps the
+  /// Out-of-line clause hook for the replay-safety check (keeps the
   /// submit template free of PersistentRegion's definition).
   void log_verify_clause(std::span<const Depend> deps);
   /// Teardown observability: export the trace (TDG_TRACE) and dump the
@@ -604,8 +605,8 @@ class Runtime {
   bool replay_active_ = false;
 
   // verification state (producer-only)
-  /// True while a persistent region wants per-submission clause capture
-  /// for the replay-safety diff (verify mode post or strict and a region
+  /// True while a persistent region wants every submission's clause for
+  /// the replay-safety check (verify mode post or strict and a region
   /// active).
   bool verify_clauses_ = false;
   /// Barrier cutoff of the last verified taskwait: every task up to it

@@ -1,6 +1,7 @@
 #include "core/verify.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -10,16 +11,6 @@
 
 namespace tdg {
 namespace {
-
-const char* dep_type_name(DependType t) {
-  switch (t) {
-    case DependType::In: return "in";
-    case DependType::Out: return "out";
-    case DependType::InOut: return "inout";
-    case DependType::InOutSet: return "inoutset";
-  }
-  return "?";
-}
 
 void append_hex(std::ostringstream& os, std::uint64_t v) {
   os << "0x" << std::hex << v << std::dec;
@@ -482,15 +473,19 @@ std::string VerifyReport::summary() const {
   return os.str();
 }
 
-VerifyEnvMode verify_env_mode() {
+std::optional<VerifyMode> verify_env_mode() {
   const char* v = std::getenv("TDG_VERIFY");
-  if (v == nullptr) return VerifyEnvMode::Default;
+  if (v == nullptr || *v == '\0') return std::nullopt;
   const std::string s(v);
-  if (s == "off") return VerifyEnvMode::Off;
-  if (s == "sample") return VerifyEnvMode::Sample;
-  if (s == "post") return VerifyEnvMode::Post;
-  if (s == "strict") return VerifyEnvMode::Strict;
-  return VerifyEnvMode::Default;
+  if (s == "off") return VerifyMode::Off;
+  if (s == "sample") return VerifyMode::Sample;
+  if (s == "post") return VerifyMode::Post;
+  if (s == "strict") return VerifyMode::Strict;
+  std::fprintf(stderr,
+               "tdg: unknown TDG_VERIFY mode '%s' "
+               "(expected off|sample|post|strict); ignored\n",
+               v);
+  return std::nullopt;
 }
 
 bool verify_samples_task(std::uint64_t id) {
@@ -907,106 +902,6 @@ std::vector<LintFinding> lint_clauses(
       }
     }
     close_gen(items.size());
-  }
-  return findings;
-}
-
-// ---------------------------------------------------------------------------
-// PTSG replay-safety check
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Re-discover a clause stream into an edge set over slot indices (the
-/// submission index within the iteration), so two iterations are compared
-/// structurally even though their runtime task ids differ.
-std::unordered_set<std::uint64_t> rediscover_edges(const ClauseStream& cs) {
-  std::vector<AccessRecord> accesses;
-  accesses.reserve(cs.total_items());
-  for (std::size_t i = 0; i < cs.tasks(); ++i) {
-    for (const Depend& d : cs.clause(i)) {
-      accesses.push_back(AccessRecord{
-          static_cast<std::uint64_t>(i),
-          reinterpret_cast<std::uint64_t>(d.addr), d.type, d.bytes, ""});
-    }
-  }
-  std::unordered_set<std::uint64_t> set;
-  for (const RequiredPair& p : shadow_required_pairs(accesses)) {
-    set.insert((p.pred << 32) | p.succ);
-  }
-  return set;
-}
-
-}  // namespace
-
-std::vector<ReplayDriftFinding> diff_replay_clauses(
-    const ClauseStream& reference, const ClauseStream& replay,
-    std::size_t max_reports) {
-  std::vector<ReplayDriftFinding> findings;
-  auto report = [&](std::size_t slot, std::string msg) {
-    if (findings.size() >= max_reports) return false;
-    findings.push_back(ReplayDriftFinding{slot, std::move(msg)});
-    return findings.size() < max_reports;
-  };
-
-  if (reference.tasks() != replay.tasks()) {
-    std::ostringstream os;
-    os << "task count drift: discovery iteration submitted "
-       << reference.tasks() << " task(s), replay submitted "
-       << replay.tasks();
-    report(SIZE_MAX, os.str());
-  }
-
-  const std::size_t n = std::min(reference.tasks(), replay.tasks());
-  for (std::size_t i = 0; i < n; ++i) {
-    std::span<const Depend> ref = reference.clause(i);
-    std::span<const Depend> rep = replay.clause(i);
-    if (ref.size() != rep.size()) {
-      std::ostringstream os;
-      os << "clause drift at slot " << i << ": " << ref.size()
-         << " item(s) at discovery vs " << rep.size() << " at replay";
-      if (!report(i, os.str())) return findings;
-      continue;
-    }
-    for (std::size_t j = 0; j < ref.size(); ++j) {
-      if (ref[j] == rep[j]) continue;
-      std::ostringstream os;
-      os << "clause drift at slot " << i << " item " << j << ": "
-         << dep_type_name(ref[j].type) << "(";
-      append_hex(os, reinterpret_cast<std::uint64_t>(ref[j].addr));
-      os << ") at discovery vs " << dep_type_name(rep[j].type) << "(";
-      append_hex(os, reinterpret_cast<std::uint64_t>(rep[j].addr));
-      os << ") at replay -- firstprivate address drift invalidates the "
-            "cached plan";
-      if (!report(i, os.str())) return findings;
-    }
-  }
-
-  // Structural diff: re-discover both graphs and compare edge sets, so a
-  // clause drift is also reported as the orderings it loses or invents.
-  const auto ref_edges = rediscover_edges(reference);
-  const auto rep_edges = rediscover_edges(replay);
-  auto describe = [](std::uint64_t key) {
-    std::ostringstream os;
-    os << "slot " << (key >> 32) << " -> slot "
-       << (key & 0xffffffffu);
-    return os.str();
-  };
-  for (std::uint64_t key : ref_edges) {
-    if (rep_edges.count(key) != 0) continue;
-    std::ostringstream os;
-    os << "replay drops required ordering " << describe(key)
-       << ": the cached plan enforces it but the replayed clauses do not "
-          "require it";
-    if (!report(SIZE_MAX, os.str())) return findings;
-  }
-  for (std::uint64_t key : rep_edges) {
-    if (ref_edges.count(key) != 0) continue;
-    std::ostringstream os;
-    os << "replay requires ordering " << describe(key)
-       << " that the cached plan never recorded -- a determinacy race "
-          "under replay";
-    if (!report(SIZE_MAX, os.str())) return findings;
   }
   return findings;
 }

@@ -1,5 +1,4 @@
-// Offline TDG soundness verification, PTSG replay-safety checking, and
-// depend-clause linting.
+// Offline TDG soundness verification and depend-clause linting.
 //
 // The runtime's entire contract is that the discovered Task Dependency
 // Graph is a correct serialization of the program's depend clauses: every
@@ -22,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,22 +33,23 @@ namespace tdg {
 
 /// `TDG_VERIFY` runtime switch. Every mode but off captures the clause,
 /// edge, barrier and scope-clear streams (no timing) and checks the window
-/// since the previous taskwait at each taskwait; post and strict also diff
-/// PTSG replay clauses at each end_iteration.
+/// since the previous barrier at each taskwait and each persistent-region
+/// end_iteration; post and strict also compare every PTSG replay's clauses
+/// with the discovery iteration's, slot by slot.
 ///   off    — no capture, no checking (default).
 ///   sample — checks one task in kVerifySampleRate against every edge;
 ///            violations are reported to stderr, execution continues, and
 ///            the verified prefix of the streams is dropped (bounded memory).
-///            No replay diff.
+///            Replay clauses are not compared.
 ///   post   — checks every task; reports to stderr, execution continues.
 ///   strict — checks every task; violations (and replay drift) raise
 ///            tdg::VerifyError at the taskwait (end_iteration).
 enum class VerifyMode : std::uint8_t { Off, Sample, Post, Strict };
 
-/// Parse TDG_VERIFY (off | sample | post | strict; anything else =
-/// Default, which leaves the Config value in charge).
-enum class VerifyEnvMode : std::uint8_t { Default, Off, Sample, Post, Strict };
-VerifyEnvMode verify_env_mode();
+/// Parse TDG_VERIFY (off | sample | post | strict). Unset or empty gives
+/// nullopt, which leaves the Config value in charge; so does any other
+/// value, after one line on stderr.
+std::optional<VerifyMode> verify_env_mode();
 
 /// Sample mode checks the accesses of one task in this many.
 inline constexpr std::uint64_t kVerifySampleRate = 16;
@@ -195,53 +196,5 @@ struct LintFinding {
 std::vector<LintFinding> lint_clauses(std::span<const AccessRecord> accesses);
 
 const char* lint_kind_name(LintKind kind);
-
-// ---------------------------------------------------------------------------
-// PTSG replay-safety check (optimization (p))
-// ---------------------------------------------------------------------------
-
-/// The depend-clause stream of one persistent-region iteration: every
-/// clause of every task, in submission order. Replay iterations must
-/// reproduce the discovery iteration's stream exactly — same addresses,
-/// same types, same order — or the cached graph no longer matches the
-/// program (firstprivate-address drift, stale redirect nodes).
-class ClauseStream {
- public:
-  void add_task(std::span<const Depend> deps) {
-    items_.insert(items_.end(), deps.begin(), deps.end());
-    offsets_.push_back(static_cast<std::uint32_t>(items_.size()));
-  }
-  void clear() {
-    items_.clear();
-    offsets_.clear();
-  }
-
-  std::size_t tasks() const { return offsets_.size(); }
-  std::span<const Depend> clause(std::size_t i) const {
-    const std::uint32_t begin = i == 0 ? 0 : offsets_[i - 1];
-    return {items_.data() + begin, offsets_[i] - begin};
-  }
-  std::size_t total_items() const { return items_.size(); }
-
- private:
-  std::vector<Depend> items_;
-  std::vector<std::uint32_t> offsets_;  ///< end offset of task i's clause
-};
-
-struct ReplayDriftFinding {
-  /// Replay slot (submission index within the iteration); SIZE_MAX for
-  /// stream-level findings (task-count mismatch, graph-level diffs).
-  std::size_t slot = SIZE_MAX;
-  std::string message;
-};
-
-/// Diff a replay iteration's clause stream against the discovery
-/// iteration's. Reports per-slot clause divergence (address/type/count
-/// drift) and then re-discovers both graphs from the clauses alone and
-/// diffs them edge by edge, so a drift that changes the graph shape is
-/// reported as the missing/extra orderings it causes.
-std::vector<ReplayDriftFinding> diff_replay_clauses(
-    const ClauseStream& reference, const ClauseStream& replay,
-    std::size_t max_reports = 16);
 
 }  // namespace tdg

@@ -71,13 +71,13 @@ void submit_dropped_pair(Runtime& rt, std::pair<std::uint64_t,
 
 TEST(VerifySampleEnv, SampleParsesAndUnknownLeavesConfigInCharge) {
   unsetenv("TDG_VERIFY");
-  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Default);
+  EXPECT_EQ(verify_env_mode(), std::nullopt);
   setenv("TDG_VERIFY", "sample", 1);
-  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Sample);
+  EXPECT_EQ(verify_env_mode(), VerifyMode::Sample);
   setenv("TDG_VERIFY", "off", 1);
-  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Off);
+  EXPECT_EQ(verify_env_mode(), VerifyMode::Off);
   setenv("TDG_VERIFY", "garbage", 1);
-  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Default);
+  EXPECT_EQ(verify_env_mode(), std::nullopt);
   unsetenv("TDG_VERIFY");
 }
 
@@ -470,8 +470,9 @@ TEST(VerifyWindows, CheckerSeesOnlyTheNewWindow) {
 }
 
 TEST(VerifyWindows, SampleModeSkipsTheReplayDiff) {
-  // The replay-drift diff re-discovers whole persistent iterations, so
-  // only post and strict run it; sample keeps its per-window price.
+  // Only post and strict compare replay clauses with the discovery
+  // iteration's. The comparison is cheap, but sample mode's contract
+  // covers taskwait windows only.
   for (VerifyMode mode : {VerifyMode::Sample, VerifyMode::Post}) {
     Runtime rt(verify_config(mode));
     int a = 0, b = 0;

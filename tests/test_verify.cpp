@@ -1,5 +1,5 @@
 // TDG soundness verifier (offline determinacy-race detection), the
-// TDG_VERIFY runtime modes, PTSG replay-safety diffing, depend-clause
+// TDG_VERIFY runtime modes, PTSG replay-safety checking, depend-clause
 // lint, and the verification streams' trace round-trip.
 #include <gtest/gtest.h>
 
@@ -90,6 +90,20 @@ TEST(Verify, SeededEdgeDropStrictThrowsAtTaskwait) {
   rt.submit([&] { x = 1; }, {Depend::out(&x)});
   rt.submit([&] { (void)x; }, {Depend::in(&x)});
   EXPECT_THROW(rt.taskwait(), VerifyError);
+}
+
+TEST(Verify, SeededEdgeDropStrictThrowsAtRegionBarrier) {
+  // A persistent region's implicit barrier checks the discovery window as
+  // taskwait does, so the race surfaces without an explicit taskwait.
+  Runtime::Config cfg = verified_config(VerifyMode::Strict);
+  cfg.discovery.seed_drop_edge = 1;
+  Runtime rt(cfg);
+  int a = 0;
+  PersistentRegion region(rt);
+  region.begin_iteration();
+  rt.submit([&] { a = 1; }, {Depend::out(&a)});
+  rt.submit([&] { a = 2; }, {Depend::out(&a)});
+  EXPECT_THROW(region.end_iteration(), VerifyError);
 }
 
 TEST(Verify, SeededDropOfLaterEdgeCaughtInLargerGraph) {
@@ -299,15 +313,22 @@ TEST(Verify, MaxReportsCapsFindingsNotTotals) {
 
 TEST(Verify, EnvModeParsing) {
   setenv("TDG_VERIFY", "off", 1);
-  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Off);
+  EXPECT_EQ(verify_env_mode(), VerifyMode::Off);
   setenv("TDG_VERIFY", "post", 1);
-  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Post);
+  EXPECT_EQ(verify_env_mode(), VerifyMode::Post);
   setenv("TDG_VERIFY", "strict", 1);
-  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Strict);
+  EXPECT_EQ(verify_env_mode(), VerifyMode::Strict);
+  // An unknown value leaves Config::verify in charge, loudly.
   setenv("TDG_VERIFY", "bogus", 1);
-  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Default);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(verify_env_mode(), std::nullopt);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "tdg: unknown TDG_VERIFY mode 'bogus' "
+            "(expected off|sample|post|strict); ignored\n");
   unsetenv("TDG_VERIFY");
-  EXPECT_EQ(verify_env_mode(), VerifyEnvMode::Default);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(verify_env_mode(), std::nullopt);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 // --- PTSG replay-safety -----------------------------------------------------
@@ -361,47 +382,67 @@ TEST(ReplaySafety, AddressDriftStrictThrows) {
   EXPECT_THROW(region.end_iteration(), VerifyError);
 }
 
-TEST(ReplaySafety, DiffReportsStructuralConsequences) {
-  // Unit-level: a drifted address both changes the clause and drops the
-  // required ordering slot0 -> slot1; the diff reports both views.
-  int a = 0, b = 0;
-  ClauseStream ref, rep;
-  {
-    const Depend d0[] = {Depend::out(&a)};
-    const Depend d1[] = {Depend::in(&a)};
-    ref.add_task(d0);
-    ref.add_task(d1);
-  }
-  {
-    const Depend d0[] = {Depend::out(&a)};
-    const Depend d1[] = {Depend::in(&b)};
-    rep.add_task(d0);
-    rep.add_task(d1);
-  }
-  const auto findings = diff_replay_clauses(ref, rep);
-  ASSERT_GE(findings.size(), 2u);
-  bool clause = false, structural = false;
-  for (const ReplayDriftFinding& f : findings) {
-    clause |= f.message.find("clause drift") != std::string::npos;
-    structural |=
-        f.message.find("drops required ordering") != std::string::npos;
-  }
-  EXPECT_TRUE(clause);
-  EXPECT_TRUE(structural);
+TEST(ReplaySafety, TypeDriftNamesSlotAndBothClauses) {
+  // Same address, different type: in(&a) -> inout(&a) at slot 1.
+  Runtime rt(verified_config(VerifyMode::Post, 1));
+  int a = 0;
+  PersistentRegion region(rt);
+  region.begin_iteration();
+  rt.submit([&] { a = 1; }, {Depend::out(&a)});
+  rt.submit([&] {}, {Depend::in(&a)});
+  region.end_iteration();
+
+  region.begin_iteration();
+  rt.submit([&] { a = 1; }, {Depend::out(&a)});
+  rt.submit([&] {}, {Depend::inout(&a)});
+  region.end_iteration();
+  ASSERT_EQ(region.last_drift().size(), 1u);
+  const ReplayDriftFinding& f = region.last_drift()[0];
+  EXPECT_EQ(f.slot, 1u);
+  std::ostringstream addr;
+  addr << "0x" << std::hex << reinterpret_cast<std::uintptr_t>(&a);
+  EXPECT_NE(f.message.find("slot 1"), std::string::npos) << f.message;
+  EXPECT_NE(f.message.find("{in(" + addr.str() + ")} at discovery"),
+            std::string::npos)
+      << f.message;
+  EXPECT_NE(f.message.find("{inout(" + addr.str() + ")} at replay"),
+            std::string::npos)
+      << f.message;
 }
 
-TEST(ReplaySafety, DiffReportsTaskCountDrift) {
-  int a = 0;
-  ClauseStream ref, rep;
-  const Depend d0[] = {Depend::out(&a)};
-  ref.add_task(d0);
-  ref.add_task(d0);
-  rep.add_task(d0);
-  const auto findings = diff_replay_clauses(ref, rep);
-  ASSERT_FALSE(findings.empty());
-  EXPECT_EQ(findings[0].slot, SIZE_MAX);
-  EXPECT_NE(findings[0].message.find("task count drift"),
-            std::string::npos);
+TEST(ReplaySafety, CleanReplayAfterDriftHasNoFindings) {
+  // Findings accumulate slot by slot, so each replay must start empty.
+  Runtime rt(verified_config(VerifyMode::Post, 1));
+  int a = 0, b = 0;
+  PersistentRegion region(rt);
+  for (int it = 0; it < 3; ++it) {
+    region.begin_iteration();
+    rt.submit([&] { a = 1; }, {Depend::out(&a)});
+    rt.submit([&] {}, {Depend::in(it == 1 ? &b : &a)});
+    region.end_iteration();
+    EXPECT_EQ(region.last_drift().empty(), it != 1) << "iteration " << it;
+  }
+}
+
+TEST(ReplaySafety, FindingsCapAtSixteenAndStrictThrows) {
+  std::vector<int> cells(20, 0);
+  int other = 0;
+  for (VerifyMode mode : {VerifyMode::Post, VerifyMode::Strict}) {
+    Runtime rt(verified_config(mode, 1));
+    PersistentRegion region(rt);
+    for (int it = 0; it < 2; ++it) {
+      region.begin_iteration();
+      for (int& c : cells) {
+        rt.submit([] {}, {Depend::in(it == 0 ? &c : &other)});
+      }
+      if (it == 1 && mode == VerifyMode::Strict) {
+        EXPECT_THROW(region.end_iteration(), VerifyError);
+      } else {
+        region.end_iteration();
+      }
+    }
+    EXPECT_EQ(region.last_drift().size(), 16u);
+  }
 }
 
 // --- depend-clause lint -----------------------------------------------------
