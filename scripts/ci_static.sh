@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
 # Static analysis + TDG soundness gate:
+#   0. One configuration surface: no getenv under src/ outside
+#      src/core/env.cpp.
 #   1. clang-tidy over src/ and tools/ with the repo's .clang-tidy profile
 #      (skipped with a notice when clang-tidy is not installed — the
 #      container toolchain is gcc-only).
@@ -33,6 +35,13 @@ cd "$(dirname "$0")/.."
 
 dir=${1:-build}
 jobs=$(nproc 2>/dev/null || echo 2)
+
+echo "=== [static] one environment reader (src/core/env.cpp) ==="
+if readers=$(grep -rn 'getenv' src | grep -v '^src/core/env\.cpp:'); then
+  echo "getenv outside src/core/env.cpp; parse the knob in read_env():" >&2
+  echo "$readers" >&2
+  exit 1
+fi
 
 echo "=== [static] configure ($dir) ==="
 cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

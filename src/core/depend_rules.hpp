@@ -42,7 +42,7 @@ struct DroppedEdge {
   const void* addr = nullptr; ///< clause address whose history produced it
 };
 
-/// Counters describing discovery (one episode, or a cumulative span).
+/// Counters describing discovery over a cumulative span.
 struct DiscoveryStats {
   std::uint64_t edges_created = 0;    ///< edges materialized
   std::uint64_t edges_pruned = 0;     ///< skipped: predecessor already done
@@ -192,17 +192,6 @@ class DependRules : public Store {
     flush_edge_metrics();
   }
 
-  /// Drop the whole access history (an episode boundary). Per-episode
-  /// statistics restart with it; the cumulative ones and the seeded-drop
-  /// position (a lifetime count) carry on.
-  void clear() {
-    Store::clear();
-    episode_ = DiscoveryStats{};
-  }
-
-  /// Statistics since construction or the last clear(): per-region /
-  /// per-phase numbers that do not accumulate across scopes.
-  const DiscoveryStats& episode_stats() const { return episode_; }
   /// Statistics since construction or the last reset_total_stats().
   const DiscoveryStats& total_stats() const { return total_; }
   void reset_total_stats() {
@@ -227,10 +216,7 @@ class DependRules : public Store {
 
   /// The one counting site of every discovery outcome. Plain increments:
   /// the registry catches up in flush_edge_metrics().
-  void count(std::uint64_t DiscoveryStats::*field) {
-    ++(episode_.*field);
-    ++(total_.*field);
-  }
+  void count(std::uint64_t DiscoveryStats::*field) { ++(total_.*field); }
 
   /// Add what total_ gained since the last flush to the registry
   /// counters: at most four adds per submit instead of one RMW per edge.
@@ -310,7 +296,6 @@ class DependRules : public Store {
     for (Node m : e.last_mod) edge(sink, m, succ, opts, addr);
   }
 
-  DiscoveryStats episode_;  ///< reset by clear()
   DiscoveryStats total_;    ///< reset by reset_total_stats()
   DiscoveryStats flushed_;  ///< total_ as of the last flush_edge_metrics()
   std::uint64_t edge_calls_ = 0;  ///< lifetime counter for seed_drop_edge

@@ -1,24 +1,11 @@
 #include "core/metrics.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <ostream>
 
 #include "core/error.hpp"
 
 namespace tdg {
-
-MetricsEnvMode metrics_env_mode() {
-  const char* v = std::getenv("TDG_METRICS");
-  if (v == nullptr || *v == '\0') return MetricsEnvMode::Default;
-  if (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0 ||
-      std::strcmp(v, "false") == 0) {
-    return MetricsEnvMode::Off;
-  }
-  if (std::strcmp(v, "dump") == 0) return MetricsEnvMode::Dump;
-  return MetricsEnvMode::On;
-}
 
 // ---------------------------------------------------------------------------
 // MetricsRegistry

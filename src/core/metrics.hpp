@@ -6,7 +6,8 @@
 // It is the runtime's one counter store: RuntimeStats, the profiler's
 // work/overhead/idle breakdown and the live-telemetry series are all read
 // from it. Counters and gauges always count; the enabled flag gates only
-// histogram samples (and, in the runtime, the clock stamps feeding them).
+// histogram samples (and, in the runtime, the clock stamps feeding them;
+// Runtime::Config::metrics, overridden by TDG_METRICS via core/env.hpp).
 //
 // Design: writes are lock-free relaxed atomic adds into per-thread shards
 // (cache-line aligned, one slot array per shard), so a counter add costs
@@ -30,13 +31,6 @@
 namespace tdg {
 
 enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram };
-
-/// `TDG_METRICS` environment switch: `off`/`0`/`false` disables histograms
-/// and clock stamps (counters always count),
-/// `dump` additionally emits a text report on Runtime/Universe teardown,
-/// anything else (including unset) leaves the Config default in charge.
-enum class MetricsEnvMode { Default, Off, On, Dump };
-MetricsEnvMode metrics_env_mode();
 
 /// Point-in-time copy of every registered metric, summed across shards.
 struct MetricsSnapshot {

@@ -30,6 +30,7 @@
 #include "core/common.hpp"
 #include "core/depend.hpp"
 #include "core/deque.hpp"
+#include "core/env.hpp"
 #include "core/error.hpp"
 #include "core/metrics.hpp"
 #include "core/profiler.hpp"
@@ -145,11 +146,8 @@ class Runtime {
     bool trace = false;  ///< record full task traces (Gantt etc.)
     /// Collect the timing metrics: histograms, and the clock stamps behind
     /// them and the work/overhead/idle breakdown. Counters and gauges
-    /// always count. The TDG_METRICS environment variable overrides it:
-    /// `off` disables, `on`/`dump` force-enable (`dump` also prints a
-    /// report at teardown). TDG_TRACE=perfetto similarly force-enables
-    /// `trace` and exports the trace to a file when the runtime is
-    /// destroyed.
+    /// always count. TDG_METRICS overrides it, and TDG_TRACE force-enables
+    /// `trace` (see core/env.hpp).
     bool metrics = true;
     /// TDG soundness verification (see core/verify.hpp): Off = free; the
     /// other modes capture the clause/edge/barrier/scope-clear streams
@@ -158,9 +156,8 @@ class Runtime {
     /// the verified prefix (unless `trace` keeps it for export); Post
     /// checks every task and reports violations to stderr; Strict throws
     /// VerifyError. Post and Strict also check that every persistent-region
-    /// replay issues the discovery iteration's depend clauses. The
-    /// TDG_VERIFY environment variable (off|sample|post|strict) overrides
-    /// this field.
+    /// replay issues the discovery iteration's depend clauses. TDG_VERIFY
+    /// overrides it (see core/env.hpp).
     VerifyMode verify = VerifyMode::Off;
     /// Attach to a shared WorkerPool (multi-tenant mode) instead of
     /// constructing a private worker team. The pool must outlive the
@@ -354,6 +351,8 @@ class Runtime {
   /// live entries, rehash count, arena footprint).
   const DependencyMap& dependency_map() const { return dep_map_; }
   const Config& config() const { return cfg_; }
+  /// The TDG_* overrides read at construction (core/env.hpp).
+  const EnvConfig& env() const { return env_; }
   /// Live tasks = created and not yet finished. Ready = queued, not started.
   std::size_t live_tasks() const {
     return pending_.load(std::memory_order_relaxed);
@@ -500,8 +499,7 @@ class Runtime {
   Config cfg_;
   std::unique_ptr<MetricsRegistry> metrics_;
   RuntimeMetricIds m_;
-  TraceEnvConfig trace_env_;
-  bool metrics_dump_ = false;
+  EnvConfig env_;  ///< read once, at construction
   /// Timeline stamps (t_ready/t_start/t_end and the profiler's
   /// work/overhead/idle attribution) cost a clock read each. They are only
   /// consumed by metrics, traces and the teardown reports, so when both

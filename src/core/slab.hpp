@@ -36,7 +36,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <new>
 #include <vector>
@@ -50,8 +49,8 @@ namespace tdg {
 /// asking the system allocator, so chunk memory — and, critically, its
 /// already-faulted pages — survives runtime teardown. The cache is cold
 /// path only (one touch per kBlocksPerChunk block allocations) and guarded
-/// by a spin lock. Retention is capped (default 64 MiB, override with
-/// TDG_CHUNK_CACHE_MB; 0 disables); chunks over the cap are freed.
+/// by a spin lock. Retention is capped at kDefaultCapBytes; chunks over
+/// the cap are freed.
 class ChunkCache {
  public:
   static constexpr std::size_t kDefaultCapBytes = 64u << 20;
@@ -77,7 +76,7 @@ class ChunkCache {
     Impl& im = impl();
     {
       SpinGuard g(im.lock);
-      if (im.cached_bytes + bytes <= im.cap_bytes) {
+      if (im.cached_bytes + bytes <= kDefaultCapBytes) {
         im.items.push_back(Item{p, bytes});
         im.cached_bytes += bytes;
         return;
@@ -116,7 +115,6 @@ class ChunkCache {
     SpinLock lock;
     std::vector<Item> items;
     std::size_t cached_bytes = 0;
-    std::size_t cap_bytes = cap_from_env();
   };
   /// Intentionally never destroyed: arenas may retire chunks during static
   /// destruction, and the live pointer keeps retained chunks reachable
@@ -124,14 +122,6 @@ class ChunkCache {
   static Impl& impl() {
     static Impl* im = new Impl();
     return *im;
-  }
-  static std::size_t cap_from_env() {
-    const char* s = std::getenv("TDG_CHUNK_CACHE_MB");
-    if (s == nullptr || *s == '\0') return kDefaultCapBytes;
-    char* end = nullptr;
-    const unsigned long long mb = std::strtoull(s, &end, 10);
-    if (end == s) return kDefaultCapBytes;
-    return static_cast<std::size_t>(mb) << 20;
   }
 };
 

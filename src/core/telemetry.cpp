@@ -1,36 +1,9 @@
 #include "core/telemetry.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <ostream>
 
 namespace tdg {
-
-TelemetryConfig telemetry_env_config() {
-  TelemetryConfig cfg;
-  const char* mode = std::getenv("TDG_TELEMETRY");
-  if (mode != nullptr) {
-    if (std::strcmp(mode, "on") == 0 || std::strcmp(mode, "1") == 0 ||
-        std::strcmp(mode, "true") == 0) {
-      cfg.enabled = true;
-    } else if (std::strcmp(mode, "dump") == 0) {
-      cfg.enabled = true;
-      cfg.dump = true;
-    }
-    // anything else (off, 0, empty, typos) leaves telemetry off
-  }
-  if (const char* path = std::getenv("TDG_TELEMETRY_FILE");
-      path != nullptr && *path != '\0') {
-    cfg.path = path;
-  }
-  if (const char* period = std::getenv("TDG_TELEMETRY_PERIOD_MS");
-      period != nullptr && *period != '\0') {
-    const long ms = std::strtol(period, nullptr, 10);
-    if (ms > 0) cfg.period_ns = static_cast<std::uint64_t>(ms) * 1'000'000;
-  }
-  return cfg;
-}
 
 TelemetryHub& TelemetryHub::instance() {
   static TelemetryHub hub;

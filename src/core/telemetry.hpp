@@ -8,9 +8,7 @@
 // *when* retransmits and poisonings happened, not just final counts. Each
 // JSON sample is {"t_ns": ..., "<metric name>": value, ...}.
 //
-// Environment: TDG_TELEMETRY=on|dump (off by default; dump also writes the
-// JSON file), TDG_TELEMETRY_FILE=<path> (default telemetry.json),
-// TDG_TELEMETRY_PERIOD_MS=<ms> (default 5).
+// Configured by TDG_TELEMETRY* (parsed in core/env.hpp).
 #pragma once
 
 #include <cstdint>
@@ -29,12 +27,11 @@ struct TelemetryConfig {
   bool enabled = false;
   bool dump = false;  ///< write the JSON file on universe exit / hang
   std::uint64_t period_ns = 5'000'000;  ///< sampling period (5 ms)
-  std::size_t ring_capacity = 1024;
   std::string path = "telemetry.json";
 };
 
-/// Parse the TDG_TELEMETRY* environment (see the header comment).
-TelemetryConfig telemetry_env_config();
+/// Samples a rank's ring keeps before overwriting the oldest.
+inline constexpr std::size_t kTelemetryRingCapacity = 1024;
 
 /// Fixed-capacity sample ring: the oldest sample is overwritten once full,
 /// bounding memory like the paper bounds trace size by DRAM. push() is

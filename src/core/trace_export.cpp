@@ -20,31 +20,6 @@
 namespace tdg {
 
 // ---------------------------------------------------------------------------
-// Environment configuration
-// ---------------------------------------------------------------------------
-
-TraceEnvConfig trace_env_config() {
-  TraceEnvConfig cfg;
-  const char* mode = std::getenv("TDG_TRACE");
-  if (mode != nullptr) {
-    if (std::strcmp(mode, "perfetto") == 0 ||
-        std::strcmp(mode, "json") == 0) {
-      cfg.enabled = true;
-    } else if (*mode != '\0' && std::strcmp(mode, "off") != 0 &&
-               std::strcmp(mode, "0") != 0) {
-      std::fprintf(stderr,
-                   "tdg: unknown TDG_TRACE mode '%s' "
-                   "(expected perfetto|json|off); tracing off\n",
-                   mode);
-    }
-  }
-  if (const char* path = std::getenv("TDG_TRACE_FILE"); path != nullptr) {
-    cfg.path = path;
-  }
-  return cfg;
-}
-
-// ---------------------------------------------------------------------------
 // Perfetto writer
 // ---------------------------------------------------------------------------
 

@@ -24,19 +24,6 @@
 
 namespace tdg {
 
-struct TraceEnvConfig {
-  bool enabled = false;  ///< `TDG_TRACE` selects the Perfetto export
-  /// Output path from `TDG_TRACE_FILE`; empty = auto ("tdg_trace.json",
-  /// suffixed with a sequence number for later runtimes in the same
-  /// process).
-  std::string path;
-};
-
-/// Parse TDG_TRACE (perfetto | json | off, default off) and
-/// TDG_TRACE_FILE. Any other TDG_TRACE value prints one line to stderr and
-/// leaves tracing off.
-TraceEnvConfig trace_env_config();
-
 struct PerfettoOptions {
   /// Base process-id track. Each task slice lands on pid + record.rank and
   /// each comm slice on its recording rank, so a single-rank runtime sets

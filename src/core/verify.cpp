@@ -1,8 +1,6 @@
 #include "core/verify.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -471,21 +469,6 @@ std::string VerifyReport::summary() const {
      << races_total << " violation(s)"
      << (ok() ? " -- TDG is sound" : "");
   return os.str();
-}
-
-std::optional<VerifyMode> verify_env_mode() {
-  const char* v = std::getenv("TDG_VERIFY");
-  if (v == nullptr || *v == '\0') return std::nullopt;
-  const std::string s(v);
-  if (s == "off") return VerifyMode::Off;
-  if (s == "sample") return VerifyMode::Sample;
-  if (s == "post") return VerifyMode::Post;
-  if (s == "strict") return VerifyMode::Strict;
-  std::fprintf(stderr,
-               "tdg: unknown TDG_VERIFY mode '%s' "
-               "(expected off|sample|post|strict); ignored\n",
-               v);
-  return std::nullopt;
 }
 
 bool verify_samples_task(std::uint64_t id) {

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,11 +30,12 @@
 
 namespace tdg {
 
-/// `TDG_VERIFY` runtime switch. Every mode but off captures the clause,
-/// edge, barrier and scope-clear streams (no timing) and checks the window
-/// since the previous barrier at each taskwait and each persistent-region
-/// end_iteration; post and strict also compare every PTSG replay's clauses
-/// with the discovery iteration's, slot by slot.
+/// Runtime::Config::verify (TDG_VERIFY overrides it; see core/env.hpp).
+/// Every mode but off captures the clause, edge, barrier and scope-clear
+/// streams (no timing) and checks the window since the previous barrier at
+/// each taskwait and each persistent-region end_iteration; post and strict
+/// also compare every PTSG replay's clauses with the discovery iteration's,
+/// slot by slot.
 ///   off    — no capture, no checking (default).
 ///   sample — checks one task in kVerifySampleRate against every edge;
 ///            violations are reported to stderr, execution continues, and
@@ -45,11 +45,6 @@ namespace tdg {
 ///   strict — checks every task; violations (and replay drift) raise
 ///            tdg::VerifyError at the taskwait (end_iteration).
 enum class VerifyMode : std::uint8_t { Off, Sample, Post, Strict };
-
-/// Parse TDG_VERIFY (off | sample | post | strict). Unset or empty gives
-/// nullopt, which leaves the Config value in charge; so does any other
-/// value, after one line on stderr.
-std::optional<VerifyMode> verify_env_mode();
 
 /// Sample mode checks the accesses of one task in this many.
 inline constexpr std::uint64_t kVerifySampleRate = 16;

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/env.hpp"
 #include "core/runtime.hpp"
 #include "core/task.hpp"
 
@@ -32,11 +33,13 @@ WorkerPool::WorkerPool(Config cfg) : WorkerPool(cfg, nullptr) {}
 WorkerPool::WorkerPool(Config cfg, Runtime* solo)
     : cfg_(cfg),
       solo_(solo),
+      // A private pool's runtime prints its own report, so only a shared
+      // pool reads the environment.
+      metrics_dump_(solo == nullptr && read_env().metrics_dump),
       arena_(sizeof(Task), clamp_tenants(cfg.max_tenants)),
       tenants_(clamp_tenants(cfg.max_tenants)) {
   cfg_.max_tenants = static_cast<unsigned>(tenants_.size());
   cfg_.num_workers = resolve_workers(cfg_.num_workers);
-  metrics_dump_ = metrics_env_mode() == MetricsEnvMode::Dump;
   const unsigned nw = cfg_.num_workers;
   deques_.reserve(nw);
   for (unsigned i = 0; i < nw; ++i) {
@@ -66,7 +69,7 @@ WorkerPool::~WorkerPool() {
   }
   park_cv_.notify_all();
   for (auto& w : workers_) w.join();
-  if (metrics_dump_ && aggregate_any_ && solo_ == nullptr) {
+  if (metrics_dump_ && aggregate_any_) {
     std::string text;
     {
       std::ostringstream os;

@@ -212,6 +212,8 @@ class WorkerPool {
   /// Non-null for private pools: the one runtime that owns us, enabling
   /// the exact pre-pool attribution of parks/idle/steal-failures.
   Runtime* const solo_;
+  /// TDG_METRICS=dump on a shared pool: print the aggregate at teardown.
+  const bool metrics_dump_;
   /// Shared descriptor arena, one allocation shard per tenant slot (the
   /// producer is the only allocator of its tenant). Freed blocks recycle
   /// across tenants through the arena's remote-free stack.
@@ -238,12 +240,11 @@ class WorkerPool {
   std::atomic<std::size_t> ready_{0};
   std::atomic<bool> shutdown_{false};
 
-  /// Aggregate of detached tenants' final metric snapshots
-  /// (TDG_METRICS=dump prints it when the pool is destroyed).
+  /// Aggregate of detached tenants' final metric snapshots (printed at
+  /// teardown under metrics_dump_).
   mutable SpinLock agg_lock_;
   MetricsSnapshot aggregate_;
   bool aggregate_any_ = false;
-  bool metrics_dump_ = false;
 
   static thread_local WorkerPool* tls_pool;
   static thread_local unsigned tls_pool_slot;

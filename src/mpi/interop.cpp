@@ -36,10 +36,9 @@ RequestPoller::RequestPoller(Runtime& rt, Comm* comm)
     // Trace records and Perfetto tracks are keyed by rank; stamp the
     // profiler so TaskRecords carry it.
     rt_->profiler().set_rank(comm_->rank());
-    telem_cfg_ = telemetry_env_config();
-    if (telem_cfg_.enabled) {
+    if (rt_->env().telemetry.enabled) {
       telem_ring_ = TelemetryHub::instance().attach(comm_->rank(),
-                                                    telem_cfg_.ring_capacity);
+                                                    kTelemetryRingCapacity);
     }
   }
   // Installed last: workers run the hook as soon as it is published, and
@@ -183,7 +182,7 @@ void RequestPoller::maybe_sample_telemetry() {
   if (!telem_ring_) return;
   const std::uint64_t now = now_ns();
   std::uint64_t last = telem_last_ns_.load(std::memory_order_relaxed);
-  if (now - last < telem_cfg_.period_ns) return;
+  if (now - last < rt_->env().telemetry.period_ns) return;
   // One sampler wins the period; losers skip rather than queue up.
   if (!telem_last_ns_.compare_exchange_strong(last, now,
                                               std::memory_order_relaxed)) {
@@ -286,13 +285,14 @@ void RequestPoller::diagnostic(std::string& out) const {
                std::to_string(samples[i].value(name));
       }
     }
-    if (telem_cfg_.dump) {
+    const TelemetryConfig& cfg = rt_->env().telemetry;
+    if (cfg.dump) {
       // Watchdog fired: persist the full time-series now, in case the
       // process is about to be killed and never reaches Universe exit.
-      std::ofstream os(telem_cfg_.path);
+      std::ofstream os(cfg.path);
       if (os) {
         TelemetryHub::write_json(os, TelemetryHub::instance().collect());
-        out += "\n  telemetry time-series dumped to " + telem_cfg_.path;
+        out += "\n  telemetry time-series dumped to " + cfg.path;
       }
     }
   }

@@ -134,10 +134,9 @@ class RequestPoller {
   MetricsRegistry::Id m_sends_, m_recvs_, m_bytes_sent_, m_allreduces_;
   MetricsRegistry::Id m_drops_, m_kills_, m_retransmits_, m_dup_sup_,
       m_giveups_, m_reroutes_, m_ranks_failed_;
-  // Live telemetry (comm-aware pollers with TDG_TELEMETRY on): a periodic
-  // sample of the runtime's registry, pushed from the polling hook into a
-  // ring registered with the process-wide TelemetryHub.
-  TelemetryConfig telem_cfg_;
+  // Live telemetry (comm-aware pollers, TDG_TELEMETRY from rt_->env()): a
+  // periodic sample of the runtime's registry, pushed from the polling
+  // hook into a ring registered with the process-wide TelemetryHub.
   std::shared_ptr<TelemetryRing> telem_ring_;
   std::atomic<std::uint64_t> telem_last_ns_{0};
   mutable std::mutex mu_;

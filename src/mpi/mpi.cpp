@@ -12,9 +12,9 @@
 #include <fstream>
 
 #include "core/common.hpp"
+#include "core/env.hpp"
 #include "core/error.hpp"
 #include "core/metrics.hpp"
-#include "core/trace_export.hpp"
 
 namespace tdg::mpi {
 namespace detail {
@@ -1242,11 +1242,10 @@ ReliableStats Comm::reliable_stats() const {
 void Universe::run(int nranks, const std::function<void(Comm&)>& fn,
                    Options opts, Report* report) {
   TDG_REQUIRE(nranks > 0, "Universe requires at least one rank");
-  if (const char* env = std::getenv("TDG_FAULTS")) {
-    if (*env != '\0' && !parse_fault_spec(env, opts.faults)) {
-      std::fprintf(stderr, "tdg: malformed TDG_FAULTS spec '%s' ignored\n",
-                   env);
-    }
+  const EnvConfig env = read_env();
+  if (!env.faults.empty() && !parse_fault_spec(env.faults, opts.faults)) {
+    std::fprintf(stderr, "tdg: malformed TDG_FAULTS spec '%s' ignored\n",
+                 env.faults.c_str());
   }
   detail::World world;
   world.nranks = nranks;
@@ -1259,8 +1258,7 @@ void Universe::run(int nranks, const std::function<void(Comm&)>& fn,
   world.hb = opts.heartbeat;
   // Comm tracing follows the trace env so `TDG_TRACE=perfetto mpirun ...`
   // just works; opts.comm_trace forces it on for tests.
-  world.comm_trace =
-      opts.comm_trace || trace_env_config().enabled;
+  world.comm_trace = opts.comm_trace || env.trace;
   world.resilient = world.kills_configured || world.reliable.enabled ||
                     world.hb.enabled;
   world.rel_timeout_ns =
@@ -1303,7 +1301,7 @@ void Universe::run(int nranks, const std::function<void(Comm&)>& fn,
     });
   }
   for (auto& t : threads) t.join();
-  if (metrics_env_mode() == MetricsEnvMode::Dump) {
+  if (env.metrics_dump) {
     std::fprintf(stderr, "tdg: universe comm stats (%d ranks)\n", nranks);
     for (int r = 0; r < nranks; ++r) {
       const CommStats& s = rank_stats[static_cast<std::size_t>(r)];
@@ -1321,10 +1319,9 @@ void Universe::run(int nranks, const std::function<void(Comm&)>& fn,
   // Drain unconditionally so successive universes in one process never
   // inherit each other's telemetry series.
   {
-    const TelemetryConfig tcfg = telemetry_env_config();
     std::vector<RankTelemetry> telem = TelemetryHub::instance().drain();
-    if (tcfg.dump && !telem.empty()) {
-      std::ofstream os(tcfg.path);
+    if (env.telemetry.dump && !telem.empty()) {
+      std::ofstream os(env.telemetry.path);
       if (os) TelemetryHub::write_json(os, telem);
     }
     if (report != nullptr) report->telemetry = std::move(telem);

@@ -311,6 +311,25 @@ TEST(DistributedTrace, ProfilerResetDropsCommRecords) {
   EXPECT_EQ(prof.comm_records().size(), 1u);
 }
 
+TEST(EnvWarning, UniverseRunPrintsAnUnknownValueOnce) {
+  // The run and each rank's Runtime read the environment; a typo still
+  // reads as one line.
+  setenv("TDG_METRICS", "typo", 1);
+  testing::internal::CaptureStderr();
+  mpi::Universe::run(2, [](mpi::Comm& comm) {
+    Runtime rt({.num_threads = 1, .metrics = false});
+    mpi::RequestPoller poller(rt, comm);
+    double x = 0;
+    rt.submit([&x] { x = 1; }, {Depend::out(&x)});
+    rt.taskwait();
+    EXPECT_FALSE(rt.metrics().enabled());
+  });
+  unsetenv("TDG_METRICS");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "tdg: unknown TDG_METRICS value 'typo' "
+            "(expected off|0|false|on|1|true|dump); ignored\n");
+}
+
 TEST(Telemetry, SamplerFeedsHubAndUniverseReport) {
   setenv("TDG_TELEMETRY", "on", 1);
   setenv("TDG_TELEMETRY_PERIOD_MS", "1", 1);

@@ -3,6 +3,7 @@
 // own instrumentation counters.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -308,6 +309,24 @@ TEST(RuntimeMetricsTest, ConfigDisablesCollection) {
   // Counters always count; only histograms are gated.
   EXPECT_EQ(rt.metrics().snapshot().value("discovery.tasks"), 1u);
   EXPECT_EQ(rt.metrics().snapshot().value("exec.body_ns"), 0u);
+}
+
+TEST(RuntimeMetricsTest, UnknownEnvValueLeavesConfigInCharge) {
+  // A typo in TDG_METRICS warns once and must not force collection on.
+  setenv("TDG_METRICS", "bogus", 1);
+  testing::internal::CaptureStderr();
+  {
+    Runtime rt({.num_threads = 1, .metrics = false});
+    double x = 0;
+    rt.submit([&x] { x = 1; }, {Depend::out(&x)});
+    rt.taskwait();
+    EXPECT_FALSE(rt.metrics().enabled());
+    EXPECT_EQ(rt.metrics().snapshot().value("exec.body_ns"), 0u);
+  }
+  unsetenv("TDG_METRICS");
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "tdg: unknown TDG_METRICS value 'bogus' "
+            "(expected off|0|false|on|1|true|dump); ignored\n");
 }
 
 }  // namespace

@@ -69,18 +69,6 @@ void submit_dropped_pair(Runtime& rt, std::pair<std::uint64_t,
 
 // --- TDG_VERIFY=sample ------------------------------------------------------
 
-TEST(VerifySampleEnv, SampleParsesAndUnknownLeavesConfigInCharge) {
-  unsetenv("TDG_VERIFY");
-  EXPECT_EQ(verify_env_mode(), std::nullopt);
-  setenv("TDG_VERIFY", "sample", 1);
-  EXPECT_EQ(verify_env_mode(), VerifyMode::Sample);
-  setenv("TDG_VERIFY", "off", 1);
-  EXPECT_EQ(verify_env_mode(), VerifyMode::Off);
-  setenv("TDG_VERIFY", "garbage", 1);
-  EXPECT_EQ(verify_env_mode(), std::nullopt);
-  unsetenv("TDG_VERIFY");
-}
-
 TEST(VerifySampleEnv, EnvSampleCapturesStreamsWithoutTiming) {
   // Verification reads the clause/edge/barrier streams only: it must not
   // turn on trace mode (per-task records, clock stamps).

@@ -229,42 +229,6 @@ TEST(PerfettoExport, RoundTripIsLossless) {
   }
 }
 
-TEST(TraceEnv, ModeParsing) {
-  // trace_env_config reads TDG_TRACE / TDG_TRACE_FILE from the process
-  // environment; drive it via setenv.
-  setenv("TDG_TRACE", "perfetto", 1);
-  EXPECT_TRUE(trace_env_config().enabled);
-  setenv("TDG_TRACE", "json", 1);
-  EXPECT_TRUE(trace_env_config().enabled);
-  // Unknown values, `tsv` among them, read as off, loudly.
-  setenv("TDG_TRACE", "tsv", 1);
-  testing::internal::CaptureStderr();
-  EXPECT_FALSE(trace_env_config().enabled);
-  EXPECT_EQ(testing::internal::GetCapturedStderr(),
-            "tdg: unknown TDG_TRACE mode 'tsv' (expected perfetto|json|off); "
-            "tracing off\n");
-  setenv("TDG_TRACE", "off", 1);
-  testing::internal::CaptureStderr();
-  EXPECT_FALSE(trace_env_config().enabled);
-  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-  setenv("TDG_TRACE_FILE", "/tmp/custom.json", 1);
-  setenv("TDG_TRACE", "perfetto", 1);
-  EXPECT_EQ(trace_env_config().path, "/tmp/custom.json");
-  unsetenv("TDG_TRACE");
-  unsetenv("TDG_TRACE_FILE");
-  EXPECT_FALSE(trace_env_config().enabled);
-}
-
-TEST(TraceEnv, ZeroAndEmptyReadAsOffSilently) {
-  for (const char* mode : {"0", ""}) {
-    setenv("TDG_TRACE", mode, 1);
-    testing::internal::CaptureStderr();
-    EXPECT_FALSE(trace_env_config().enabled) << "'" << mode << "'";
-    EXPECT_EQ(testing::internal::GetCapturedStderr(), "") << "'" << mode << "'";
-  }
-  unsetenv("TDG_TRACE");
-}
-
 std::vector<CommRecord> sample_comms() {
   std::vector<CommRecord> comms;
   CommRecord s;
