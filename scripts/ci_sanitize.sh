@@ -80,8 +80,10 @@ for san in "${sanitizers[@]}"; do
 
   echo "=== [$san] tenant pins, replay and successor handoff ==="
   # Per-worker hazard pins against tenant attach/detach, frozen successor
-  # lists and moved captures under PTSG replay, and the depth-first
-  # successor handoff (chains, poisoned handoffs, served accounting).
+  # lists, moved captures and re-arm at completion under PTSG replay
+  # (seeded random programs across a failed iteration), and the
+  # depth-first successor handoff (chains, poisoned handoffs, served
+  # accounting).
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ASAN_OPTIONS="detect_leaks=1" \
   UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \
@@ -90,6 +92,11 @@ for san in "${sanitizers[@]}"; do
   ASAN_OPTIONS="detect_leaks=1" \
   UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \
     "$dir"/tests/test_persistent --gtest_repeat=3
+  TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+  ASAN_OPTIONS="detect_leaks=1" \
+  UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \
+    "$dir"/tests/test_depend_closure --gtest_filter='ReplayClosure.*' \
+          --gtest_repeat=3
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ASAN_OPTIONS="detect_leaks=1" \
   UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \

@@ -44,7 +44,7 @@ if readers=$(grep -rn 'getenv' src | grep -v '^src/core/env\.cpp:'); then
 fi
 
 echo "=== [static] configure ($dir) ==="
-cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DTDG_WERROR=ON \
       -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
 
 echo "=== [static] build ==="

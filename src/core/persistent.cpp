@@ -49,7 +49,15 @@ void PersistentRegion::begin_iteration() {
     rt_.clear_dependency_scope();
     rt_.discovering_persistent_ = true;
   } else {
-    rearm_all();
+    // Every task re-armed itself as it completed. A detach event re-arms
+    // here, after the barrier, not at its task's completion: a late
+    // duplicate fulfill() or poison() of the previous iteration then finds
+    // it fulfilled and is a no-op, instead of releasing this iteration's
+    // latch.
+    for (Event* ev : plan_events_) {
+      ev->fulfilled_.store(false, std::memory_order_relaxed);
+    }
+    rt_.pending_.fetch_add(tasks_.size(), std::memory_order_relaxed);
     rt_.replay_active_ = true;
     replayed_ = 0;
     last_drift_.clear();  // findings accumulate slot by slot
@@ -91,7 +99,7 @@ void PersistentRegion::end_iteration() {
   ++iterations_done_;
   active_ = false;
   // Rethrow after the region state is consistent: a failed iteration's
-  // tasks are re-armed by the next begin_iteration and can be replayed.
+  // tasks re-armed themselves as they completed and can be replayed.
   rt_.throw_if_failed();
   // The implicit barrier checks its window as taskwait does. A replay adds
   // no task ids, so only the discovery iteration has one to check.
@@ -124,7 +132,7 @@ void PersistentRegion::log_clause(std::span<const Depend> deps) {
         static_cast<std::uint32_t>(plan_clauses_.size()));
     return;
   }
-  // One submit too many: next_replay_slot aborts right after this hook.
+  // One submit too many: next_replay_task aborts right after this hook.
   const std::size_t slot = replayed_;
   if (slot >= plan_clause_end_.size()) return;
   const std::uint32_t begin = slot == 0 ? 0 : plan_clause_end_[slot - 1];
@@ -155,63 +163,17 @@ void PersistentRegion::log_clause(std::span<const Depend> deps) {
 }
 
 void PersistentRegion::compile_replay_plan() {
-  const std::size_t n = tasks_.size();
-  rearm_npred_.resize(n);
-  rearm_latch_.resize(n);
-  plan_tasks_.clear();
-  plan_copy_dst_.clear();
-  plan_copy_bytes_.clear();
-  plan_bytes_ = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    Task* t = tasks_[i];
+  for (Task* t : tasks_) {
     // Discovery is over and the access history is cleared: no edge can
-    // reach the task again, so replays read its successor list in place.
+    // reach the task again, so replays read its successor list in place,
+    // and the task can re-arm itself from here on.
     t->freeze_successors();
-    // Internal redirect nodes are not re-submitted by the producer, so
-    // they carry no discovery guard; user tasks hold one until their
-    // firstprivate block has been updated.
-    rearm_npred_[i] = t->persistent_indegree + (t->internal ? 0 : 1);
-    rearm_latch_[i] = t->detach_event != nullptr ? 2 : 1;
-    if (!t->internal) {
-      const auto bytes = static_cast<std::uint32_t>(t->body.capture_bytes());
-      plan_tasks_.push_back(t);
-      plan_copy_dst_.push_back(t->body.capture_dst());
-      plan_copy_bytes_.push_back(bytes);
-      plan_bytes_ += bytes;
-    }
-  }
-}
-
-PersistentRegion::ReplayRef PersistentRegion::next_replay_slot() {
-  TDG_CHECK(replayed_ < plan_tasks_.size(),
-            "persistent region replayed more tasks than were discovered");
-  const std::size_t i = replayed_++;
-  // The iteration's discovery window spans its replays: it opens at the
-  // first and closes at the last, one clock read each.
-  const bool last = i + 1 == plan_tasks_.size();
-  if (i == 0 || last) {
-    const std::uint64_t ts = now_ns();
-    if (i == 0) rt_.discovery_begin_ns_ = ts;
-    if (last) rt_.discovery_end_ns_ = ts;
-  }
-  return ReplayRef{plan_tasks_[i], plan_copy_dst_[i], plan_copy_bytes_[i]};
-}
-
-void PersistentRegion::rearm_all() {
-  const std::size_t n = tasks_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    Task* t = tasks_[i];
     t->rearm_persistent();
-    t->state.store(TaskState::Created, std::memory_order_relaxed);
-    t->npredecessors.store(rearm_npred_[i], std::memory_order_relaxed);
-    t->completion_latch.store(rearm_latch_[i], std::memory_order_relaxed);
-    if (rearm_latch_[i] == 2) {
-      t->detach_event->fulfilled_.store(false, std::memory_order_relaxed);
-    }
-    t->iteration = iterations_done_;
+    if (t->detach_event != nullptr) plan_events_.push_back(t->detach_event);
+    if (t->internal) continue;
+    plan_tasks_.push_back(t);
+    plan_bytes_ += t->body.capture_bytes();
   }
-  rt_.pending_.fetch_add(n, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
 }
 
 }  // namespace tdg

@@ -9,13 +9,13 @@
 // discovery guard. An implicit barrier ends every iteration, so no
 // inter-iteration edges exist.
 //
-// At the end of the first iteration the region compiles the discovered
-// graph into a flat structure-of-arrays replay plan: creation-order task
-// pointers with precomputed firstprivate copy descriptors (dst, bytes) for
-// the replay path, and precomputed re-arm predecessor counts / completion
-// latches for the barrier path. begin_iteration / end_iteration then become
-// linear sweeps over these arrays — no per-task branching on internal/
-// detach state, no pointer chasing beyond the task itself.
+// At the end of the first iteration the region freezes every task's
+// successor list and compiles the replay plan: the user tasks in creation
+// order, one per replay submission, and the detach events. Each task then
+// re-arms itself from its own fields (Task::rearm_persistent): once when
+// the plan is compiled, and again as each replayed instance completes, so
+// the barrier walks no tasks. begin_iteration only re-arms the detach
+// events and counts the iteration's tasks as pending.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +55,8 @@ class PersistentRegion {
   PersistentRegion& operator=(const PersistentRegion&) = delete;
 
   void begin_iteration();
-  /// Implicit barrier: waits for every task of the iteration, then re-arms
-  /// refcounts for the next one.
+  /// Implicit barrier: waits for every task of the iteration (each one
+  /// re-armed itself for the next iteration as it completed).
   void end_iteration();
 
   std::uint32_t iterations_done() const { return iterations_done_; }
@@ -81,16 +81,6 @@ class PersistentRegion {
  private:
   friend class Runtime;
 
-  /// One compiled replay slot, handed to Runtime::replay_submit_erased.
-  /// copy_dst is the task's stored-capture address: the submit site, which
-  /// knows whether the capture is trivially copyable, either memcpys into
-  /// it or goes through the type-erased update dispatch.
-  struct ReplayRef {
-    Task* task;
-    void* copy_dst;
-    std::uint32_t copy_bytes;
-  };
-
   static constexpr std::size_t kMaxDriftFindings = 16;
 
   void record_task(Task* t);        // first-iteration discovery
@@ -100,31 +90,24 @@ class PersistentRegion {
   /// stored one of its slot. Equal clauses require exactly the pairs that
   /// the discovery window was verified against, so nothing is re-derived.
   void log_clause(std::span<const Depend> deps);
-  /// Build the SoA replay plan from the discovered graph (end of the
-  /// first iteration, after the barrier drained every task).
+  /// Freeze and re-arm the discovered graph and build the replay plan
+  /// (end of the first iteration, after the barrier drained every task).
   void compile_replay_plan();
-  ReplayRef next_replay_slot();     // later iterations
-  void rearm_all();                 // refcounts for the next iteration
 
   Runtime& rt_;
   std::vector<Task*> tasks_;        // creation order; holds references
-  std::size_t replayed_ = 0;        // user tasks replayed this iteration
+  std::size_t replayed_ = 0;        // replay cursor into plan_tasks_
   std::uint32_t iterations_done_ = 0;
   bool active_ = false;
   std::vector<double> discovery_seconds_;
 
   // Compiled replay plan (built once, at first-iteration end).
-  // Replay sweep: non-internal tasks in creation order — the producer's
-  // replay submissions map 1:1 onto these slots.
+  // Non-internal tasks in creation order: the producer's replay
+  // submissions map 1:1 onto these slots.
   std::vector<Task*> plan_tasks_;
-  std::vector<void*> plan_copy_dst_;
-  std::vector<std::uint32_t> plan_copy_bytes_;
   std::uint64_t plan_bytes_ = 0;  // capture bytes one replay iteration copies
-  // Re-arm sweep: parallel to tasks_ (internal nodes included).
-  // npred = persistent_indegree + discovery guard (0 for internal nodes,
-  // which are not re-submitted); latch = 2 with a detach event, else 1.
-  std::vector<std::int32_t> rearm_npred_;
-  std::vector<std::int32_t> rearm_latch_;
+  // The detach events of the graph, re-armed at begin_iteration.
+  std::vector<Event*> plan_events_;
 
   // Replay-safety reference (only populated when the runtime verifies):
   // the discovery iteration's clauses, flat, with the end offset of each

@@ -396,20 +396,23 @@ void Runtime::seal_internal_node(Task* node) {
   }
 }
 
-std::uint64_t Runtime::replay_submit_erased(void (*update)(Task*, void*),
-                                            void* ctx, const void* src,
-                                            std::size_t bytes) {
-  const PersistentRegion::ReplayRef r = region_->next_replay_slot();
-  Task* t = r.task;
-  if (src != nullptr) {
-    // Compiled-plan fast path: the capture is trivially copyable and its
-    // destination was precomputed, so re-initialization really is the
-    // paper's "single memcpy on firstprivate data".
-    TDG_DCHECK(bytes == r.copy_bytes, "persistent replay size mismatch");
-    std::memcpy(r.copy_dst, src, bytes);
-  } else {
-    update(t, ctx);  // non-trivial capture: destroy + move-construct
+Task* Runtime::next_replay_task() {
+  PersistentRegion& r = *region_;
+  TDG_CHECK(r.replayed_ < r.plan_tasks_.size(),
+            "persistent region replayed more tasks than were discovered");
+  const std::size_t i = r.replayed_++;
+  // The iteration's discovery window spans its replays: it opens at the
+  // first and closes at the last, one clock read each.
+  const bool last = i + 1 == r.plan_tasks_.size();
+  if (i == 0 || last) {
+    const std::uint64_t ts = now_ns();
+    if (i == 0) discovery_begin_ns_ = ts;
+    if (last) discovery_end_ns_ = ts;
   }
+  return r.plan_tasks_[i];
+}
+
+std::uint64_t Runtime::release_replayed(Task* t) {
   if (profiler_->trace_enabled()) t->t_create = now_ns();
   // As in submit: the id is read before the guard drops.
   const std::uint64_t id = t->id();
@@ -417,9 +420,9 @@ std::uint64_t Runtime::replay_submit_erased(void (*update)(Task*, void*),
     enqueue_ready(t, current_slot());
   }
   // No throttling here: replay allocates nothing (the graph already
-  // exists), and the re-armed iteration counts towards pending_ up front —
-  // waiting for it to drop below a total-task bound smaller than the
-  // region would deadlock, since un-replayed tasks cannot run.
+  // exists), and the iteration counts towards pending_ up front — waiting
+  // for it to drop below a total-task bound smaller than the region would
+  // deadlock, since un-replayed tasks cannot run.
   return id;
 }
 
@@ -439,13 +442,11 @@ void Runtime::clear_dependency_scope() {
 // ---------------------------------------------------------------------------
 
 void Runtime::enqueue_ready(Task* t, unsigned thread_hint) {
-  t->state.store(TaskState::Ready, std::memory_order_relaxed);
   if (t->body.empty()) {
     // Runtime-internal nodes (inoutset redirects) complete inline; they
     // carry no user work, no detach event and no timing of their own (the
     // caller's window covers them), and queueing them would only add
     // latency. A cancelled node still propagates the cancellation.
-    t->exec_thread = thread_hint;
     complete_task(t, thread_hint, 0, /*handoff=*/false);
     return;
   }
@@ -523,7 +524,6 @@ void Runtime::end_batch() {
 Task* Runtime::run_task(Task* t, unsigned thread, std::uint64_t& stamp,
                         bool handoff) {
   TDG_DCHECK(!t->body.empty(), "run_task on a bodiless node");
-  t->exec_thread = thread;
   t->t_start = stamp;
   // Graph poisoning: a task whose (transitive) predecessor failed reaches
   // readiness normally but its body is skipped; completing it propagates
@@ -533,7 +533,6 @@ Task* Runtime::run_task(Task* t, unsigned thread, std::uint64_t& stamp,
   if (cancelled) {
     if (!t->internal) record_cancelled(t);
   } else {
-    t->state.store(TaskState::Running, std::memory_order_relaxed);
     Task* prev_current = tls_current_task;
     tls_current_task = t;
     std::uint64_t retry_not_before_ns = 0;
@@ -571,8 +570,6 @@ Task* Runtime::run_task(Task* t, unsigned thread, std::uint64_t& stamp,
   Task* next = nullptr;
   if (t->completion_latch.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     next = complete_task(t, thread, t_body_end, handoff);
-  } else {
-    t->state.store(TaskState::Detached, std::memory_order_relaxed);
   }
   if (timed_) {
     stamp = now_ns();
@@ -614,7 +611,6 @@ Runtime::BodyOutcome Runtime::run_body_with_retries(
 }
 
 void Runtime::schedule_retry(Task* t, std::uint64_t deadline) {
-  t->state.store(TaskState::Ready, std::memory_order_relaxed);
   madd(m_.retry_defers);
   // The gate update stays under the lock so it can't race with the
   // recompute in take_due_deferred and strand a task behind a stale
@@ -652,7 +648,6 @@ Task* Runtime::take_due_deferred() {
 void Runtime::record_failure(Task* t, std::exception_ptr err,
                              std::uint32_t tries) {
   t->failed = true;  // ordered for the completer by the latch decrement
-  t->state.store(TaskState::Failed, std::memory_order_relaxed);
   TaskFailure f;
   f.task_id = t->id();
   f.label = t->label;
@@ -677,13 +672,10 @@ Task* Runtime::complete_task(Task* t, unsigned thread, std::uint64_t t_end,
   const bool cancelled = !failed && t->cancelled.load(std::memory_order_acquire);
   const bool poisoned = failed || cancelled;
   if (failed) {
-    // state already TaskState::Failed (set in record_failure)
     metrics_->add(m_.tasks_failed, 1, thread);
   } else if (cancelled) {
-    t->state.store(TaskState::Cancelled, std::memory_order_relaxed);
     metrics_->add(m_.tasks_cancelled, 1, thread);
   } else {
-    t->state.store(TaskState::Finished, std::memory_order_relaxed);
     metrics_->add(t->internal ? m_.redirects_executed : m_.tasks_executed, 1,
                   thread);
   }
@@ -716,7 +708,8 @@ Task* Runtime::complete_task(Task* t, unsigned thread, std::uint64_t t_end,
     if (next != nullptr) enqueue_ready(next, thread);
     next = s;
   };
-  if (t->successors_frozen()) {
+  const bool frozen = t->successors_frozen();
+  if (frozen) {
     // A replayed persistent task: nothing can add an edge any more, so the
     // list is read in place.
     for (Task* s : t->frozen_successors()) release(s);
@@ -726,11 +719,15 @@ Task* Runtime::complete_task(Task* t, unsigned thread, std::uint64_t t_end,
     for (Task* s : succs) release(s);
   }
   if (next != nullptr) {
-    next->state.store(TaskState::Ready, std::memory_order_relaxed);
     next->t_ready = t_end;
     metrics_->add(m_.spawns, 1, thread);
   }
   const bool keep = t->persistent;
+  // A replayed instance re-arms its task for the next iteration; the
+  // pending_ decrement publishes the stores to the barrier. A discovery
+  // instance stays finished until the region compiles its plan, so a late
+  // edge to it is still recorded as one to a finished predecessor.
+  if (frozen) t->rearm_persistent();
   pending_.fetch_sub(1, std::memory_order_acq_rel);
   if (!keep) t->release();  // drop the self-reference
   return next;

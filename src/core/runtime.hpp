@@ -188,7 +188,14 @@ class Runtime {
     // including replays, which never reach discovery — so it hooks in
     // before the replay branch.
     if (verify_clauses_) log_verify_clause(deps);
-    if (replay_active_) return replay_submit(std::forward<F>(fn));
+    if (replay_active_) {
+      // PTSG replay: the task exists, so submitting re-initializes its
+      // firstprivate capture — one memcpy when the capture is trivially
+      // copyable, a move otherwise — and drops its discovery guard.
+      Task* t = next_replay_task();
+      t->body.update(std::forward<F>(fn));
+      return release_replayed(t);
+    }
     Task* t = allocate_task(opts);
     t->body.emplace(std::forward<F>(fn));
     // Read the id while the discovery guard still holds the task: once it
@@ -383,33 +390,13 @@ class Runtime {
 
   Task* allocate_task(const TaskOpts& opts);
   void finish_submission(Task* t, std::span<const Depend> deps);
-  /// Replay one task from the region's compiled plan. `src`/`bytes` are
-  /// the raw capture of the freshly-built callable when it is trivially
-  /// copyable — the fast path memcpys them straight into the task's stored
-  /// body (the paper's "single memcpy on firstprivate data") without the
-  /// type-erased `update` dispatch; non-trivial captures pass src=nullptr
-  /// and go through `update` (destroy + move-construct). Besides the
-  /// capture, replay writes only the discovery guard: no clock read, no
-  /// counter (the region adds the iteration's totals at its end).
-  std::uint64_t replay_submit_erased(void (*update)(Task*, void*), void* ctx,
-                                     const void* src, std::size_t bytes);
-
-  template <class F>
-  std::uint64_t replay_submit(F&& fn) {
-    using Fn = std::decay_t<F>;
-    struct Ctx {
-      std::remove_reference_t<F>* fn;
-    } ctx{&fn};
-    return replay_submit_erased(
-        [](Task* t, void* c) {
-          t->body.update(std::forward<F>(*static_cast<Ctx*>(c)->fn));
-        },
-        &ctx,
-        std::is_trivially_copyable_v<Fn>
-            ? static_cast<const void*>(std::addressof(fn))
-            : nullptr,
-        sizeof(Fn));
-  }
+  /// The cached task of the next replay slot (aborts past the plan's end).
+  Task* next_replay_task();
+  /// Finish a replay submission whose capture is updated: drop the
+  /// discovery guard. Replay writes nothing else per task — no clock read
+  /// unless tracing, no counter (the region adds the iteration's totals at
+  /// its end) and no throttle.
+  std::uint64_t release_replayed(Task* t);
 
   void enqueue_ready(Task* t, unsigned thread_hint);
   /// Run the body of a user task on `thread`. `stamp` is the last clock

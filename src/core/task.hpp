@@ -20,17 +20,6 @@ namespace tdg {
 class Task;
 class Runtime;
 
-/// Lifecycle states of a task (profiling / assertions).
-enum class TaskState : std::uint8_t {
-  Created,    ///< discovered, predecessors outstanding
-  Ready,      ///< all predecessors satisfied, queued
-  Running,    ///< body executing on some thread
-  Detached,   ///< body done, waiting on a detach event
-  Finished,   ///< complete; successors released
-  Failed,     ///< body threw after exhausting retries; successors cancelled
-  Cancelled,  ///< a transitive predecessor failed; body never ran
-};
-
 /// Detach event (OpenMP `detach(event)` clause). A task carrying an event
 /// only completes once both its body has returned and the event has been
 /// fulfilled — e.g. by an MPI request completion callback.
@@ -147,12 +136,9 @@ class TaskBody {
     return ops_ != nullptr ? ops_->size : 0;
   }
 
-  /// Stable pointer to the stored capture bytes, for compiled PTSG replay
-  /// plans: when the capture is trivially copyable (known at the submit
-  /// site), replay overwrites it with one memcpy straight from the
-  /// freshly-built callable, skipping the type-erased update() dispatch.
-  /// Valid while a callable is stored; replay never re-emplaces, so the
-  /// pointer is stable across iterations.
+  /// Address of the stored capture: the inline bytes, or the heap block a
+  /// spilled capture lives in (nullptr when empty). update() writes here;
+  /// replay never re-emplaces, so the address is stable across iterations.
   void* capture_dst() noexcept {
     if (ops_ == nullptr) return nullptr;
     return ops_->heap_align == 0 ? static_cast<void*>(inline_) : heap_;
@@ -244,7 +230,7 @@ struct TaskOpts {
 /// plain-`new`ed descriptor (arena == nullptr) still works for tests.
 ///
 /// The descriptor is one 256-byte slab block of four cache lines:
-///   line 0  identity, completion latch, state flags, retry policy
+///   line 0  identity, completion latch, failure flags, retry policy
 ///   line 1  the body (ops pointer + 56 inline capture bytes)
 ///   line 2  label, timeline stamps, persistent bookkeeping
 ///   line 3  discovery group: last successor id, refcounts, lock, finish
@@ -335,9 +321,9 @@ class Task {
   /// snapshot_successors_and_finish, so everything the instance did
   /// happens-before the producer's guard drop on `succ`. False means
   /// "maybe live": the caller takes add_successor, which re-checks under
-  /// succ_lock_. Sound because only the producer adds successors and a
-  /// non-persistent instance never un-finishes (re-arming is for
-  /// persistent tasks, whose discovery always takes the lock).
+  /// succ_lock_. Sound because only the producer adds successors and an
+  /// instance never un-finishes (a persistent task is frozen before it is
+  /// re-armed, and no edge reaches it after that).
   bool try_prune(Task* succ) const noexcept {
     const std::uint8_t fs = finish_state_.load(std::memory_order_acquire);
     if ((fs & kFinished) == 0) return false;
@@ -375,16 +361,28 @@ class Task {
     return successors_;
   }
 
-  /// Persistent re-arm: clear the finished flag so the recorded successor
-  /// list applies again next iteration (the list is NOT cleared), and
-  /// reset the failure state of the previous iteration's instance. Runs at
-  /// the iteration barrier: every instance has completed and no discovery
-  /// can reach the task, so nothing races it.
-  void rearm_persistent() {
-    finish_state_.store(0, std::memory_order_relaxed);
+  /// Persistent re-arm, the one rule: restore what the next replayed
+  /// instance starts from, out of the task's own fields. The predecessor
+  /// count is every recorded edge plus the discovery guard the producer
+  /// drops at replay (redirect nodes are not re-submitted, so they have
+  /// none); the latch is 2 with a detach event; the failure state is clean
+  /// and each instance gets the full retry budget. Called once when the
+  /// replay plan is compiled, then by complete_task as each replayed
+  /// instance finishes: every predecessor has released the task by then
+  /// and its successor list is frozen, so nothing races the stores, and
+  /// the completer's pending_ decrement publishes them to the barrier. The
+  /// detach event is re-armed at the next begin_iteration instead, so a
+  /// late duplicate fulfil stays a no-op (see PersistentRegion). The
+  /// finish state is left as it is: nothing reads it once frozen.
+  void rearm_persistent() noexcept {
+    npredecessors.store(persistent_indegree + (internal ? 0 : 1),
+                        std::memory_order_relaxed);
+    completion_latch.store(detach_event != nullptr ? 2 : 1,
+                           std::memory_order_relaxed);
     failed = false;
-    retry_attempts = 0;  // each replayed instance gets the full budget
     cancelled.store(false, std::memory_order_relaxed);
+    retry_attempts = 0;
+    ++iteration;
   }
 
  private:
@@ -401,7 +399,6 @@ class Task {
  public:
   /// Completion latch: 1 for the body, +1 when a detach event is attached.
   std::atomic<std::int32_t> completion_latch{1};
-  std::atomic<TaskState> state{TaskState::Created};
   // --- failure state ----------------------------------------------------------
   /// Set (with release) before the predecessor's count is dropped when a
   /// transitive predecessor failed; observed (acquire via npredecessors)
@@ -437,8 +434,6 @@ class Task {
   /// including edges to then-already-finished predecessors.
   std::int32_t persistent_indegree = 0;
   std::uint32_t iteration = 0;  ///< persistent-region iteration index
-  /// Slot that ran the body (profiling). Written by the executing worker.
-  std::uint32_t exec_thread = 0;
   bool persistent = false;
 
  private:

@@ -6,11 +6,19 @@
 //    closure of the discovered graph equals the closure of a naive
 //    per-address conflict model, in both directions (no missing ordering,
 //    no extra one).
+//  - ReplayClosure: the same programs replayed under a PersistentRegion run
+//    in the reference model's order every iteration, a seeded failure
+//    cancels exactly the failed task's reference descendants, and the
+//    iterations after it run every body again.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <random>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -24,6 +32,7 @@ using tdg::Depend;
 using tdg::DependType;
 using tdg::DiscoveryOptions;
 using tdg::DiscoveryStats;
+using tdg::PersistentRegion;
 using tdg::Runtime;
 using tdg::sim::SimDep;
 using tdg::sim::SimGraph;
@@ -296,5 +305,110 @@ INSTANTIATE_TEST_SUITE_P(Options, DependClosure,
                                            ClosureParams{true, false},
                                            ClosureParams{false, true},
                                            ClosureParams{false, false}));
+
+// --- differential replay -----------------------------------------------------
+
+/// Per-iteration record of one replayed program: sequence stamps at each
+/// body's start and end, and how often each body ran.
+struct IterationLog {
+  explicit IterationLog(std::size_t n) : start(n), end(n), runs(n) {}
+  void clear() {
+    seq = 0;
+    for (std::size_t t = 0; t < runs.size(); ++t) {
+      start[t] = 0;
+      end[t] = 0;
+      runs[t] = 0;
+    }
+  }
+  std::atomic<std::uint64_t> seq{0};
+  std::vector<std::atomic<std::uint64_t>> start, end;
+  std::vector<std::atomic<int>> runs;
+};
+
+TEST(ReplayClosure, RandomProgramsReplayInReferenceOrderAcrossAFailure) {
+  constexpr int kPrograms = 100;
+  constexpr int kTasks = 80;
+  constexpr int kIters = 6;
+  static double pool[4];
+  for (std::uint64_t seed = 1; seed <= kPrograms; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const std::vector<Clause> program = random_program(seed, kTasks);
+    const Reach ref = reference_reach(program);
+    // One task throws in one iteration, the discovery one included; at
+    // least one iteration follows it.
+    std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ull);
+    const int fail_iter = static_cast<int>(rng() % (kIters - 1));
+    const std::size_t fail_task = rng() % kTasks;
+    std::set<std::uint64_t> want_cancelled_tasks;
+    for (std::size_t b = 0; b < program.size(); ++b) {
+      if (ref.has_path(fail_task, b)) want_cancelled_tasks.insert(b);
+    }
+
+    Runtime::Config cfg;
+    cfg.num_threads = 4;
+    cfg.watchdog.deadline_seconds = 5;  // a wedged replay fails, not hangs
+    Runtime rt(cfg);
+    IterationLog log(program.size());
+    std::vector<std::uint64_t> ids(program.size());
+    PersistentRegion region(rt);
+    for (int it = 0; it < kIters; ++it) {
+      SCOPED_TRACE("iteration " + std::to_string(it));
+      log.clear();
+      region.begin_iteration();
+      for (std::size_t t = 0; t < program.size(); ++t) {
+        std::vector<Depend> deps;
+        for (const Item& i : program[t]) {
+          deps.push_back(Depend{&pool[i.addr], i.type});
+        }
+        const bool fail = it == fail_iter && t == fail_task;
+        auto body = [&log, t, fail] {
+          log.start[t] = ++log.seq;
+          ++log.runs[t];
+          log.end[t] = ++log.seq;
+          if (fail) throw std::runtime_error("seeded failure");
+        };
+        // Both update paths: a trivially copyable capture is one memcpy, a
+        // std::function is moved in place.
+        const std::uint64_t id =
+            t % 3 == 0
+                ? rt.submit(std::function<void()>(body),
+                            std::span<const Depend>(deps))
+                : rt.submit(body, std::span<const Depend>(deps));
+        if (it == 0) ids[t] = id;
+        ASSERT_EQ(id, ids[t]) << "replay returned another task id";
+      }
+      std::set<std::uint64_t> cancelled;
+      try {
+        region.end_iteration();
+        EXPECT_NE(it, fail_iter) << "the seeded failure was not reported";
+      } catch (const tdg::TaskGroupError& e) {
+        EXPECT_EQ(it, fail_iter) << e.what();
+        ASSERT_EQ(e.failures().size(), 1u);
+        EXPECT_EQ(e.failures()[0].task_id, ids[fail_task]);
+        for (const tdg::CancelledTask& c : e.cancelled()) {
+          EXPECT_TRUE(cancelled.insert(c.task_id).second)
+              << "task id " << c.task_id << " cancelled twice";
+        }
+      }
+      for (std::size_t t = 0; t < program.size(); ++t) {
+        const bool skipped =
+            it == fail_iter && want_cancelled_tasks.count(t) != 0;
+        EXPECT_EQ(cancelled.count(ids[t]), skipped ? 1u : 0u) << "task " << t;
+        ASSERT_EQ(log.runs[t].load(), skipped ? 0 : 1) << "task " << t;
+      }
+      EXPECT_EQ(cancelled.size(), it == fail_iter ? want_cancelled_tasks.size()
+                                                  : 0u);
+      for (std::size_t a = 0; a < program.size(); ++a) {
+        for (std::size_t b = a + 1; b < program.size(); ++b) {
+          if (!ref.has_path(a, b) || log.runs[b] == 0) continue;
+          ASSERT_LT(log.end[a], log.start[b])
+              << "task " << b << " started before its predecessor " << a
+              << " ended";
+        }
+      }
+    }
+    EXPECT_EQ(rt.live_tasks(), 0u);
+  }
+}
 
 }  // namespace

@@ -224,6 +224,56 @@ TEST(Persistent, DetachEventRefulfilledEachIteration) {
   EXPECT_EQ(succ_runs.load(), kIters);
 }
 
+// A detach event is re-armed after the barrier, not when its task
+// completes: a duplicate fulfil that lands after the task completed is a
+// no-op, so the next iteration's successor still waits for that
+// iteration's own fulfil.
+TEST(Persistent, LateDuplicateFulfilIsANoOp) {
+  Runtime rt({.num_threads = 2});
+  tdg::Event* ev = rt.create_event();
+  std::atomic<int> body_runs{0};
+  std::atomic<int> fulfilled_iter{-1};  // iteration whose fulfil was sent
+  std::atomic<int> succ_iter{-1};
+  std::vector<int> succ_saw;            // fulfilled_iter seen by each successor
+  int x = 0;
+  const auto wait_until = [](const auto& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+  PersistentRegion region(rt);
+  constexpr int kIters = 4;
+  for (int it = 0; it < kIters; ++it) {
+    region.begin_iteration();
+    TaskOpts opts;
+    opts.detach = ev;
+    rt.submit([&] { ++body_runs; }, {Depend::out(&x)}, opts);
+    rt.submit(
+        [&, it] {
+          succ_saw.push_back(fulfilled_iter.load());
+          succ_iter = it;
+        },
+        {Depend::in(&x)});
+    ASSERT_TRUE(wait_until([&] { return body_runs.load() == it + 1; }));
+    // Give a wrongly released successor the time to run early.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    fulfilled_iter = it;
+    ev->fulfill();
+    ASSERT_TRUE(wait_until([&] { return succ_iter.load() == it; }));
+    ev->fulfill();  // late duplicate: its task has completed
+    region.end_iteration();
+  }
+  ASSERT_EQ(succ_saw.size(), static_cast<std::size_t>(kIters));
+  for (int it = 0; it < kIters; ++it) {
+    EXPECT_EQ(succ_saw[it], it)
+        << "the successor of iteration " << it << " ran before its fulfil";
+  }
+}
+
 TEST(Persistent, HeavyGraphManyIterationsStress) {
   Runtime rt({.num_threads = 4});
   constexpr int kBlocks = 24;
@@ -250,8 +300,8 @@ TEST(Persistent, HeavyGraphManyIterationsStress) {
 }
 
 /// Counts copy constructions; moves are free. A capture holding one makes
-/// the lambda non-trivially-copyable, so replay takes the type-erased
-/// update path instead of the memcpy.
+/// the lambda non-trivially-copyable, so replay moves it into place
+/// instead of the memcpy.
 struct CopyCounter {
   int* copies;
   explicit CopyCounter(int* c) : copies(c) {}

@@ -57,11 +57,15 @@ TEST(TaskbenchPatterns, DependenciesAreSortedUniqueInRange) {
     for (int s = 0; s < cfg.steps; ++s) {
       for (int i = 0; i < cfg.width; ++i) {
         tb::dependencies(cfg, s, i, deps);
-        if (s == 0) EXPECT_TRUE(deps.empty());
+        if (s == 0) {
+          EXPECT_TRUE(deps.empty());
+        }
         for (std::size_t k = 0; k < deps.size(); ++k) {
           EXPECT_GE(deps[k], 0);
           EXPECT_LT(deps[k], cfg.width);
-          if (k > 0) EXPECT_LT(deps[k - 1], deps[k]);
+          if (k > 0) {
+            EXPECT_LT(deps[k - 1], deps[k]);
+          }
         }
       }
     }
