@@ -4,9 +4,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <mutex>
 #include <numeric>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/tdg.hpp"
@@ -353,10 +355,16 @@ TEST(Runtime, ResetStatsClearsCounters) {
   EXPECT_EQ(s.discovery_seconds(), 0.0);
 }
 
+// gtest names each case after the parameter's bytes, so the struct carries
+// no padding: an explicit zeroed tail keeps the names identical between the
+// ctest discovery run and the test run.
 struct StressParams {
   unsigned threads;
   SchedulePolicy policy;
+  std::uint8_t zero_tail[3]{};
 };
+static_assert(sizeof(StressParams) == 8 &&
+              std::has_unique_object_representations_v<StressParams>);
 
 class RuntimeStress : public ::testing::TestWithParam<StressParams> {};
 
