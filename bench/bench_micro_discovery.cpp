@@ -4,6 +4,8 @@
 // spilling. Reported rates:
 //   items_per_second = edges/s for the *Mixed / *InOutSet benches
 //   items_per_second = addresses/s for the *AddressInsert bench
+//   items_per_second = submits/s for BM_DiscoveryMixedThreads (the producer
+//                      against 3 running workers)
 //
 // BM_DiscoveryMixed/10000/1 (10k addresses, dedup on, 1 thread) is the
 // number scripts/ci_bench_smoke.sh gates against scripts/bench_baseline.txt
@@ -68,6 +70,42 @@ BENCHMARK(BM_DiscoveryMixed)
     ->Args({10000, 1})
     ->Args({10000, 0})
     ->Args({100000, 1});
+
+/// The producer's submit cost with a team running the bodies: the mix of
+/// BM_DiscoveryMixed on a 4-thread runtime, whose 3 pool workers execute
+/// and free tasks while the producer submits, so predecessor lines, slab
+/// blocks and counters move between cores as they do in an application.
+/// items_per_second = submits/s of the submission loop (wall time; the
+/// taskwait after it is not timed). The runtime lives across iterations
+/// so its workers are warm, and each iteration starts from a cleared
+/// dependency scope.
+void BM_DiscoveryMixedThreads(benchmark::State& state) {
+  const int naddrs = static_cast<int>(state.range(0));
+  std::vector<double> addrs(static_cast<std::size_t>(naddrs));
+  Runtime::Config cfg = solo();
+  cfg.num_threads = 4;
+  Runtime rt(cfg);
+  std::int64_t submits = 0;
+  for (auto _ : state) {
+    for (int round = 0; round < 2; ++round) {
+      for (int i = 0; i < naddrs; ++i) {
+        double* a = &addrs[static_cast<std::size_t>(i)];
+        rt.submit([] {}, {Depend::out(a)});
+        rt.submit([] {}, {Depend::in(a)});
+        rt.submit([] {}, {Depend::in(a)});
+        rt.submit([] {}, {Depend::inout(a)});
+      }
+    }
+    submits += 8 * static_cast<std::int64_t>(naddrs);
+    state.PauseTiming();
+    rt.taskwait();
+    rt.clear_dependency_scope();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(submits);
+  state.counters["addresses"] = static_cast<double>(naddrs);
+}
+BENCHMARK(BM_DiscoveryMixedThreads)->Arg(256)->Arg(10000)->UseRealTime();
 
 /// inoutset generation fan-in/fan-out: 4 members + 2 consumers per address
 /// per round, with optimization (c) redirect nodes on (m+n edges) or off

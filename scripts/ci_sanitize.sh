@@ -78,12 +78,14 @@ for san in "${sanitizers[@]}"; do
     "$dir"/tests/test_fault --gtest_filter='ErrorPropagation.*' \
           --gtest_repeat=3
 
-  echo "=== [$san] tenant pins, replay and successor handoff ==="
+  echo "=== [$san] tenant pins, replay, successor handoff and slot accounting ==="
   # Per-worker hazard pins against tenant attach/detach, frozen successor
   # lists, moved captures and re-arm at completion under PTSG replay
-  # (seeded random programs across a failed iteration), and the
-  # depth-first successor handoff (chains, poisoned handoffs, served
-  # accounting).
+  # (seeded random programs across a failed iteration), the depth-first
+  # successor handoff (chains, poisoned handoffs, served accounting), and
+  # the single-writer slot contract: per-slot live counts, the fence-paired
+  # parking protocol, owned and shared metrics shards, and the shared trace
+  # buffer of threads without a slot.
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ASAN_OPTIONS="detect_leaks=1" \
   UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \
@@ -100,7 +102,16 @@ for san in "${sanitizers[@]}"; do
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ASAN_OPTIONS="detect_leaks=1" \
   UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \
-    "$dir"/tests/test_runtime --gtest_filter='Threads/HandoffChain.*' \
+    "$dir"/tests/test_runtime --gtest_repeat=3
+  TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+  ASAN_OPTIONS="detect_leaks=1" \
+  UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \
+    "$dir"/tests/test_metrics --gtest_repeat=3
+  TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+  ASAN_OPTIONS="detect_leaks=1" \
+  UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \
+    "$dir"/tests/test_profiler \
+          --gtest_filter='Profiler.ForeignFulfilRecordsBesideTheProducer' \
           --gtest_repeat=3
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
   ASAN_OPTIONS="detect_leaks=1" \

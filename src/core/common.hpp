@@ -118,6 +118,21 @@ class Backoff {
   int n_ = 0;
 };
 
+/// Full store->load fence: the publisher's half of the Dekker pairing with
+/// a parking worker (see WorkerPool::park_worker). ThreadSanitizer does not
+/// model standalone fences (GCC warns, -Wtsan) but still executes one; the
+/// pairing orders no data, only a worker's decision to sleep.
+inline void store_load_fence() noexcept {
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wtsan"
+#endif
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+}
+
 /// Fatal invariant failure. TDG_CHECK is reserved for conditions whose
 /// violation means runtime state is corrupt (protocol bugs, wedged
 /// refcounts): recovery is impossible, so we abort without unwinding.

@@ -20,10 +20,11 @@ void AddrTable::grow_table() {
   delete[] slots_;
   slots_ = fresh;
   if (mreg_ != nullptr) {
-    mreg_->add(mids_.rehash);
+    mreg_->add(mids_.rehash, 1, mshard_);
     mreg_->gauge_add(mids_.arena_bytes,
                      static_cast<std::int64_t>((new_cap - cap_) *
-                                               sizeof(Slot)));
+                                               sizeof(Slot)),
+                     mshard_);
   }
   cap_ = new_cap;
   ++rehashes_;
@@ -38,7 +39,7 @@ AddrTable::Entry& AddrTable::probe(const void* addr) {
   std::uint64_t probes = 1;
   while (slots_[i].entry != nullptr) {
     if (slots_[i].key == addr) {
-      if (mreg_ != nullptr) mreg_->observe(mids_.probe_len, probes);
+      if (mreg_ != nullptr) mreg_->observe(mids_.probe_len, probes, mshard_);
       last_addr_ = addr;
       last_entry_ = slots_[i].entry;
       return *last_entry_;
@@ -54,13 +55,14 @@ AddrTable::Entry& AddrTable::probe(const void* addr) {
   last_addr_ = addr;
   last_entry_ = e;
   if (mreg_ != nullptr) {
-    mreg_->observe(mids_.probe_len, probes);
-    mreg_->gauge_add(mids_.addr_entries, 1);
+    mreg_->observe(mids_.probe_len, probes, mshard_);
+    mreg_->gauge_add(mids_.addr_entries, 1, mshard_);
     if (src == TaskArena::Source::NewChunk) {
       mreg_->gauge_add(
           mids_.arena_bytes,
           static_cast<std::int64_t>(TaskArena::kBlocksPerChunk *
-                                    arena_.block_bytes()));
+                                    arena_.block_bytes()),
+          mshard_);
     }
   }
   return *e;
@@ -87,8 +89,8 @@ void AddrTable::clear() {
     slots_[i].key = nullptr;
   }
   if (mreg_ != nullptr && size_ != 0) {
-    mreg_->gauge_add(mids_.addr_entries,
-                     -static_cast<std::int64_t>(size_));
+    mreg_->gauge_add(mids_.addr_entries, -static_cast<std::int64_t>(size_),
+                     mshard_);
   }
   size_ = 0;
   last_addr_ = nullptr;

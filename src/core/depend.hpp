@@ -39,8 +39,10 @@ inline std::size_t mix_pointer_hash(const void* p) noexcept {
   return static_cast<std::size_t>(x + (x >> 9) + (x >> 18));
 }
 
-/// Node handle of the runtime's rules: task descriptors, with every
-/// history reference counted on the descriptor.
+/// Node handle of the runtime's rules: task descriptors. The producer
+/// counts history references in the descriptor's plain hist_refs field and
+/// takes one descriptor reference for all of them, so a history list entry
+/// costs no atomic.
 struct TaskRefs {
   using Node = Task*;
   /// History lists share one inline capacity so an opening inoutset
@@ -50,8 +52,8 @@ struct TaskRefs {
   /// wide reader sets spill.
   using List = small_vector<Task*, 4>;
   static constexpr Task* kNone = nullptr;
-  static void retain(Task* t) { t->retain(); }
-  static void release(Task* t) { t->release(); }
+  static void retain(Task* t) { t->retain_history(); }
+  static void release(Task* t) { t->release_history(); }
 };
 
 /// Storage policy of the runtime's rules: the open-addressing address
@@ -97,6 +99,9 @@ class AddrTable {
     mreg_ = reg;
     mids_ = ids;
   }
+  /// The registry shard of the thread driving the table (the submitting
+  /// thread's slot); set before each use.
+  void set_metrics_shard(unsigned shard) { mshard_ = shard; }
 
   std::size_t tracked_addresses() const { return size_; }
   std::size_t table_capacity() const { return cap_; }
@@ -135,6 +140,7 @@ class AddrTable {
   std::uint64_t rehashes_ = 0;
   MetricsRegistry* mreg_ = nullptr;
   MetricIds mids_{};
+  unsigned mshard_ = 0;
 };
 
 /// The runtime instantiation of the dependence rules; Runtime is the edge

@@ -207,6 +207,14 @@ class DependRules : public Store {
     edge_reg_ = reg;
     edge_ids_ = ids;
   }
+  /// Registry shard of the thread applying clauses (its own slot: shards
+  /// are single-writer); forwarded to a storage that counts too.
+  void set_metrics_shard(unsigned shard) {
+    edge_shard_ = shard;
+    if constexpr (requires(Store& st) { st.set_metrics_shard(shard); }) {
+      Store::set_metrics_shard(shard);
+    }
+  }
 
  private:
   static const void* erase(const void* a) { return a; }
@@ -225,7 +233,7 @@ class DependRules : public Store {
     const auto publish = [&](std::uint64_t DiscoveryStats::*field,
                              MetricsRegistry::Id id) {
       const std::uint64_t delta = total_.*field - flushed_.*field;
-      if (delta != 0) edge_reg_->add(id, delta);
+      if (delta != 0) edge_reg_->add(id, delta, edge_shard_);
     };
     publish(&DiscoveryStats::edges_created, edge_ids_.created);
     publish(&DiscoveryStats::edges_pruned, edge_ids_.pruned);
@@ -302,6 +310,7 @@ class DependRules : public Store {
   std::vector<DroppedEdge> dropped_;
   MetricsRegistry* edge_reg_ = nullptr;
   EdgeMetricIds edge_ids_{};
+  unsigned edge_shard_ = 0;
 };
 
 }  // namespace tdg

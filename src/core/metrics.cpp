@@ -12,7 +12,7 @@ namespace tdg {
 // ---------------------------------------------------------------------------
 
 MetricsRegistry::MetricsRegistry(unsigned nshards, bool enabled)
-    : enabled_(enabled), shards_(nshards > 0 ? nshards : 1) {
+    : enabled_(enabled), shards_((nshards > 0 ? nshards : 1) + 1) {
   for (auto& sh : shards_) {
     sh.slots = std::make_unique<std::atomic<std::uint64_t>[]>(kMaxSlots);
     for (std::uint32_t i = 0; i < kMaxSlots; ++i) {

@@ -9,9 +9,13 @@
 // histogram samples (and, in the runtime, the clock stamps feeding them;
 // Runtime::Config::metrics, overridden by TDG_METRICS via core/env.hpp).
 //
-// Design: writes are lock-free relaxed atomic adds into per-thread shards
-// (cache-line aligned, one slot array per shard), so a counter add costs
-// one uncontended fetch_add. Slots are pre-allocated at construction
+// Design: per-thread shards (cache-line aligned, one slot array per
+// shard), single-writer by contract. Shards 0..n-1 belong to the n thread
+// slots of the owning runtime (0 the producer, k+1 pool worker k); only
+// that thread writes them, so an add is a relaxed load and store on a line
+// no other core writes, with no locked instruction. Every other hint —
+// external threads, nested runtimes — lands on one extra shared shard,
+// which adds with an RMW. Slots are pre-allocated at construction
 // (kMaxSlots per shard) and never reallocated, so metrics may be
 // registered while workers are running — registration only bumps a cursor
 // under a spin lock. Reads (snapshot) sum across shards; they are
@@ -115,6 +119,7 @@ class MetricsRegistry {
     bool valid() const { return slot != UINT32_MAX; }
   };
 
+  /// `nshards` single-writer shards plus the shared one.
   explicit MetricsRegistry(unsigned nshards, bool enabled = true);
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -131,28 +136,26 @@ class MetricsRegistry {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  /// Increment a counter. `shard` is a routing hint (the caller's thread
-  /// slot); out-of-range hints are folded in.
+  /// Increment a counter. `shard` is the calling thread's own slot: a
+  /// shard below num_shards() must be written by one thread only, and any
+  /// other hint lands on the shared shard.
   void add(Id id, std::uint64_t v = 1, unsigned shard = 0) {
     if (!id.valid()) return;
-    slot(shard, id.slot).fetch_add(v, std::memory_order_relaxed);
+    bump(shard, id.slot, v);
   }
 
   /// Move a gauge up or down (levels are summed across shards, so
   /// matched +1/-1 pairs from different threads still cancel).
   void gauge_add(Id id, std::int64_t v, unsigned shard = 0) {
     if (!id.valid()) return;
-    slot(shard, id.slot)
-        .fetch_add(static_cast<std::uint64_t>(v), std::memory_order_relaxed);
+    bump(shard, id.slot, static_cast<std::uint64_t>(v));
   }
 
   /// Record one histogram sample (dropped while disabled).
   void observe(Id id, std::uint64_t value, unsigned shard = 0) {
     if (!enabled() || !id.valid()) return;
-    slot(shard, id.slot + bucket_of(value))
-        .fetch_add(1, std::memory_order_relaxed);
-    slot(shard, id.slot + kHistBuckets)
-        .fetch_add(value, std::memory_order_relaxed);
+    bump(shard, id.slot + bucket_of(value), 1);
+    bump(shard, id.slot + kHistBuckets, value);
   }
 
   /// Bucket index for a sample: its bit width, clamped to the last bucket
@@ -171,7 +174,8 @@ class MetricsRegistry {
   std::uint64_t read(Id id) const {
     return id.valid() ? sum_slot(id.slot) : 0;
   }
-  /// One shard's share of a counter (per-thread breakdowns).
+  /// One shard's share of a counter (per-thread breakdowns); shard
+  /// num_shards() is the shared one.
   std::uint64_t read(Id id, unsigned shard) const {
     if (!id.valid() || shard >= shards_.size()) return 0;
     return shards_[shard].slots[id.slot].load(std::memory_order_relaxed);
@@ -181,8 +185,10 @@ class MetricsRegistry {
   /// Every counter and gauge, summed across shards (no histograms).
   MetricsSample sample() const;
 
+  /// Single-writer shards (the thread slots); the shared shard comes on
+  /// top.
   unsigned num_shards() const {
-    return static_cast<unsigned>(shards_.size());
+    return static_cast<unsigned>(shards_.size()) - 1;
   }
   std::size_t num_metrics() const;
 
@@ -200,9 +206,17 @@ class MetricsRegistry {
   Id register_metric(std::string_view name, MetricKind kind,
                      std::uint32_t nslots);
 
-  std::atomic<std::uint64_t>& slot(unsigned shard, std::uint32_t s) {
-    return shards_[shard < shards_.size() ? shard : shard % shards_.size()]
-        .slots[s];
+  void bump(unsigned shard, std::uint32_t s, std::uint64_t v) {
+    const unsigned shared = num_shards();
+    if (shard < shared) {
+      // Single writer: no other thread stores here, so load + store
+      // cannot lose an update, and readers see whole values.
+      std::atomic<std::uint64_t>& a = shards_[shard].slots[s];
+      a.store(a.load(std::memory_order_relaxed) + v,
+              std::memory_order_relaxed);
+    } else {
+      shards_[shared].slots[s].fetch_add(v, std::memory_order_relaxed);
+    }
   }
 
   std::uint64_t sum_slot(std::uint32_t s) const {
@@ -214,7 +228,7 @@ class MetricsRegistry {
   }
 
   std::atomic<bool> enabled_;
-  std::vector<Shard> shards_;
+  std::vector<Shard> shards_;  ///< the thread shards, then the shared one
   mutable SpinLock reg_lock_;  // guards the members below
   std::vector<Info> infos_;
   std::uint32_t next_slot_ = 0;

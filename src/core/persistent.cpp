@@ -57,7 +57,7 @@ void PersistentRegion::begin_iteration() {
     for (Event* ev : plan_events_) {
       ev->fulfilled_.store(false, std::memory_order_relaxed);
     }
-    rt_.pending_.fetch_add(tasks_.size(), std::memory_order_relaxed);
+    rt_.live_add(static_cast<std::int64_t>(tasks_.size()));
     rt_.replay_active_ = true;
     replayed_ = 0;
     last_drift_.clear();  // findings accumulate slot by slot

@@ -12,8 +12,8 @@ Profiler::Profiler(MetricsRegistry& metrics, bool trace_enabled,
       time_{metrics.counter("time.work_ns"),
             metrics.counter("time.overhead_ns"),
             metrics.counter("time.idle_ns")},
-      time_base_(metrics.num_shards()),
-      trace_(metrics.num_shards()) {
+      time_base_(metrics.num_shards() + 1),
+      trace_(metrics.num_shards() + 1) {
   for (auto& tb : trace_) tb.records.reserve(1024);
   edges_.reserve(1024);
   if (capturing()) accesses_.reserve(1024);
@@ -27,7 +27,14 @@ Profiler::TimeNs Profiler::time_ns(unsigned thread) const {
 
 void Profiler::record(unsigned thread, const TaskRecord& rec) {
   if (!trace_enabled()) return;
-  trace_[clamp_slot(thread)].records.push_back(rec);
+  const std::size_t shared = trace_.size() - 1;
+  if (thread < shared) {
+    trace_[thread].records.push_back(rec);
+    return;
+  }
+  TraceBuf& tb = trace_[shared];
+  SpinGuard g(tb.lock);
+  tb.records.push_back(rec);
 }
 
 void Profiler::record_edge(std::uint64_t pred, std::uint64_t succ) {
@@ -92,21 +99,23 @@ void Profiler::mark_checked(bool drop) {
 
 Breakdown Profiler::breakdown() const {
   Breakdown b;
-  b.per_thread.resize(time_base_.size());
-  for (unsigned i = 0; i < time_base_.size(); ++i) {
+  const unsigned shared = static_cast<unsigned>(time_base_.size()) - 1;
+  b.per_thread.resize(shared);
+  for (unsigned i = 0; i <= shared; ++i) {
     const TimeNs now = time_ns(i);
     auto secs = [&](std::size_t k) {
       return static_cast<double>(now[k] - time_base_[i][k]) * 1e-9;
     };
-    ThreadBreakdown& t = b.per_thread[i];
-    t.work = secs(kWork);
-    t.overhead = secs(kOverhead);
-    t.idle = secs(kIdle);
-    b.work += t.work;
-    b.overhead += t.overhead;
-    b.idle += t.idle;
+    // Threads without a slot are reported under slot 0.
+    ThreadBreakdown& t = b.per_thread[i < shared ? i : 0];
+    t.work += secs(kWork);
+    t.overhead += secs(kOverhead);
+    t.idle += secs(kIdle);
+    b.work += secs(kWork);
+    b.overhead += secs(kOverhead);
+    b.idle += secs(kIdle);
   }
-  const double n = static_cast<double>(time_base_.size());
+  const double n = static_cast<double>(shared);
   b.avg_work = b.work / n;
   b.avg_overhead = b.overhead / n;
   b.avg_idle = b.idle / n;

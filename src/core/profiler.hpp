@@ -88,9 +88,11 @@ struct Breakdown {
 
 /// Event collector. The breakdown accumulates into the metrics registry's
 /// `time.work_ns` / `time.overhead_ns` / `time.idle_ns` counters, one
-/// shard per thread slot (a relaxed add per scheduling decision); full task
-/// tracing is opt-in, as in the paper where tracing costs 0-5% and is
-/// bounded by DRAM capacity.
+/// shard per thread slot (a single-writer add per scheduling decision);
+/// full task tracing is opt-in, as in the paper where tracing costs 0-5%
+/// and is bounded by DRAM capacity. Each thread slot records into its own
+/// trace buffer; threads without a slot (external threads fulfilling a
+/// detach event) share one more buffer behind a spin lock.
 ///
 /// Two levels of recording: trace mode keeps per-task timing records and
 /// comm records; capture keeps only the discovery streams the verifier
@@ -115,8 +117,10 @@ class Profiler {
   }
 
   // --- accumulators, called from worker loops ----------------------------
-  // `thread` is the slot and the registry shard: 0 is the producer, 1..n
-  // the pool workers.
+  // `thread` is the calling thread's slot and registry shard: 0 is the
+  // producer, 1..n-1 the pool workers, and n (any slot past the registry's
+  // shards) every other thread. The breakdown reports slot n's time under
+  // slot 0, where those threads were counted before they had a slot.
   void add_work(unsigned thread, std::uint64_t ns) {
     metrics_.add(time_[kWork], ns, thread);
   }
@@ -127,7 +131,8 @@ class Profiler {
     metrics_.add(time_[kIdle], ns, thread);
   }
 
-  /// Record a completed task instance (trace mode only).
+  /// Record a completed task instance (trace mode only). `thread` is the
+  /// calling thread's slot, as for the accumulators.
   void record(unsigned thread, const TaskRecord& rec);
 
   /// Record a discovered dependence edge (capture only). Called from
@@ -205,12 +210,8 @@ class Profiler {
   using TimeNs = std::array<std::uint64_t, 3>;
   struct alignas(kCacheLine) TraceBuf {
     std::vector<TaskRecord> records;
+    SpinLock lock;  ///< taken on the shared buffer only
   };
-
-  unsigned clamp_slot(unsigned thread) const {
-    return thread < trace_.size() ? thread
-                                  : static_cast<unsigned>(trace_.size()) - 1;
-  }
   /// Registry totals of one thread slot.
   TimeNs time_ns(unsigned thread) const;
 
@@ -220,6 +221,7 @@ class Profiler {
   MetricsRegistry& metrics_;
   std::array<MetricsRegistry::Id, 3> time_;
   std::vector<TimeNs> time_base_;  ///< per-slot totals at the last reset()
+  /// One buffer per thread slot, then the shared one.
   std::vector<TraceBuf> trace_;
   std::vector<TraceEdge> edges_;
   std::vector<AccessRecord> accesses_;

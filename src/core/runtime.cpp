@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "core/persistent.hpp"
@@ -133,6 +134,8 @@ Runtime::Runtime(Config cfg)
                          ? 1 + cfg_.pool->num_workers()
                          : resolve_threads(cfg_.num_threads);
   cfg_.num_threads = n;
+  foreign_slot_ = n;
+  live_ = std::make_unique<LiveCount[]>(n + 1);
   metrics_ = std::make_unique<MetricsRegistry>(n, metrics_on);
   m_.register_into(*metrics_);
   dep_map_.bind_metrics(
@@ -196,6 +199,7 @@ Runtime::~Runtime() {
   // Release the dependency map's holdover task references while the
   // (possibly private) pool — and with it the slab arena backing the
   // descriptors — is still alive.
+  dep_map_.set_metrics_shard(current_slot());
   dep_map_.clear();
   // Solo mode: tear the private pool down (joins the workers), making the
   // trace/metrics streams quiescent for the export below.
@@ -273,12 +277,17 @@ Task* Runtime::allocate_task(const TaskOpts& opts) {
   void* mem = arena.allocate(tenant_id_, src);
   Task* t = new (mem) Task(
       next_task_id_.fetch_add(1, std::memory_order_relaxed), &arena, this);
+  const unsigned slot = current_slot();
   switch (src) {
-    case TaskArena::Source::Recycled: madd(m_.slab_recycled); break;
+    case TaskArena::Source::Recycled:
+      metrics_->add(m_.slab_recycled, 1, slot);
+      break;
     case TaskArena::Source::NewChunk:
-      madd(m_.slab_chunks);
+      metrics_->add(m_.slab_chunks, 1, slot);
       [[fallthrough]];
-    case TaskArena::Source::Fresh: madd(m_.slab_fresh); break;
+    case TaskArena::Source::Fresh:
+      metrics_->add(m_.slab_fresh, 1, slot);
+      break;
   }
   t->label = opts.label;
   t->internal = opts.internal;
@@ -286,19 +295,19 @@ Task* Runtime::allocate_task(const TaskOpts& opts) {
   t->retry_backoff_seconds = opts.retry_backoff_seconds;
   if (profiler_->trace_enabled()) t->t_create = now_ns();
   // Redirect nodes are counted by the rules.
-  if (!opts.internal) madd(m_.tasks_submitted);
-  if (tls_runtime == this && batch_active_ && !opts.internal) {
-    // Batched submission defers the pending publication to end_batch
+  if (!opts.internal) metrics_->add(m_.tasks_submitted, 1, slot);
+  if (slot == 0 && batch_active_ && !opts.internal) {
+    // Batched submission defers the live-count publication to end_batch
     // (one RMW per batch). Internal redirect nodes keep immediate
     // accounting — they complete inline mid-batch, and their decrement
     // must not land before the increment. A batched task unblocked early
     // (a pool worker completing its predecessor publishes it directly) can
-    // transiently wrap this unsigned counter until end_batch restores the
-    // sum; only this producer reads it for control flow (drain/throttle
-    // run outside a batch), so the skew is visible to diagnostics alone.
+    // take the sum below zero until end_batch restores it; only this
+    // producer reads it for control flow (drain/throttle run outside a
+    // batch), so the skew is visible to diagnostics alone.
     ++batch_pending_;
   } else {
-    pending_.fetch_add(1, std::memory_order_relaxed);
+    live_add(1);
   }
   if (opts.detach != nullptr) {
     t->completion_latch.store(2, std::memory_order_relaxed);
@@ -317,8 +326,9 @@ Task* Runtime::allocate_task(const TaskOpts& opts) {
 }
 
 void Runtime::finish_submission(Task* t, std::span<const Depend> deps) {
+  const unsigned slot = current_slot();
   // Each depend item is one probe of the per-address access history.
-  if (!deps.empty()) madd(m_.hash_probes, deps.size());
+  if (!deps.empty()) metrics_->add(m_.hash_probes, deps.size(), slot);
   // Capture the clause before discovery mutates the history: the verifier
   // re-derives the required ordering from exactly this stream. Sample mode
   // reads only the sampled tasks' clauses, so unless a trace keeps the
@@ -328,8 +338,9 @@ void Runtime::finish_submission(Task* t, std::span<const Depend> deps) {
        verify_samples_task(t->id()))) {
     profiler_->record_accesses(t->id(), t->label, deps.data(), deps.size());
   }
+  dep_map_.set_metrics_shard(slot);
   dep_map_.apply(*this, t, deps, cfg_.discovery);
-  const bool in_batch = tls_runtime == this && batch_active_;
+  const bool in_batch = slot == 0 && batch_active_;
   if (!in_batch) {
     const std::uint64_t ts = now_ns();
     if (discovery_begin_ns_ == 0) discovery_begin_ns_ = ts;
@@ -343,10 +354,8 @@ void Runtime::finish_submission(Task* t, std::span<const Depend> deps) {
     batch_stamped_ = true;
   }
   // Drop the discovery guard; the task may become ready immediately.
-  if (t->npredecessors.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    enqueue_ready(t, current_slot());
-  }
-  if (!in_batch) throttle(current_slot());
+  if (t->drop_discovery_guard()) enqueue_ready(t, slot);
+  if (!in_batch) throttle(slot);
 }
 
 EdgeOutcome Runtime::discover_edge(Task* pred, Task* succ) {
@@ -356,18 +365,13 @@ EdgeOutcome Runtime::discover_edge(Task* pred, Task* succ) {
   // predecessor (see Task::try_prune). Persistent discovery must record
   // every edge for replay, so it always takes the locked path.
   if (discovering_persistent_ || !pred->try_prune(succ)) {
-    // The successor's count must be raised BEFORE the edge is published:
-    // otherwise a predecessor completing in between decrements a count
-    // that does not yet include this edge, reaching zero early (the
-    // discovery guard is +1, so 1-1 = 0) and enqueueing the task twice.
-    // The undo on the pruned/recorded paths can never hit zero: the guard
-    // is still held.
-    succ->npredecessors.fetch_add(1, std::memory_order_relaxed);
+    // No RMW on the successor's count: it still holds the discovery guard
+    // (kDiscoveryGuard), which no predecessor completing in between can
+    // release below, so the producer only counts the created edge and
+    // settles the sum when it drops the guard.
     const Task::EdgeResult r =
         pred->add_successor(succ, discovering_persistent_);
-    if (r != Task::EdgeResult::Created) {
-      succ->npredecessors.fetch_sub(1, std::memory_order_relaxed);
-    }
+    if (r == Task::EdgeResult::Created) ++succ->discovered_edges;
     // Persistent discovery records every edge (never Pruned) for replay.
     if (discovering_persistent_) ++succ->persistent_indegree;
     if (r != Task::EdgeResult::Pruned) out = EdgeOutcome::Created;
@@ -391,9 +395,7 @@ Task* Runtime::make_internal_node() {
 }
 
 void Runtime::seal_internal_node(Task* node) {
-  if (node->npredecessors.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    enqueue_ready(node, current_slot());
-  }
+  if (node->drop_discovery_guard()) enqueue_ready(node, current_slot());
 }
 
 Task* Runtime::next_replay_task() {
@@ -420,13 +422,14 @@ std::uint64_t Runtime::release_replayed(Task* t) {
     enqueue_ready(t, current_slot());
   }
   // No throttling here: replay allocates nothing (the graph already
-  // exists), and the iteration counts towards pending_ up front — waiting
-  // for it to drop below a total-task bound smaller than the region would
-  // deadlock, since un-replayed tasks cannot run.
+  // exists), and the iteration counts towards the live count up front —
+  // waiting for it to drop below a total-task bound smaller than the
+  // region would deadlock, since un-replayed tasks cannot run.
   return id;
 }
 
 void Runtime::clear_dependency_scope() {
+  dep_map_.set_metrics_shard(current_slot());
   dep_map_.clear();
   // Mirror the cut in the verifier's input: no dependence is required
   // across a scope clear (the caller asserted phase independence), so the
@@ -441,28 +444,27 @@ void Runtime::clear_dependency_scope() {
 // Execution
 // ---------------------------------------------------------------------------
 
-void Runtime::enqueue_ready(Task* t, unsigned thread_hint) {
+void Runtime::enqueue_ready(Task* t, unsigned slot) {
+  TDG_DCHECK(slot == current_slot(),
+             "enqueue_ready on another thread's slot");
   if (t->body.empty()) {
     // Runtime-internal nodes (inoutset redirects) complete inline; they
     // carry no user work, no detach event and no timing of their own (the
     // caller's window covers them), and queueing them would only add
     // latency. A cancelled node still propagates the cancellation.
-    complete_task(t, thread_hint, 0, /*handoff=*/false);
+    complete_task(t, slot, 0, /*handoff=*/false);
     return;
   }
-  // Open batch (producer only — the tls check keeps other threads off the
-  // plain flag): buffer the task; end_batch publishes the whole set with
-  // one ready/mirror/wake round.
-  if (tls_runtime == this && batch_active_) {
+  // Open batch (producer only — slot 0 keeps other threads off the plain
+  // flag): buffer the task; end_batch publishes the whole set with one
+  // gauge/wake round.
+  if (slot == 0 && batch_active_) {
     batch_ready_.push_back(t);
     return;
   }
   if (timed_) t->t_ready = now_ns();
-  ready_count_.fetch_add(1, std::memory_order_relaxed);
-  // seq_cst: Dekker pairing with a parking pool worker's ready re-check.
-  pool_->ready_inc(1);
-  madd(m_.spawns);
-  metrics_->gauge_add(m_.ready_depth, +1, thread_hint);
+  metrics_->add(m_.spawns, 1, slot);
+  metrics_->gauge_add(m_.ready_depth, +1, slot);
   // Depth-first heuristic: a newly-ready successor goes to the head of the
   // completing thread's deque so it runs right after its producer, while
   // its data is still cached. A pool worker pushes to its own pool deque;
@@ -471,11 +473,13 @@ void Runtime::enqueue_ready(Task* t, unsigned thread_hint) {
   // goes through the inject queue.
   if (pool_->on_pool_worker()) {
     pool_->push_local(t);
-  } else if (tls_runtime == this) {
+  } else if (slot == 0) {
     shard_.push_front(t);
   } else {
     push_inject(t);
   }
+  // Fence, then probe for parked workers (Dekker pairing with
+  // WorkerPool::park_worker).
   pool_->wake_workers(1, this);
 }
 
@@ -498,18 +502,16 @@ void Runtime::end_batch() {
   batch_active_ = false;
   const std::uint64_t ts = now_ns();
   if (batch_stamped_) discovery_end_ns_ = ts;
-  // Publish the deferred pending count BEFORE releasing the tasks: a
-  // worker may pop and complete one immediately, and its decrement must
-  // find the increment already in place.
+  // Publish the deferred live count BEFORE releasing the tasks: a worker
+  // may pop and complete one immediately, and its decrement must find the
+  // increment already in place.
   if (batch_pending_ > 0) {
-    pending_.fetch_add(batch_pending_, std::memory_order_relaxed);
+    live_add(static_cast<std::int64_t>(batch_pending_));
     batch_pending_ = 0;
   }
   const std::size_t k = batch_ready_.size();
   if (k > 0) {
-    ready_count_.fetch_add(k, std::memory_order_relaxed);
-    pool_->ready_inc(k);  // one Dekker-ordered RMW for the whole batch
-    madd(m_.spawns, k);
+    metrics_->add(m_.spawns, k, 0);
     metrics_->gauge_add(m_.ready_depth, static_cast<std::int64_t>(k), 0);
     for (Task* t : batch_ready_) {
       if (timed_) t->t_ready = ts;
@@ -518,7 +520,7 @@ void Runtime::end_batch() {
     batch_ready_.clear();
     pool_->wake_workers(k, this);
   }
-  throttle(0);
+  throttle(current_slot());
 }
 
 Task* Runtime::run_task(Task* t, unsigned thread, std::uint64_t& stamp,
@@ -667,6 +669,8 @@ void Runtime::record_cancelled(Task* t) {
 
 Task* Runtime::complete_task(Task* t, unsigned thread, std::uint64_t t_end,
                              bool handoff) {
+  TDG_DCHECK(thread == current_slot(),
+             "complete_task on another thread's slot");
   t->t_end = t_end;
   const bool failed = t->failed;
   const bool cancelled = !failed && t->cancelled.load(std::memory_order_acquire);
@@ -724,11 +728,11 @@ Task* Runtime::complete_task(Task* t, unsigned thread, std::uint64_t t_end,
   }
   const bool keep = t->persistent;
   // A replayed instance re-arms its task for the next iteration; the
-  // pending_ decrement publishes the stores to the barrier. A discovery
+  // live-count decrement publishes the stores to the barrier. A discovery
   // instance stays finished until the region compiles its plan, so a late
   // edge to it is still recorded as one to a finished predecessor.
   if (frozen) t->rearm_persistent();
-  pending_.fetch_sub(1, std::memory_order_acq_rel);
+  live_done(thread);
   if (!keep) t->release();  // drop the self-reference
   return next;
 }
@@ -739,8 +743,6 @@ void Runtime::run_acquired(Task* t, unsigned slot, bool stole, bool deferred,
   if (!deferred) {
     // Deferred retries left the ready count when they were first taken;
     // don't decrement twice.
-    ready_count_.fetch_sub(1, std::memory_order_relaxed);
-    pool_->ready_dec();
     metrics_->gauge_add(m_.ready_depth, -1, slot);
   }
   // t0 is nonzero when the caller timed its probe (a shared pool samples
@@ -751,10 +753,12 @@ void Runtime::run_acquired(Task* t, unsigned slot, bool stole, bool deferred,
     stamp = now_ns();
     if (t0 != 0) profiler_->add_overhead(slot, stamp - t0);
   }
-  // Slots 1.. are this pool's workers (current_slot), which charge every
-  // task they run, handed-off successors included, to this tenant.
+  // Slots 1..num_threads()-1 are this pool's workers (current_slot), which
+  // charge every task they run, handed-off successors included, to this
+  // tenant; the foreign slot is not a worker.
+  const bool worker = slot != 0 && slot != foreign_slot_;
   do {
-    if (slot > 0) pool_->note_served(slot - 1, tenant_id_);
+    if (worker) pool_->note_served(slot - 1, tenant_id_);
     t = run_task(t, slot, stamp, handoff);
   } while (t != nullptr);
 }
@@ -764,7 +768,7 @@ bool Runtime::try_execute_one(unsigned slot, bool handoff) {
   // Attribution sample, taken once up front: reading it after the failed
   // probes would flip genuine idle time into "overhead + steal failure"
   // whenever a task was enqueued and taken elsewhere mid-scan.
-  const bool work_existed = ready_count_.load(std::memory_order_relaxed) > 0;
+  const bool work_existed = ready_tasks() > 0;
   // Deferred-retry gate inlined here: one relaxed load on the common path
   // (nothing deferred); the queue scan only runs when a deadline is set.
   Task* t = next_deferred_ns_.load(std::memory_order_relaxed) != UINT64_MAX
@@ -773,7 +777,7 @@ bool Runtime::try_execute_one(unsigned slot, bool handoff) {
   const bool deferred = t != nullptr;
   bool stole = false;
   if (t == nullptr) {
-    if (tls_runtime == this) {
+    if (slot == 0) {
       t = cfg_.policy == SchedulePolicy::DepthFirstLifo ? shard_.pop_front()
                                                         : shard_.pop_back();
     } else {
@@ -825,7 +829,7 @@ void Runtime::drain() {
   arm_watchdog_baseline();
   Watchdog::Scope ws(&watchdog_, "taskwait");
   Backoff bo;
-  while (pending_.load(std::memory_order_acquire) > 0) {
+  while (live_sum() > 0) {
     if (try_execute_one(slot, /*handoff=*/true)) {
       bo.reset();
     } else {
@@ -896,25 +900,39 @@ void Runtime::throw_if_failed() {
   throw TaskGroupError(std::move(failures), std::move(cancelled));
 }
 
-void Runtime::throttle(unsigned slot) {
+bool Runtime::throttled() {
   const auto& th = cfg_.throttle;
-  if (ready_count_.load(std::memory_order_relaxed) <= th.max_ready &&
-      pending_.load(std::memory_order_relaxed) <= th.max_total) {
-    return;  // fast path: no stall, no watchdog arming
+  if (th.max_ready != std::numeric_limits<std::size_t>::max() &&
+      ready_tasks() > th.max_ready) {
+    return true;
   }
+  // A bound the signed count cannot reach (SIZE_MAX: unbounded) never
+  // stalls; casting it would turn it negative and stall every submit.
+  if (th.max_total >= static_cast<std::size_t>(
+                          std::numeric_limits<std::int64_t>::max())) {
+    return false;
+  }
+  const auto max_total = static_cast<std::int64_t>(th.max_total);
+  const std::int64_t own = live_[0].n.load(std::memory_order_relaxed);
+  if (own + others_bound_ <= max_total) return false;
+  others_bound_ = live_others();
+  return own + others_bound_ > max_total;
+}
+
+void Runtime::throttle(unsigned slot) {
+  if (!throttled()) return;  // fast path: no stall, no watchdog arming
   madd(m_.throttle_stalls);
   arm_watchdog_baseline();
   Watchdog::Scope ws(&watchdog_, "throttle");
   Backoff bo;
-  while (ready_count_.load(std::memory_order_relaxed) > th.max_ready ||
-         pending_.load(std::memory_order_relaxed) > th.max_total) {
+  while (throttled()) {
     if (try_execute_one(slot, /*handoff=*/false)) {
       bo.reset();
     } else {
       poll();
       ws.poll();
       bo.pause();
-      if (pending_.load(std::memory_order_acquire) == 0) break;
+      if (live_sum() <= 0) break;
     }
   }
 }
@@ -977,11 +995,11 @@ Event* Runtime::current_task_event() const {
 }
 
 unsigned Runtime::current_slot() const {
-  // Pool workers occupy slots 1..num_workers (metrics shards, profiler
-  // attribution); every other thread — the producer, external helpers —
-  // maps to slot 0, exactly as in the pre-pool numbering.
+  // Pool workers occupy slots 1..num_workers; the producer is slot 0 and
+  // every other thread — external helpers, another runtime's producer or
+  // workers — shares the foreign slot.
   if (pool_->on_pool_worker()) return 1 + WorkerPool::calling_slot();
-  return 0;
+  return tls_runtime == this ? 0 : foreign_slot_;
 }
 
 std::uint64_t Runtime::progress_epoch() const {
@@ -1002,7 +1020,9 @@ void Runtime::arm_watchdog_baseline() {
 void Runtime::runtime_diagnostic(std::string& out) const {
   out += "\n  tenant " + std::to_string(tenant_id_) +
          ": live tasks: " + std::to_string(live_tasks()) + " (ready " +
-         std::to_string(ready_tasks()) + ")";
+         std::to_string(ready_tasks()) + "; queued in shard " +
+         std::to_string(shard_.size()) + ", inject " +
+         std::to_string(inject_.approx_size()) + ")";
   {
     SpinGuard dg(deferred_lock_);
     if (!deferred_.empty()) {
@@ -1071,6 +1091,7 @@ RuntimeStats Runtime::stats() const {
 void Runtime::reset_stats() {
   stats_base_ = RuntimeStats{};
   stats_base_ = stats();  // raw registry counts while the base is zero
+  dep_map_.set_metrics_shard(current_slot());  // it flushes pending counts
   dep_map_.reset_total_stats();
   discovery_begin_ns_ = 0;
   discovery_end_ns_ = 0;

@@ -235,8 +235,8 @@ class Runtime {
 
   /// Batched submission: open one discovery episode covering every submit
   /// until end_batch(). Per-submit costs that exist only to publish tasks
-  /// promptly — the discovery-window clock stamp, the ready-count and
-  /// pool-mirror RMWs, the parked-worker probe, the throttle check — are
+  /// promptly — the discovery-window clock stamp, the live-count RMW, the
+  /// parked-worker fence and probe, the throttle check — are
   /// deferred and paid once per batch; tasks that become ready inside the
   /// batch are buffered producer-locally and released together. Discovery
   /// itself (hash probes, edge wiring) is identical to the loop of
@@ -328,7 +328,7 @@ class Runtime {
   /// Handles of the runtime's own metrics (tests / tools).
   const RuntimeMetricIds& metric_ids() const { return m_; }
   /// Shard hint for metrics written on behalf of this runtime from the
-  /// calling thread (its worker slot).
+  /// calling thread: its slot (see current_slot).
   unsigned metrics_shard() const { return current_slot(); }
   /// The runtime's hang watchdog (configure via Config::watchdog; attach
   /// extra diagnostics, e.g. a RequestPoller's pending-request dump).
@@ -360,12 +360,18 @@ class Runtime {
   const Config& config() const { return cfg_; }
   /// The TDG_* overrides read at construction (core/env.hpp).
   const EnvConfig& env() const { return env_; }
-  /// Live tasks = created and not yet finished. Ready = queued, not started.
+  /// Live tasks = created and not yet finished: the sum of the per-slot
+  /// counts. Racy while tasks run (a sum of slots read one after another);
+  /// exact at quiescence, e.g. after taskwait().
   std::size_t live_tasks() const {
-    return pending_.load(std::memory_order_relaxed);
+    const std::int64_t n = live_sum();
+    return n > 0 ? static_cast<std::size_t>(n) : 0;
   }
+  /// Ready = queued, not started: the sum of the `sched.ready_depth`
+  /// gauge's shards. Racy while tasks run; exact at quiescence.
   std::size_t ready_tasks() const {
-    return ready_count_.load(std::memory_order_relaxed);
+    const auto n = static_cast<std::int64_t>(metrics_->read(m_.ready_depth));
+    return n > 0 ? static_cast<std::size_t>(n) : 0;
   }
 
   /// Clear the producer's dependency history: subsequent tasks see no
@@ -398,7 +404,10 @@ class Runtime {
   /// its end) and no throttle.
   std::uint64_t release_replayed(Task* t);
 
-  void enqueue_ready(Task* t, unsigned thread_hint);
+  /// Publish a task that just became ready. `slot` is the calling
+  /// thread's (current_slot): the spawn and ready-depth writes go to its
+  /// single-writer metrics shard.
+  void enqueue_ready(Task* t, unsigned slot);
   /// Run the body of a user task on `thread`. `stamp` is the last clock
   /// read of the calling thread (0 when untimed): it becomes the task's
   /// t_start, and on return holds the end of the completion epilogue, so
@@ -407,11 +416,12 @@ class Runtime {
   /// complete_task handed to this thread (nullptr if none).
   Task* run_task(Task* t, unsigned thread, std::uint64_t& stamp,
                  bool handoff);
-  /// Finish `t` (`t_end` is its body-end stamp, 0 when untimed): count,
-  /// trace, release its successors. With `handoff`, the last successor that
-  /// becomes ready and has a body is returned instead of queued — counted
-  /// in sched.spawns and poisoned like its siblings — and the caller runs
-  /// it next. Detach fulfilment and inline redirect nodes pass false.
+  /// Finish `t` (`t_end` is its body-end stamp, 0 when untimed) on the
+  /// calling thread's slot `thread`: count, trace, release its successors.
+  /// With `handoff`, the last successor that becomes ready and has a body
+  /// is returned instead of queued — counted in sched.spawns and poisoned
+  /// like its siblings — and the caller runs it next. Detach fulfilment
+  /// and inline redirect nodes pass false.
   Task* complete_task(Task* t, unsigned thread, std::uint64_t t_end,
                       bool handoff);
   /// Outcome of one scheduling of a task body under the retry policy.
@@ -436,10 +446,10 @@ class Runtime {
   void push_inject(Task* t);
   Task* pop_inject();
   /// The one acquisition path, for the producer and pool workers alike:
-  /// account for a task just taken from a queue (steal counter, ready
-  /// count and pool mirror, ready-depth gauge, probe overhead since `t0`,
-  /// whose end stamp is the task's t_start), run it on slot `slot`, then
-  /// run every successor handed back (`handoff`). Each task a pool worker
+  /// account for a task just taken from a queue (steal counter,
+  /// ready-depth gauge, probe overhead since `t0`, whose end stamp is the
+  /// task's t_start), run it on slot `slot`, then run every successor
+  /// handed back (`handoff`). Each task a pool worker
   /// runs is charged to this tenant (WorkerPool::note_served).
   void run_acquired(Task* t, unsigned slot, bool stole, bool deferred,
                     std::uint64_t t0, bool handoff);
@@ -459,8 +469,49 @@ class Runtime {
   /// throttled producer must get back to discovery).
   bool try_execute_one(unsigned thread, bool handoff);
   void throttle(unsigned thread);
+  /// True while a throttle bound is exceeded. The ready bound reads the
+  /// gauge only when it is bounded; the total bound is checked against
+  /// live_[0] + others_bound_ and re-reads the other slots only when that
+  /// upper bound crosses max_total.
+  bool throttled();
   void poll();
+  /// The calling thread's slot: 0 for this runtime's producer, 1 + k for
+  /// pool worker k, and num_threads() (the foreign slot) for any other
+  /// thread. Metric shards, live counts and trace buffers are per slot;
+  /// the foreign one is shared and written with RMWs or under a lock.
   unsigned current_slot() const;
+  /// A submission (or a replay iteration) of `n` live tasks: slot 0, RMW,
+  /// since foreign submitters may share the slot.
+  void live_add(std::int64_t n) {
+    live_[0].n.fetch_add(n, std::memory_order_relaxed);
+  }
+  /// A completion on `slot`, with release: drain's acquire sum then sees
+  /// everything the task did (a re-arm included). Worker slots have one
+  /// writer and take a plain store; slot 0 and the foreign slot an RMW.
+  void live_done(unsigned slot) {
+    std::atomic<std::int64_t>& c = live_[slot].n;
+    if (slot != 0 && slot != foreign_slot_) {
+      c.store(c.load(std::memory_order_relaxed) - 1,
+              std::memory_order_release);
+    } else {
+      c.fetch_sub(1, std::memory_order_release);
+    }
+  }
+  /// Sum of every slot but 0 (never positive: only slot 0 adds).
+  std::int64_t live_others() const {
+    std::int64_t sum = 0;
+    for (unsigned i = 1; i <= foreign_slot_; ++i) {
+      sum += live_[i].n.load(std::memory_order_acquire);
+    }
+    return sum;
+  }
+  /// Live tasks, summed with acquire loads: the other slots first, then
+  /// slot 0, so a completion counted here has its submission counted too
+  /// and a sum of 0 means every task submitted so far has finished.
+  std::int64_t live_sum() const {
+    const std::int64_t others = live_others();
+    return others + live_[0].n.load(std::memory_order_acquire);
+  }
   /// Counter increment routed to the calling thread's shard.
   void madd(MetricsRegistry::Id id, std::uint64_t v = 1) {
     metrics_->add(id, v, current_slot());
@@ -533,7 +584,7 @@ class Runtime {
 
   // Batched submission (begin_batch/end_batch, producer-only). Tasks that
   // become ready inside a batch are buffered here and published together;
-  // pending_ increments of non-internal tasks are deferred alongside
+  // live-count increments of non-internal tasks are deferred alongside
   // (internal redirect nodes keep immediate accounting — they can complete
   // inline during the batch).
   bool batch_active_ = false;
@@ -565,10 +616,20 @@ class Runtime {
   HookBox polling_hook_;
   mutable SpinLock hook_lock_;
 
-  /// Submitted and not finished: taskwait's condition, the throttle's
-  /// total-task bound and live_tasks().
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<std::size_t> ready_count_{0};
+  /// Submitted and not finished, one count per slot (current_slot): slot 0
+  /// adds every submission, each completion subtracts on its completer's
+  /// slot. taskwait's condition, the throttle's total-task bound and
+  /// live_tasks() sum them.
+  struct alignas(kCacheLine) LiveCount {
+    std::atomic<std::int64_t> n{0};
+  };
+  std::unique_ptr<LiveCount[]> live_;
+  /// num_threads(): the slot of threads that are neither the producer nor
+  /// a pool worker.
+  unsigned foreign_slot_ = 0;
+  /// Throttle's bound on the other slots' sum (submitting thread only):
+  /// their last-read sum, which only shrinks afterwards.
+  std::int64_t others_bound_ = 0;
 
   // failure aggregation (executing threads write under failures_lock_;
   // taskwait drains the graph, then swaps the lists out and throws)

@@ -2,16 +2,18 @@
 // `new`/`delete` per discovered task. Discovery is sequential (single
 // producer), so allocation is effectively single-threaded, but tasks are
 // *freed* by whichever thread drops the last reference — usually a worker
-// completing the task. The arena therefore splits the two paths:
+// completing the task. The arena therefore splits the two paths, and the
+// allocating owner writes no line the freers write on every free:
 //
 //  * allocate(shard): owner-local freelist, then a wait-free grab of the
 //    whole remote-free stack, then a bump pointer into the shard's current
 //    slab chunk, then a new chunk (the only path that takes a lock, once
-//    per kBlocksPerChunk tasks).
+//    per kBlocksPerChunk tasks). The shard counts its allocations itself,
+//    with a plain store.
 //  * deallocate(p): a single CAS push onto a Treiber stack from any
-//    thread. Consumers never pop individual nodes — allocate() exchanges
-//    the whole stack head with nullptr — so the classic ABA problem cannot
-//    arise.
+//    thread, which counts the free on the stack's own line. Consumers
+//    never pop individual nodes — allocate() exchanges the whole stack
+//    head with nullptr — so the classic ABA problem cannot arise.
 //
 // Blocks are fixed-size, cache-line aligned and recycled indefinitely.
 // When an arena is destroyed (after the owning runtime has drained, so no
@@ -141,8 +143,7 @@ class TaskArena {
   };
 
   /// `block_bytes` is the fixed block size (rounded up to a cache line);
-  /// `nshards` is the worker-team size (shard i is only ever used by
-  /// thread slot i, matching the runtime's single-producer discipline).
+  /// `nshards` is the number of allocating owners (one per tenant).
   TaskArena(std::size_t block_bytes, unsigned nshards)
       : block_bytes_((block_bytes + kCacheLine - 1) & ~(kCacheLine - 1)),
         shards_(nshards > 0 ? nshards : 1) {}
@@ -164,11 +165,13 @@ class TaskArena {
     FreeNode* n = s.local;
     if (n == nullptr) {
       // Grab the entire remote-free stack in one exchange (wait-free).
-      n = remote_.exchange(nullptr, std::memory_order_acquire);
+      n = remote_.head.exchange(nullptr, std::memory_order_acquire);
     }
+    // Only the owner writes the count: load + store, no RMW.
+    s.allocated.store(s.allocated.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
     if (n != nullptr) {
       s.local = n->next;
-      live_blocks_.fetch_add(1, std::memory_order_relaxed);
       src = Source::Recycled;
       return n;
     }
@@ -179,20 +182,21 @@ class TaskArena {
     }
     void* p = s.bump;
     s.bump += block_bytes_;
-    live_blocks_.fetch_add(1, std::memory_order_relaxed);
     return p;
   }
 
   /// Return one block (any thread, lock-free).
   void deallocate(void* p) noexcept {
     FreeNode* n = static_cast<FreeNode*>(p);
-    FreeNode* head = remote_.load(std::memory_order_relaxed);
+    FreeNode* head = remote_.head.load(std::memory_order_relaxed);
     do {
       n->next = head;
-    } while (!remote_.compare_exchange_weak(head, n,
-                                            std::memory_order_release,
-                                            std::memory_order_relaxed));
-    live_blocks_.fetch_sub(1, std::memory_order_relaxed);
+    } while (!remote_.head.compare_exchange_weak(head, n,
+                                                 std::memory_order_release,
+                                                 std::memory_order_relaxed));
+    // Release: the block's allocation happens-before a reader that sees
+    // this free (see live_blocks).
+    remote_.freed.fetch_add(1, std::memory_order_release);
   }
 
   std::size_t block_bytes() const { return block_bytes_; }
@@ -201,8 +205,16 @@ class TaskArena {
   }
   /// Blocks currently handed out (allocated minus freed) — the leak check
   /// used by the churn test: zero once every task descriptor was released.
+  /// A racy sum while threads allocate and free; exact at quiescence.
   std::size_t live_blocks() const {
-    return live_blocks_.load(std::memory_order_relaxed);
+    // Frees first: any allocation a counted free undid is then counted
+    // too, so the difference never goes below the true count.
+    const std::size_t freed = remote_.freed.load(std::memory_order_acquire);
+    std::size_t allocated = 0;
+    for (const Shard& s : shards_) {
+      allocated += s.allocated.load(std::memory_order_relaxed);
+    }
+    return allocated > freed ? allocated - freed : 0;
   }
   /// Chunks carved so far (monotonic; memory high-water mark).
   std::size_t chunks_allocated() const {
@@ -230,6 +242,13 @@ class TaskArena {
     unsigned char* bump = nullptr;    // owner-thread only
     unsigned char* bump_end = nullptr;
     std::size_t carved = 0;           // chunks this shard triggered
+    std::atomic<std::size_t> allocated{0};  // written by the owner only
+  };
+  /// The remote-free stack and the count of frees, on one line: a free
+  /// writes only this line.
+  struct alignas(kCacheLine) FreeStack {
+    std::atomic<FreeNode*> head{nullptr};
+    std::atomic<std::size_t> freed{0};
   };
 
   void carve_chunk(Shard& s) {
@@ -248,8 +267,7 @@ class TaskArena {
   }
 
   const std::size_t block_bytes_;
-  alignas(kCacheLine) std::atomic<FreeNode*> remote_{nullptr};
-  alignas(kCacheLine) std::atomic<std::size_t> live_blocks_{0};
+  FreeStack remote_;
   std::vector<Shard> shards_;
   mutable SpinLock chunks_lock_;
   std::vector<void*> chunks_;

@@ -224,7 +224,10 @@ struct TaskOpts {
 
 /// A task descriptor. Instances are reference counted: the dependency map,
 /// the persistent region and the task itself (until completion) each hold a
-/// reference, so a pointer obtained from the map is always valid.
+/// reference, so a pointer obtained from the map is always valid. The map
+/// holds one reference however many history lists name the task: the
+/// producer counts those in hist_refs and retains or releases the
+/// descriptor only when that count leaves or returns to zero.
 /// Descriptors are normally placement-constructed in a TaskArena slab
 /// block (Runtime::allocate_task) and recycled on final release; a
 /// plain-`new`ed descriptor (arena == nullptr) still works for tests.
@@ -233,12 +236,19 @@ struct TaskOpts {
 ///   line 0  identity, completion latch, failure flags, retry policy
 ///   line 1  the body (ops pointer + 56 inline capture bytes)
 ///   line 2  label, timeline stamps, persistent bookkeeping
-///   line 3  discovery group: last successor id, refcounts, lock, finish
-///           state and the successor list
+///   line 3  discovery group: last successor id, refcounts, history
+///           references, lock, finish state and the successor list
 /// Every task of a rediscovered graph holds one block until it retires, so
 /// a field added here costs the memory of the whole live graph.
 class Task {
  public:
+  /// Discovery guard: the predecessor count a task starts from. It biases
+  /// the count so no predecessor can drive it to zero while the producer
+  /// is still adding edges; the producer counts the edges it creates in
+  /// discovered_edges and, once the clause is processed, subtracts the
+  /// guard minus that count in one RMW (see drop_discovery_guard).
+  static constexpr std::int32_t kDiscoveryGuard = 1 << 30;
+
   /// Successor-edge storage. The inline capacity matches the graph shapes
   /// of the figure benches (telemetry: LULESH/HPCG writers fan out to 1-3
   /// consumers after dedup, chains to exactly 1); larger fan-outs —
@@ -287,7 +297,7 @@ class Task {
   // --- edges ---------------------------------------------------------------
   /// Outcome of attempting to create an edge  this -> succ.
   enum class EdgeResult : std::uint8_t {
-    Created,   ///< edge recorded; successor refcount must be incremented
+    Created,   ///< edge recorded; the producer counts it in discovered_edges
     Pruned,    ///< predecessor already finished; no constraint needed
     Recorded,  ///< persistent mode: edge recorded for replay, but the
                ///< predecessor already finished so no refcount this round
@@ -361,6 +371,26 @@ class Task {
     return successors_;
   }
 
+  /// Drop the discovery guard once every edge of the clause is created
+  /// (producer only). True when the task is ready: every counted edge has
+  /// already been released, so the count reaches zero here.
+  bool drop_discovery_guard() noexcept {
+    TDG_DCHECK(discovered_edges < static_cast<std::uint32_t>(kDiscoveryGuard),
+               "more inbound edges than the discovery guard covers");
+    const std::int32_t drop =
+        kDiscoveryGuard - static_cast<std::int32_t>(discovered_edges);
+    return npredecessors.fetch_sub(drop, std::memory_order_acq_rel) == drop;
+  }
+
+  /// History references (producer only): the dependency map's lists name
+  /// the task hist_refs times and hold one descriptor reference for all.
+  void retain_history() noexcept {
+    if (hist_refs++ == 0) retain();
+  }
+  void release_history() noexcept {
+    if (--hist_refs == 0) release();
+  }
+
   /// Persistent re-arm, the one rule: restore what the next replayed
   /// instance starts from, out of the task's own fields. The predecessor
   /// count is every recorded edge plus the discovery guard the producer
@@ -370,9 +400,9 @@ class Task {
   /// replay plan is compiled, then by complete_task as each replayed
   /// instance finishes: every predecessor has released the task by then
   /// and its successor list is frozen, so nothing races the stores, and
-  /// the completer's pending_ decrement publishes them to the barrier. The
-  /// detach event is re-armed at the next begin_iteration instead, so a
-  /// late duplicate fulfil stays a no-op (see PersistentRegion). The
+  /// the completer's live-count decrement publishes them to the barrier.
+  /// The detach event is re-armed at the next begin_iteration instead, so
+  /// a late duplicate fulfil stays a no-op (see PersistentRegion). The
   /// finish state is left as it is: nothing reads it once frozen.
   void rearm_persistent() noexcept {
     npredecessors.store(persistent_indegree + (internal ? 0 : 1),
@@ -433,6 +463,10 @@ class Task {
   /// Total inbound edges recorded during first-iteration discovery,
   /// including edges to then-already-finished predecessors.
   std::int32_t persistent_indegree = 0;
+  /// Inbound edges created while discovering this instance (producer
+  /// only): each will be released by its predecessor, so the guard drop
+  /// leaves exactly this many on npredecessors.
+  std::uint32_t discovered_edges = 0;
   std::uint32_t iteration = 0;  ///< persistent-region iteration index
   bool persistent = false;
 
@@ -453,14 +487,18 @@ class Task {
 
  public:
   // --- readiness refcount ---------------------------------------------------
-  /// Predecessor counter. Convention: a task is created with value 1 (the
-  /// discovery guard); each inbound edge adds 1; the producer drops the
-  /// guard once the depend clause is fully processed. Reaching 0 => ready.
-  std::atomic<std::int32_t> npredecessors{1};
+  /// Predecessor counter. A task is created with kDiscoveryGuard; each
+  /// predecessor releases one edge as it completes; the producer drops the
+  /// guard less the edges it created once the depend clause is fully
+  /// processed (drop_discovery_guard), so no edge costs the producer an
+  /// RMW. Reaching 0 => ready. A re-armed persistent task starts from its
+  /// recorded edges plus a guard of 1 instead (rearm_persistent).
+  std::atomic<std::int32_t> npredecessors{kDiscoveryGuard};
 
  private:
   SpinLock succ_lock_;
   std::atomic<std::uint8_t> finish_state_{0};  // kFinished | kPoisoned
+  std::uint32_t hist_refs = 0;  // see retain_history (in the padding)
   SuccessorList successors_;
 
   friend struct TaskLayout;

@@ -175,11 +175,13 @@ void WorkerPool::push_local(Task* t) {
 
 void WorkerPool::wake_workers(std::size_t n, Runtime* waker) {
   if (n == 0) return;
-  // One seq_cst load on the hot publish path; the mutex is only touched
-  // when somebody is actually parked. Taking and dropping park_mu_ before
-  // notifying closes the race against a worker that passed its re-check
-  // but has not yet entered cv.wait (it holds the mutex for that window).
-  if (parked_.load(std::memory_order_seq_cst) == 0) return;
+  // A fence and one load on the hot publish path, no RMW on a shared line;
+  // the mutex is only touched when somebody is actually parked. Taking
+  // and dropping park_mu_ before notifying closes the race against a
+  // worker that passed its re-check but has not yet entered cv.wait (it
+  // holds the mutex for that window).
+  store_load_fence();
+  if (parked_.load(std::memory_order_relaxed) == 0) return;
   { std::lock_guard<std::mutex> g(park_mu_); }
   if (n == 1) {
     park_cv_.notify_one();
@@ -335,7 +337,7 @@ bool WorkerPool::try_execute_one(unsigned slot) {
   // Attribution sample, taken once up front: reading it after the failed
   // probes would flip genuine idle time into "overhead + steal failure"
   // whenever a task was enqueued and taken elsewhere mid-scan.
-  const bool work_existed = ready_.load(std::memory_order_relaxed) > 0;
+  const bool work_existed = s != nullptr && s->ready_tasks() > 0;
   Runtime* owner = nullptr;
   bool stole = false;
   bool deferred = false;
@@ -404,36 +406,36 @@ void WorkerPool::park_worker(unsigned slot) {
   }
   std::unique_lock<std::mutex> lk(park_mu_);
   parked_.fetch_add(1, std::memory_order_seq_cst);
-  // Dekker pairing with ready_inc: a publisher increments ready_ (seq_cst)
-  // and then loads parked_; we increment parked_ and then load ready_. At
-  // least one side observes the other, so either the publisher notifies or
-  // we skip the wait entirely.
-  const bool may_sleep = ready_.load(std::memory_order_seq_cst) == 0 &&
-                         !shutdown_.load(std::memory_order_acquire);
-  if (may_sleep) {
-    // Bounded wait: parked workers still service the tenants' polling
-    // hooks (MPI progress, held fault-injection deliveries) and
-    // deferred-retry deadlines at this cadence.
-    std::uint64_t wait_ns = 2'000'000;  // 2 ms
-    const unsigned hi = std::min<unsigned>(
-        tenant_high_.load(std::memory_order_acquire),
-        static_cast<unsigned>(tenants_.size()));
-    for (unsigned i = 0; i < hi; ++i) {
-      if (tenants_[i].rt.load(std::memory_order_relaxed) == nullptr) continue;
-      Runtime* r = pin(slot, i);
-      if (r != nullptr) {
-        const std::uint64_t nd =
-            r->next_deferred_ns_.load(std::memory_order_relaxed);
-        if (nd != UINT64_MAX) {
-          const std::uint64_t now = now_ns();
-          wait_ns = nd > now ? std::min(wait_ns, nd - now) : 0;
-        }
-      }
+  // Dekker pairing with wake_workers (see the declaration): after this
+  // fence, every queue a publisher pushed to before its own fence is seen
+  // non-empty, or that publisher sees parked_ and notifies.
+  store_load_fence();
+  bool work = shutdown_.load(std::memory_order_acquire);
+  for (std::size_t i = 0; i < deques_.size() && !work; ++i) {
+    work = !deques_[i]->empty();
+  }
+  // Bounded wait: parked workers still service the tenants' polling hooks
+  // (MPI progress, held fault-injection deliveries) and deferred-retry
+  // deadlines at this cadence.
+  std::uint64_t wait_ns = 2'000'000;  // 2 ms
+  const unsigned hi = std::min<unsigned>(
+      tenant_high_.load(std::memory_order_acquire),
+      static_cast<unsigned>(tenants_.size()));
+  for (unsigned i = 0; i < hi && !work; ++i) {
+    if (tenants_[i].rt.load(std::memory_order_relaxed) == nullptr) continue;
+    Runtime* r = pin(slot, i);
+    if (r == nullptr) continue;
+    work = !r->shard_.empty() || !r->inject_.approx_empty();
+    const std::uint64_t nd =
+        r->next_deferred_ns_.load(std::memory_order_relaxed);
+    if (nd != UINT64_MAX) {
+      const std::uint64_t now = now_ns();
+      wait_ns = nd > now ? std::min(wait_ns, nd - now) : 0;
     }
-    unpin(slot);
-    if (wait_ns > 0) {
-      park_cv_.wait_for(lk, std::chrono::nanoseconds(wait_ns));
-    }
+  }
+  unpin(slot);
+  if (!work && wait_ns > 0) {
+    park_cv_.wait_for(lk, std::chrono::nanoseconds(wait_ns));
   }
   parked_.fetch_sub(1, std::memory_order_relaxed);
 }
@@ -450,7 +452,7 @@ void WorkerPool::worker_loop(unsigned slot) {
     if (shutdown_.load(std::memory_order_acquire)) break;
     Runtime* const s = solo_;
     const std::uint64_t t0 = (s != nullptr && s->timed_) ? now_ns() : 0;
-    const bool work_existed = ready_.load(std::memory_order_relaxed) > 0;
+    const bool work_existed = t0 != 0 && s->ready_tasks() > 0;
     poll_tenants(slot);
     if (bo.should_park()) {
       park_worker(slot);
@@ -476,8 +478,8 @@ void WorkerPool::worker_loop(unsigned slot) {
 void WorkerPool::diagnostic(std::string& out) const {
   out += "\n  pool: " + std::to_string(num_workers()) + " workers, " +
          std::to_string(tenant_count()) + " tenants, " +
-         std::to_string(parked()) + " parked, ready mirror " +
-         std::to_string(ready_.load(std::memory_order_relaxed));
+         std::to_string(parked()) + " parked, worker deque depths";
+  for (const auto& dq : deques_) out += " " + std::to_string(dq->size());
   const unsigned hi = std::min<unsigned>(
       tenant_high_.load(std::memory_order_acquire),
       static_cast<unsigned>(tenants_.size()));

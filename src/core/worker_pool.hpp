@@ -9,9 +9,11 @@
 //
 // Ownership split:
 //   * WorkerPool owns the threads, the per-worker Chase-Lev deques, the
-//     parking lot (mutex/cv + Dekker-paired ready mirror) and the task-
-//     descriptor slab arena (one allocation shard per tenant, recycled
-//     cross-tenant through the arena's remote-free stack).
+//     parking lot (mutex/cv; a parking worker and a publisher pair up
+//     Dekker-style through `parked_` and the queues themselves, see
+//     park_worker) and the task-descriptor slab arena (one allocation
+//     shard per tenant, recycled cross-tenant through the arena's
+//     remote-free stack).
 //   * Runtime keeps its submission shard (a Chase-Lev deque whose bottom
 //     only the producer touches), inject queue, deferred-retry queue,
 //     throttle quota, metrics/profiler/watchdog and all discovery state.
@@ -98,10 +100,6 @@ class WorkerPool {
   /// self-helping are not counted). Exact: the per-worker counts summed.
   std::uint64_t served(unsigned id) const;
   unsigned parked() const { return parked_.load(std::memory_order_relaxed); }
-  /// Pool-wide ready mirror (sum of attached tenants' ready backlogs).
-  std::size_t ready() const {
-    return ready_.load(std::memory_order_relaxed);
-  }
   /// The shared slab arena backing every tenant's task descriptors
   /// (leak checks: live_blocks() is zero once all tenants drained).
   const TaskArena& arena() const { return arena_; }
@@ -124,11 +122,6 @@ class WorkerPool {
   void detach(unsigned id);
 
   // --- work publication (Runtime::enqueue_ready / end_batch) --------------
-  /// seq_cst: the Dekker pairing with a parking worker's ready re-check.
-  void ready_inc(std::size_t n) {
-    ready_.fetch_add(n, std::memory_order_seq_cst);
-  }
-  void ready_dec() { ready_.fetch_sub(1, std::memory_order_relaxed); }
   /// Push to the calling pool worker's own deque (requires the calling
   /// thread to be a worker of this pool — see on_pool_worker()).
   void push_local(Task* t);
@@ -136,7 +129,9 @@ class WorkerPool {
   bool on_pool_worker() const { return tls_pool == this; }
   /// Calling worker's slot (valid only when on_pool_worker()).
   static unsigned calling_slot() { return tls_pool_slot; }
-  /// Wake up to `n` parked workers after publishing ready work; wakeups
+  /// Wake up to `n` parked workers after publishing ready work (a push to
+  /// a deque or an inject queue): a seq_cst fence, then a load of
+  /// parked_ — the publisher's half of the pairing in park_worker. Wakeups
   /// are attributed to `waker`'s metrics namespace (may be null).
   void wake_workers(std::size_t n, Runtime* waker);
 
@@ -173,6 +168,12 @@ class WorkerPool {
   /// are attached (with one there is nothing to arbitrate).
   void note_served(unsigned slot, unsigned id);
   void worker_loop(unsigned slot);
+  /// Sleep on the parking cv unless work is visible. Dekker pairing with
+  /// wake_workers: the worker increments parked_ and runs a seq_cst
+  /// fence, then scans every worker deque and each attached tenant's shard
+  /// and inject queue; a publisher pushes, fences, then loads parked_. At
+  /// least one side sees the other, so either the worker finds the task or
+  /// the publisher notifies.
   void park_worker(unsigned slot);
   /// Run every attached tenant's polling hook (MPI progress etc.) from an
   /// idle worker.
@@ -232,12 +233,11 @@ class WorkerPool {
   std::vector<std::thread> workers_;
 
   // Parking: spin-then-yield-then-park, same ladder as the pre-pool
-  // runtime. parked_ is read seq_cst on every enqueue (Dekker pairing
-  // with ready_).
+  // runtime. parked_ is loaded after a fence on every enqueue (see
+  // park_worker).
   std::mutex park_mu_;
   std::condition_variable park_cv_;
   std::atomic<unsigned> parked_{0};
-  std::atomic<std::size_t> ready_{0};
   std::atomic<bool> shutdown_{false};
 
   /// Aggregate of detached tenants' final metric snapshots (printed at

@@ -269,6 +269,36 @@ TEST(TaskArena, RecyclesThroughRemoteFreeStack) {
   arena.deallocate(d);
 }
 
+// The shard counts allocations and the remote stack counts frees, so
+// blocks freed from several threads at once keep live_blocks() exact, and
+// the owner recycles every one of them before it carves anything new.
+TEST(TaskArena, FreesFromManyThreadsRecycleAndCount) {
+  constexpr int kThreads = 4;
+  constexpr int kBlocks = 1000;
+  TaskArena arena(/*block_bytes=*/64, /*nshards=*/1);
+  TaskArena::Source src;
+  std::vector<void*> blocks(kBlocks);
+  for (void*& b : blocks) b = arena.allocate(0, src);
+  EXPECT_EQ(arena.live_blocks(), static_cast<std::size_t>(kBlocks));
+  std::vector<std::thread> freers;
+  for (int t = 0; t < kThreads; ++t) {
+    freers.emplace_back([&arena, &blocks, t] {
+      for (int i = t; i < kBlocks; i += kThreads) arena.deallocate(blocks[i]);
+    });
+  }
+  for (auto& t : freers) t.join();
+  EXPECT_EQ(arena.live_blocks(), 0u);
+  const std::size_t chunks = arena.chunks_allocated();
+  for (void*& b : blocks) {
+    b = arena.allocate(0, src);
+    EXPECT_EQ(src, TaskArena::Source::Recycled);
+  }
+  EXPECT_EQ(arena.chunks_allocated(), chunks);
+  EXPECT_EQ(arena.live_blocks(), static_cast<std::size_t>(kBlocks));
+  for (void* b : blocks) arena.deallocate(b);
+  EXPECT_EQ(arena.live_blocks(), 0u);
+}
+
 // Churn: many waves of short-lived tasks through a live runtime. The leak
 // check rides the existing refcount paths — every release() must hand the
 // descriptor back to the arena, so live_blocks() returns to zero once the

@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -42,6 +43,46 @@ TEST(MetricsRegistryTest, CounterSumsAcrossShards) {
   reg.add(id, 4, 3);
   reg.add(id, 5, 99);  // out-of-range shard hint folds in, never crashes
   EXPECT_EQ(reg.snapshot().value("test.counter"), 15u);
+}
+
+// Shards below num_shards() are single-writer (a plain load and store);
+// every other hint shares one RMW shard. Both kinds written at once from
+// their own threads must sum exactly, counters and gauges alike.
+TEST(MetricsRegistryTest, OwnAndSharedShardsSumExactly) {
+  constexpr unsigned kOwners = 4;
+  constexpr unsigned kGuests = 4;
+  constexpr int kAdds = 100'000;
+  MetricsRegistry reg(kOwners);
+  ASSERT_EQ(reg.num_shards(), kOwners);
+  const auto c = reg.counter("test.counter");
+  const auto g = reg.gauge("test.gauge");
+  std::vector<std::thread> ts;
+  for (unsigned t = 0; t < kOwners + kGuests; ++t) {
+    // Guests pass hints past the owned shards, each a different one.
+    const unsigned hint = t < kOwners ? t : kOwners + 7 * (t - kOwners);
+    ts.emplace_back([&reg, c, g, hint] {
+      for (int i = 0; i < kAdds; ++i) {
+        reg.add(c, 1, hint);
+        reg.gauge_add(g, i % 2 == 0 ? 2 : -1, hint);
+      }
+    });
+  }
+  for (auto& t : ts) t.join();
+  const std::uint64_t total = std::uint64_t{kOwners + kGuests} * kAdds;
+  EXPECT_EQ(reg.read(c), total);
+  EXPECT_EQ(static_cast<std::int64_t>(reg.read(g)),
+            static_cast<std::int64_t>(total / 2));
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.value("test.counter"), total);
+  ASSERT_NE(snap.find("test.gauge"), nullptr);
+  EXPECT_EQ(snap.find("test.gauge")->level,
+            static_cast<std::int64_t>(total / 2));
+  // Each owner's share is its own; the guests' share is on the shared
+  // shard, num_shards().
+  for (unsigned t = 0; t < kOwners; ++t) {
+    EXPECT_EQ(reg.read(c, t), std::uint64_t{kAdds}) << "shard " << t;
+  }
+  EXPECT_EQ(reg.read(c, kOwners), std::uint64_t{kGuests} * kAdds);
 }
 
 TEST(MetricsRegistryTest, GaugeLevelsCancelAcrossShards) {
@@ -313,7 +354,11 @@ TEST(RuntimeMetricsTest, ConfigDisablesCollection) {
 
 TEST(RuntimeMetricsTest, UnknownEnvValueLeavesConfigInCharge) {
   // A typo in TDG_METRICS warns once and must not force collection on.
-  setenv("TDG_METRICS", "bogus", 1);
+  // The warning prints once per process and value, so each run of the
+  // test (--gtest_repeat) uses a value of its own.
+  static int run = 0;
+  const std::string value = "bogus" + std::to_string(run++);
+  setenv("TDG_METRICS", value.c_str(), 1);
   testing::internal::CaptureStderr();
   {
     Runtime rt({.num_threads = 1, .metrics = false});
@@ -325,8 +370,8 @@ TEST(RuntimeMetricsTest, UnknownEnvValueLeavesConfigInCharge) {
   }
   unsetenv("TDG_METRICS");
   EXPECT_EQ(testing::internal::GetCapturedStderr(),
-            "tdg: unknown TDG_METRICS value 'bogus' "
-            "(expected off|0|false|on|1|true|dump); ignored\n");
+            "tdg: unknown TDG_METRICS value '" + value +
+                "' (expected off|0|false|on|1|true|dump); ignored\n");
 }
 
 }  // namespace

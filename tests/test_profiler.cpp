@@ -2,13 +2,18 @@
 // and task traces.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <string_view>
+#include <thread>
+#include <vector>
 
 #include "core/tdg.hpp"
 
 namespace {
 
 using tdg::Depend;
+using tdg::Event;
 using tdg::Runtime;
 
 void busy_wait_us(int us) {
@@ -67,6 +72,57 @@ TEST(Profiler, TraceRecordsCompleteAndConsistent) {
       EXPECT_GE(r.t_start, trace[i - 1].t_end);
     }
   }
+}
+
+// A thread that is neither the producer nor a pool worker completes the
+// detached tasks it fulfils. Its trace records go to the shared buffer
+// (under its lock), not the producer's, which is recording the tasks it
+// runs in taskwait at the same time.
+TEST(Profiler, ForeignFulfilRecordsBesideTheProducer) {
+  constexpr int kDetached = 2000;
+  constexpr int kPlain = 2000;
+  Runtime rt({.num_threads = 1, .trace = true});
+  static_assert(kDetached == kPlain, "submissions alternate");
+  std::vector<Event*> events(kDetached);
+  std::vector<std::atomic<bool>> ran(kDetached);
+  for (int i = 0; i < kDetached; ++i) {
+    events[i] = rt.create_event();
+    rt.submit([&ran, i] { ran[i].store(true); }, {},
+              {.label = "detached", .detach = events[i]});
+    rt.submit([] {}, {}, {.label = "plain"});
+  }
+  // Fulfil each event as soon as its body has run, in whatever order the
+  // producer runs them, so the helper's completions overlap the
+  // producer's.
+  std::thread helper([&] {
+    std::vector<bool> done(kDetached, false);
+    for (int left = kDetached; left > 0;) {
+      for (int i = 0; i < kDetached; ++i) {
+        if (done[i] || !ran[i].load()) continue;
+        events[i]->fulfill();
+        done[i] = true;
+        --left;
+      }
+    }
+  });
+  rt.taskwait();
+  helper.join();
+  const auto trace = rt.profiler().merged_trace();
+  ASSERT_EQ(trace.size(), static_cast<std::size_t>(kDetached + kPlain));
+  int plain = 0;
+  int foreign = 0;
+  for (const auto& r : trace) {
+    if (std::string_view(r.label) == "plain") {
+      ++plain;
+      EXPECT_EQ(r.thread, 0u);
+    } else if (r.thread == rt.num_threads()) {
+      ++foreign;  // completed by the helper, in the foreign slot
+    }
+  }
+  EXPECT_EQ(plain, kPlain);
+  // A fulfil that lands between a body's store and its latch decrement
+  // leaves the completion to the producer; most land after.
+  EXPECT_GT(foreign, 0);
 }
 
 TEST(Profiler, TraceDisabledRecordsNothing) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -315,6 +316,24 @@ TEST(Runtime, TotalThrottleBoundsLiveTasks) {
   // submit may momentarily hold max_total + 1 (the task being created).
   EXPECT_LE(max_live, 9u);
   EXPECT_EQ(rt.stats().tasks_executed, 200u);
+}
+
+// Both bounds at SIZE_MAX mean "never throttle". The live count is signed
+// per slot, so the bound must not be cast to it: SIZE_MAX would read as -1
+// and stall every submit.
+TEST(Runtime, UnboundedThrottleNeverStalls) {
+  Runtime::Config cfg;
+  cfg.num_threads = 1;
+  cfg.throttle.max_total = std::numeric_limits<std::size_t>::max();
+  cfg.throttle.max_ready = std::numeric_limits<std::size_t>::max();
+  Runtime rt(cfg);
+  int ran = 0;
+  for (int i = 0; i < 1000; ++i) rt.submit([&ran] { ++ran; }, {});
+  EXPECT_EQ(ran, 0) << "a body ran before taskwait: the producer stalled";
+  EXPECT_EQ(rt.live_tasks(), 1000u);
+  EXPECT_EQ(rt.metrics().read(rt.metric_ids().throttle_stalls), 0u);
+  rt.taskwait();
+  EXPECT_EQ(ran, 1000);
 }
 
 TEST(Runtime, ReadyThrottleMakesProducerHelp) {
