@@ -2,7 +2,8 @@
 // access-history probes (the open-addressing table), edge creation across
 // in/out/inout/inoutset mixes, and address-set sizes from cache-resident to
 // spilling. Reported rates:
-//   items_per_second = edges/s for the *Mixed / *InOutSet benches
+//   items_per_second = edges/s for the *Mixed / *InOutSet /
+//                      *LogicalAddresses benches
 //   items_per_second = addresses/s for the *AddressInsert bench
 //   items_per_second = submits/s for BM_DiscoveryMixedThreads (the producer
 //                      against 3 running workers)
@@ -70,6 +71,46 @@ BENCHMARK(BM_DiscoveryMixed)
     ->Args({10000, 1})
     ->Args({10000, 0})
     ->Args({100000, 1});
+
+/// BM_DiscoveryMixed on the logical addresses the application emitters
+/// pass instead of pointers. range(0) = number of keys; range(1) = 0 for
+/// consecutive integers (the taskbench and Cholesky shape), 1 for fields
+/// striped 2^20 apart with 64 blocks each (the LULESH and HPCG shape).
+/// Every key is the logical address + 1, as RuntimeEmitter passes it; none
+/// is dereferenced. items_per_second = edges/s.
+void BM_DiscoveryLogicalAddresses(benchmark::State& state) {
+  const auto naddrs = static_cast<std::uintptr_t>(state.range(0));
+  const bool striped = state.range(1) != 0;
+  std::vector<const void*> keys;
+  for (std::uintptr_t i = 0; i < naddrs; ++i) {
+    const std::uintptr_t a = striped ? ((i / 64) << 20) + i % 64 : i;
+    keys.push_back(reinterpret_cast<const void*>(a + 1));
+  }
+  std::uint64_t edges = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Runtime rt(solo());
+    state.ResumeTiming();
+    for (int round = 0; round < 2; ++round) {
+      for (const void* a : keys) {
+        rt.submit([] {}, {Depend::out(a)});
+        rt.submit([] {}, {Depend::in(a)});
+        rt.submit([] {}, {Depend::in(a)});
+        rt.submit([] {}, {Depend::inout(a)});
+      }
+    }
+    state.PauseTiming();
+    edges += rt.stats().discovery.edges_created;
+    rt.taskwait();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(edges));
+  state.counters["addresses"] = static_cast<double>(naddrs);
+}
+BENCHMARK(BM_DiscoveryLogicalAddresses)
+    ->ArgNames({"keys", "striped"})
+    ->Args({10000, 0})
+    ->Args({10000, 1});
 
 /// The producer's submit cost with a team running the bodies: the mix of
 /// BM_DiscoveryMixed on a 4-thread runtime, whose 3 pool workers execute
@@ -169,7 +210,7 @@ BENCHMARK(BM_DiscoveryAddressInsert)->Arg(10000)->Arg(100000);
 /// Collision-heavy pointer pattern: addresses at a constant large stride,
 /// the worst case for low-entropy pointer hashing (all keys share their
 /// low bits). A table whose hash only mixes low bits collapses to a probe
-/// chain here; the mixed hash must keep this within ~2x of the dense case.
+/// chain here; the table hash must keep this within ~2x of the dense case.
 void BM_DiscoveryStridedAddresses(benchmark::State& state) {
   constexpr int kAddrs = 4096;
   constexpr std::size_t kStride = 4096;  // page-stride bases

@@ -15,7 +15,8 @@
 #   rm scripts/bench_baseline.txt && scripts/ci_bench_smoke.sh
 #
 # Besides the gate, each run appends one record per benchmark to the
-# trajectory files BENCH_runtime.json and BENCH_discovery.json (JSON
+# trajectory files BENCH_runtime.json and BENCH_discovery.json (the
+# latter also gets BM_DiscoveryLogicalAddresses, ungated; JSON
 # arrays of {name, median_items_per_second, threads, git_sha, date}),
 # and runs the strict-verified taskbench METG smoke sweep, bulk-recording
 # its pattern x engine x config frontier into BENCH_metg.json
@@ -116,10 +117,19 @@ echo "=== [bench-smoke] running BM_SpawnExecuteThroughput/1 ==="
 spawn=$(measure bench_micro_runtime 'BM_SpawnExecuteThroughput/1$')
 echo "=== [bench-smoke] running BM_DiscoveryMixed/10000/1 ==="
 discovery=$(measure bench_micro_discovery 'BM_DiscoveryMixed/10000/1$')
+# The same mix on the emitters' logical addresses (consecutive integers,
+# then 2^20-striped fields): recorded only, not gated.
+logical=BM_DiscoveryLogicalAddresses/keys:10000
+echo "=== [bench-smoke] running $logical/striped:{0,1} ==="
+logical_ints=$(measure bench_micro_discovery "$logical/striped:0\$")
+logical_striped=$(measure bench_micro_discovery "$logical/striped:1\$")
 
 record_trajectory BENCH_runtime.json BM_SpawnExecuteThroughput/1 1 "$spawn"
 record_trajectory BENCH_discovery.json BM_DiscoveryMixed/10000/1 1 \
                   "$discovery"
+record_trajectory BENCH_discovery.json "$logical/striped:0" 1 "$logical_ints"
+record_trajectory BENCH_discovery.json "$logical/striped:1" 1 \
+                  "$logical_striped"
 
 gate spawn "$spawn"
 gate discovery "$discovery"

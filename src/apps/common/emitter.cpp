@@ -23,6 +23,14 @@ RuntimeEmitter::RuntimeEmitter(Runtime& rt, mpi::Comm& comm,
 
 RuntimeEmitter::~RuntimeEmitter() = default;
 
+Event* RuntimeEmitter::detach_event() {
+  // A replayed submission reuses the event of its discovery iteration and
+  // ignores TaskOpts: an event created for it would never be attached, and
+  // events live as long as the runtime.
+  if (region_ != nullptr && region_->replaying()) return nullptr;
+  return rt_.create_event();
+}
+
 void RuntimeEmitter::to_deps(std::span<const LDep> ldeps) {
   scratch_.clear();
   for (const LDep& d : ldeps) {
@@ -50,7 +58,7 @@ void RuntimeEmitter::send(const char* label, std::span<const LDep> deps,
   to_deps(deps);
   TaskOpts topts;
   topts.label = label;
-  topts.detach = rt_.create_event();
+  topts.detach = detach_event();
   // Sends need no reroute callback: the MPI layer discards sends to dead
   // ranks, so the task completes either way; idempotency marks it safe to
   // re-execute under shrink recovery.
@@ -74,7 +82,7 @@ void RuntimeEmitter::recv(const char* label, std::span<const LDep> deps,
   to_deps(deps);
   TaskOpts topts;
   topts.label = label;
-  topts.detach = rt_.create_event();
+  topts.detach = detach_event();
   mpi::Comm* comm = comm_;
   mpi::RequestPoller* poller = poller_;
   Runtime* rt = &rt_;
@@ -127,7 +135,7 @@ void RuntimeEmitter::allreduce(const char* label, std::span<const LDep> deps,
   to_deps(deps);
   TaskOpts topts;
   topts.label = label;
-  topts.detach = rt_.create_event();
+  topts.detach = detach_event();
   // Collectives complete over the survivors (dead ranks are excused by
   // the MPI layer), so no reroute is needed in shrink mode.
   topts.idempotent = opts_.recovery == RecoveryMode::ShrinkRedistribute;

@@ -154,6 +154,8 @@ class RuntimeEmitter final : public Emitter {
 
  private:
   void to_deps(std::span<const LDep> ldeps);
+  /// The detach event of a communication task; none during a replay.
+  Event* detach_event();
 
   Runtime& rt_;
   mpi::Comm* comm_ = nullptr;

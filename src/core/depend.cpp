@@ -1,5 +1,7 @@
 #include "core/depend.hpp"
 
+#include <bit>
+
 namespace tdg {
 
 AddrTable::~AddrTable() {
@@ -11,9 +13,10 @@ void AddrTable::grow_table() {
   const std::size_t new_cap = cap_ == 0 ? 64 : cap_ * 2;
   Slot* fresh = new Slot[new_cap]();  // entry == nullptr marks empty
   const std::size_t mask = new_cap - 1;
+  shift_ = static_cast<unsigned>(std::countl_zero(mask));
   for (std::size_t i = 0; i < cap_; ++i) {
     if (slots_[i].entry == nullptr) continue;
-    std::size_t j = mix_pointer_hash(slots_[i].key) & mask;
+    std::size_t j = home(slots_[i].key);
     while (fresh[j].entry != nullptr) j = (j + 1) & mask;
     fresh[j] = slots_[i];
   }
@@ -35,7 +38,7 @@ AddrTable::Entry& AddrTable::probe(const void* addr) {
   // the load factor stays under 3/4 (probe sequences stay short).
   if ((size_ + 1) * 4 > cap_ * 3) grow_table();
   const std::size_t mask = cap_ - 1;
-  std::size_t i = mix_pointer_hash(addr) & mask;
+  std::size_t i = home(addr);
   std::uint64_t probes = 1;
   while (slots_[i].entry != nullptr) {
     if (slots_[i].key == addr) {
@@ -71,7 +74,7 @@ AddrTable::Entry& AddrTable::probe(const void* addr) {
 const AddrTable::Entry* AddrTable::history(const void* addr) const {
   if (cap_ == 0) return nullptr;
   const std::size_t mask = cap_ - 1;
-  for (std::size_t i = mix_pointer_hash(addr) & mask;
+  for (std::size_t i = home(addr);
        slots_[i].entry != nullptr; i = (i + 1) & mask) {
     if (slots_[i].key == addr) return slots_[i].entry;
   }

@@ -3,7 +3,7 @@
 //
 // Data layout (see DESIGN.md "Discovery data layout"): the access history
 // is an open-addressing hash table — one flat power-of-two array of
-// (address, entry*) slots probed linearly under a mixed pointer hash — and
+// (address, entry*) slots probed linearly from a Fibonacci hash — and
 // the AccessHistory payloads live in a slab arena (core/slab.hpp), so a
 // rehash moves only 16-byte slots while entries (which hold task references
 // and possibly-spilled small_vectors) never move. History lists use
@@ -19,25 +19,6 @@
 #include "core/task.hpp"
 
 namespace tdg {
-
-/// Locality-preserving pointer hash. Depend addresses arrive in array
-/// order in real applications (mesh blocks, matrix tiles), so a hash that
-/// scatters neighbours — a murmur-style finalizer — turns the sequential
-/// table walk the hardware prefetcher would eat for free into one random
-/// cache miss per probe; measured on the discovery microbench that costs
-/// ~2x at 10k+ addresses. Instead: drop the alignment zeros and *add*
-/// shifted copies. Sequential addresses stay in adjacent slots (prefetch
-/// works, no collisions), while the folded terms break the power-of-two
-/// stride pathology a pure identity hash has under a power-of-two mask —
-/// e.g. page-strided addresses (4096 apart) get slot stride 512+1 = 513,
-/// odd and therefore coprime with every table size, so they cycle through
-/// the whole table instead of colliding into 32 slots. Residual
-/// clustering from adversarial patterns is absorbed by linear probing and
-/// monitored by the discovery.probe_len histogram.
-inline std::size_t mix_pointer_hash(const void* p) noexcept {
-  const std::uintptr_t x = reinterpret_cast<std::uintptr_t>(p) >> 3;
-  return static_cast<std::size_t>(x + (x >> 9) + (x >> 18));
-}
 
 /// Node handle of the runtime's rules: task descriptors. The producer
 /// counts history references in the descriptor's plain hist_refs field and
@@ -124,6 +105,19 @@ class AddrTable {
     Entry* entry;
   };
 
+  /// Home slot of `addr`: the top log2(cap_) bits of the whole address
+  /// times 2^64/phi (Fibonacci hashing). Every address bit must reach the
+  /// index because a depend address is an identity, not always an aligned
+  /// pointer: the application emitters pass consecutive integers and
+  /// fields striped 2^20 apart, which a hash that drops low bits or keeps
+  /// neighbours in adjacent slots packs into long probe runs (DESIGN.md
+  /// "Discovery data layout" has the measured lengths).
+  std::size_t home(const void* addr) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(addr)) *
+         0x9E3779B97F4A7C15ull) >>
+        shift_);
+  }
   /// The table walk behind a lookup-cache miss.
   Entry& probe(const void* addr);
   /// Double the slot array and reinsert the (key, entry) pairs. Entries
@@ -136,6 +130,7 @@ class AddrTable {
   Entry* last_entry_ = nullptr;
   Slot* slots_ = nullptr;
   std::size_t cap_ = 0;   ///< power of two (0 until the first insert)
+  unsigned shift_ = 64;   ///< 64 - log2(cap_): home() keeps the top bits
   std::size_t size_ = 0;  ///< live entries
   std::uint64_t rehashes_ = 0;
   MetricsRegistry* mreg_ = nullptr;

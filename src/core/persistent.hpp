@@ -62,6 +62,9 @@ class PersistentRegion {
   std::uint32_t iterations_done() const { return iterations_done_; }
   std::size_t task_count() const { return tasks_.size(); }
   bool discovering() const { return iterations_done_ == 0 && active_; }
+  /// Inside a replay iteration: submissions update cached tasks and their
+  /// TaskOpts are ignored.
+  bool replaying() const { return iterations_done_ > 0 && active_; }
 
   /// Per-iteration discovery durations in seconds (first = graph build,
   /// later = firstprivate update pass); Table 2's 0.86 s + 15 x 0.08 s.

@@ -146,7 +146,6 @@ Runtime::Runtime(Config cfg)
                               m_.edges_pruned, m_.internal_nodes});
   profiler_ = std::make_unique<Profiler>(*metrics_, cfg_.trace,
                                          cfg_.verify != VerifyMode::Off);
-  tls_runtime = this;  // caller becomes the producer
   if (cfg_.pool != nullptr) {
     pool_ = cfg_.pool;
   } else {
@@ -160,12 +159,14 @@ Runtime::Runtime(Config cfg)
     owned_pool_.reset(new WorkerPool(pc, this));
     pool_ = owned_pool_.get();
   }
+  replaced_producer_ = tls_runtime;
+  tls_runtime = this;  // caller becomes the producer
   try {
     tenant_id_ = pool_->attach(this, cfg_.tenant);
   } catch (...) {
-    // Capacity exhausted: unwind the producer identity so the thread can
-    // construct another runtime after catching the UsageError.
-    if (tls_runtime == this) tls_runtime = nullptr;
+    // Capacity exhausted: hand the producer identity back so the thread
+    // keeps driving the runtime it had before.
+    release_producer();
     throw;
   }
 }
@@ -191,7 +192,7 @@ Runtime::~Runtime() {
     cancelled_.clear();
     has_failures_.store(false, std::memory_order_relaxed);
   }
-  if (tls_runtime == this) tls_runtime = nullptr;
+  release_producer();
   // Leave the pool: workers stop scanning this tenant (detach waits out
   // any pinned probe). The graph is drained, so no task of this tenant
   // exists anywhere in the pool.
@@ -989,9 +990,31 @@ Event* Runtime::create_event() {
   return events_.back().get();
 }
 
+std::size_t Runtime::event_count() const {
+  SpinGuard g(events_lock_);
+  return events_.size();
+}
+
 Event* Runtime::current_task_event() const {
   return tls_current_task != nullptr ? tls_current_task->detach_event
                                      : nullptr;
+}
+
+void Runtime::release_producer() {
+  // The runtimes constructed on this thread and not destroyed form a chain
+  // through replaced_producer_, newest first. The newest hands the identity
+  // back; an older one destroyed first leaves the chain, so the identity
+  // never returns to a destroyed runtime.
+  if (tls_runtime == this) {
+    tls_runtime = replaced_producer_;
+    return;
+  }
+  for (Runtime* r = tls_runtime; r != nullptr; r = r->replaced_producer_) {
+    if (r->replaced_producer_ == this) {
+      r->replaced_producer_ = replaced_producer_;
+      return;
+    }
+  }
 }
 
 unsigned Runtime::current_slot() const {

@@ -173,6 +173,8 @@ class Runtime {
   };
 
   Runtime() : Runtime(Config{}) {}
+  /// The constructing thread becomes the producer; destroy the runtime
+  /// on that thread, which then drives the runtime it drove before.
   explicit Runtime(Config cfg);
   ~Runtime();
   Runtime(const Runtime&) = delete;
@@ -280,6 +282,8 @@ class Runtime {
   /// Create a detach event to attach to a task via TaskOpts::detach.
   /// Events live until the runtime is destroyed.
   Event* create_event();
+  /// Events created so far (all live until the runtime is destroyed).
+  std::size_t event_count() const;
 
   /// The detach event of the task currently executing on the calling
   /// thread (nullptr outside a task body or if it has none). This is how a
@@ -480,6 +484,9 @@ class Runtime {
   /// thread. Metric shards, live counts and trace buffers are per slot;
   /// the foreign one is shared and written with RMWs or under a lock.
   unsigned current_slot() const;
+  /// Hand the calling thread's producer identity back to the runtime
+  /// this one replaced, or unlink this runtime from the thread's chain.
+  void release_producer();
   /// A submission (or a replay iteration) of `n` live tasks: slot 0, RMW,
   /// since foreign submitters may share the slot.
   void live_add(std::int64_t n) {
@@ -627,6 +634,8 @@ class Runtime {
   /// num_threads(): the slot of threads that are neither the producer nor
   /// a pool worker.
   unsigned foreign_slot_ = 0;
+  /// The constructing thread's producer before this runtime took over.
+  Runtime* replaced_producer_ = nullptr;
   /// Throttle's bound on the other slots' sum (submitting thread only):
   /// their last-read sum, which only shrinks afterwards.
   std::int64_t others_bound_ = 0;

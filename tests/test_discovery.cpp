@@ -11,6 +11,8 @@
 #include <new>
 #include <vector>
 
+#include "apps/common/emitter.hpp"
+#include "apps/lulesh/lulesh.hpp"
 #include "core/slab.hpp"
 #include "core/tdg.hpp"
 
@@ -152,7 +154,7 @@ TEST(ChunkCacheTest, ArenaChunksSurviveArenaTeardown) {
 TEST(DiscoveryTable, PageStridedAddressesExactEdges) {
   // Page-strided addresses are the classic open-addressing pathology: under
   // a power-of-two mask an identity hash would fold them onto a handful of
-  // slots. The folded pointer hash must keep probe chains short enough that
+  // slots. The table hash must keep probe chains short enough that
   // discovery stays exact and the table grows normally.
   Runtime rt(solo_config());
   constexpr std::size_t kAddrs = 3000;
@@ -239,6 +241,105 @@ TEST(DiscoveryTable, WideFanoutSpillsSuccessorList) {
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kReaders + 2));
   EXPECT_EQ(order.front(), 0);
   EXPECT_EQ(order.back(), kReaders + 1);
+}
+
+// --- probe length per key shape ---------------------------------------------
+
+/// Mean discovery.probe_len over one insert and one later lookup of every
+/// key (each pass walks all keys, so the one-entry cache never answers).
+double mean_probe_len(const std::vector<const void*>& keys) {
+  Runtime::Config cfg = solo_config();
+  cfg.metrics = true;
+  Runtime rt(cfg);
+  for (const void* k : keys) rt.submit([] {}, {Depend::out(k)});
+  for (const void* k : keys) rt.submit([] {}, {Depend::in(k)});
+  rt.taskwait();
+  const tdg::MetricsSnapshot snap = rt.metrics().snapshot();
+  const auto* probe = snap.find("discovery.probe_len");
+  if (probe == nullptr) {
+    ADD_FAILURE() << "discovery.probe_len is not registered";
+    return 0.0;
+  }
+  EXPECT_EQ(probe->value, 2 * keys.size()) << "one sample per lookup";
+  return probe->mean();
+}
+
+const void* key(std::uintptr_t a) { return reinterpret_cast<const void*>(a); }
+
+TEST(DiscoveryTable, ProbeLengthStaysShortForEveryKeyShape) {
+  // Depend addresses are identities, not only 8-byte-aligned pointers: the
+  // application emitters pass logical integers (address + 1), LULESH and
+  // HPCG stripe their fields 2^20 apart, Cholesky numbers its tiles. Every
+  // shape must keep the average lookup within two slots.
+  struct Shape {
+    const char* name;
+    std::vector<const void*> keys;
+  };
+  std::vector<Shape> shapes;
+  {
+    Shape s{"consecutive integers", {}};
+    for (std::uintptr_t i = 1; i <= 20000; ++i) s.keys.push_back(key(i));
+    shapes.push_back(std::move(s));
+  }
+  {
+    Shape s{"2^20-striped fields x 64 blocks", {}};
+    for (std::uintptr_t f = 0; f < 21; ++f) {
+      for (std::uintptr_t b = 0; b < 64; ++b) {
+        s.keys.push_back(key((f << 20) + b + 1));
+      }
+    }
+    shapes.push_back(std::move(s));
+  }
+  {
+    Shape s{"Cholesky tile ids", {}};
+    constexpr std::uintptr_t kNt = 16;
+    for (std::uintptr_t i = 0; i < kNt; ++i) {
+      for (std::uintptr_t j = 0; j < kNt; ++j) {
+        s.keys.push_back(key(i * kNt + j + 1));
+      }
+    }
+    shapes.push_back(std::move(s));
+  }
+  static std::vector<double> doubles(10000);
+  {
+    Shape s{"aligned sequential doubles", {}};
+    for (const double& d : doubles) s.keys.push_back(&d);
+    shapes.push_back(std::move(s));
+  }
+  {
+    Shape s{"4 KiB-strided addresses", {}};
+    constexpr std::uintptr_t kBase = std::uintptr_t{0x7f12} << 32;
+    for (std::uintptr_t i = 0; i < 3000; ++i) {
+      s.keys.push_back(key(kBase + i * 4096));
+    }
+    shapes.push_back(std::move(s));
+  }
+  for (const Shape& s : shapes) {
+    EXPECT_LE(mean_probe_len(s.keys), 2.0) << s.name;
+  }
+}
+
+TEST(DiscoveryTable, LuleshIterationProbeLengthStaysShort) {
+  // One LULESH iteration as the benchmark emits it (2^15 points, 64 tasks
+  // per loop) through the real emitter and runtime.
+  namespace lulesh = tdg::apps::lulesh;
+  lulesh::Config cfg;
+  cfg.npoints = 1 << 15;
+  cfg.tpl = 64;
+  Runtime::Config rc = solo_config();
+  rc.metrics = true;
+  Runtime rt(rc);
+  lulesh::Mesh mesh(cfg.npoints);
+  tdg::apps::RuntimeEmitter em(rt, {.persistent = false});
+  em.begin_iteration(0);
+  emit_iteration(em, mesh, cfg, 0, nullptr);
+  em.end_iteration();
+  rt.taskwait();
+  const tdg::MetricsSnapshot snap = rt.metrics().snapshot();
+  const auto* probe = snap.find("discovery.probe_len");
+  ASSERT_NE(probe, nullptr);
+  EXPECT_GT(probe->value, 1000u);
+  EXPECT_LE(probe->mean(), 2.0);
 }
 
 // --- lifetime accounting ----------------------------------------------------

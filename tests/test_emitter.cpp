@@ -228,6 +228,61 @@ TEST(Emitter, TaskwaitAroundCommExecutesCorrectly) {
   for (int r = 0; r < kRanks; ++r) EXPECT_EQ(bad[static_cast<std::size_t>(r)], 0);
 }
 
+TEST(Emitter, PersistentReplayCreatesNoDetachEvents) {
+  // A replayed submission ignores its TaskOpts and reuses the detach event
+  // of the discovery iteration, so communication tasks must not create a
+  // new event per replay: events live as long as the runtime.
+  namespace lulesh = tdg::apps::lulesh;
+  constexpr std::int64_t kPerRank = 128;
+  constexpr int kRanks = 2;
+  constexpr int kIterations = 10;
+  lulesh::Config cfg;
+  cfg.npoints = kPerRank;
+  cfg.iterations = kIterations;
+  cfg.tpl = 4;
+  cfg.distributed = true;
+
+  lulesh::Mesh ref(kPerRank * kRanks);
+  lulesh::Config rcfg = cfg;
+  rcfg.npoints = kPerRank * kRanks;
+  rcfg.distributed = false;
+  run_reference(ref, rcfg);
+
+  std::vector<std::size_t> discovered(kRanks, 0);
+  std::vector<std::size_t> replayed(kRanks, 0);
+  std::vector<int> bad(kRanks, 0);
+  tdg::mpi::Universe::run(kRanks, [&](tdg::mpi::Comm& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    Runtime rt({.num_threads = 2});
+    tdg::mpi::RequestPoller poller(rt);
+    lulesh::Mesh m(kPerRank);
+    const std::int64_t offset = kPerRank * comm.rank();
+    m.init_partition(kPerRank * kRanks, offset);
+    lulesh::Halo halo;
+    halo.left = comm.rank() > 0 ? comm.rank() - 1 : -1;
+    halo.right = comm.rank() + 1 < comm.size() ? comm.rank() + 1 : -1;
+    RuntimeEmitter em(rt, comm, poller, {.persistent = true});
+    for (int it = 0; it < kIterations; ++it) {
+      em.begin_iteration(static_cast<std::uint32_t>(it));
+      emit_iteration(em, m, cfg, static_cast<std::uint32_t>(it), &halo);
+      em.end_iteration();
+      if (it == 0) discovered[r] = rt.event_count();
+    }
+    replayed[r] = rt.event_count();
+    for (std::int64_t i = 1; i <= kPerRank; ++i) {
+      if (m.x[static_cast<std::size_t>(i)] !=
+          ref.x[static_cast<std::size_t>(offset + i)]) {
+        ++bad[r];
+      }
+    }
+  });
+  for (std::size_t r = 0; r < kRanks; ++r) {
+    EXPECT_GT(discovered[r], 0u) << "rank " << r;
+    EXPECT_EQ(replayed[r], discovered[r]) << "rank " << r;
+    EXPECT_EQ(bad[r], 0) << "rank " << r;
+  }
+}
+
 TEST(Emitter, SteadyStateLuleshSubmitMakesNoHeapAllocation) {
   // Emitting, discovering and running a LULESH iteration through the real
   // runtime must not go through the global allocator per compute task: no

@@ -439,7 +439,9 @@ TEST(Multitenant, TenantSlotsRecycleAndCapacityIsEnforced) {
     EXPECT_EQ(pool.tenant_count(), 2u);
     EXPECT_THROW(Runtime c(tenant_cfg(pool)), UsageError);
     // The failed construction must not have corrupted this thread's
-    // producer identity: the surviving runtimes still accept work.
+    // producer identity: it is back with b, and both runtimes still
+    // accept work.
+    EXPECT_EQ(b.metrics_shard(), 0u);
     std::atomic<int> hits{0};
     a.submit([&] { ++hits; }, {});
     b.submit([&] { ++hits; }, {});

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -334,6 +335,49 @@ TEST(Runtime, UnboundedThrottleNeverStalls) {
   EXPECT_EQ(rt.metrics().read(rt.metric_ids().throttle_stalls), 0u);
   rt.taskwait();
   EXPECT_EQ(ran, 1000);
+}
+
+// A runtime constructed on a thread takes over the thread's producer
+// identity and must hand it back when destroyed, in either order: the
+// older runtime keeps batching and pushing to its own shard.
+void expect_drives_own_shard(Runtime& rt) {
+  EXPECT_EQ(rt.metrics_shard(), 0u) << "the thread is not rt's producer";
+  int x = 0;
+  ASSERT_NO_THROW(rt.begin_batch());
+  rt.submit([&x] { x = x * 10 + 1; }, {Depend::inout(&x)});
+  rt.submit([&x] { x = x * 10 + 2; }, {Depend::inout(&x)});
+  rt.end_batch();
+  rt.taskwait();
+  EXPECT_EQ(x, 12);
+  // Independent tasks pushed to the producer's own deque bottom run
+  // newest first; through the inject queue they would run oldest first.
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) {
+    rt.submit([&order, i] { order.push_back(i); }, {});
+  }
+  rt.taskwait();
+  EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 0}));
+}
+
+TEST(Runtime, DestroyedRuntimeRestoresReplacedProducer) {
+  const Runtime::Config cfg{.num_threads = 1,
+                            .policy = SchedulePolicy::DepthFirstLifo};
+  {
+    SCOPED_TRACE("newest destroyed first");
+    Runtime a(cfg);
+    { Runtime b(cfg); }
+    expect_drives_own_shard(a);
+  }
+  {
+    SCOPED_TRACE("older destroyed first");
+    Runtime a(cfg);
+    auto b = std::make_unique<Runtime>(cfg);
+    auto c = std::make_unique<Runtime>(cfg);
+    b.reset();  // leaves from the middle: c must not hand the thread to b
+    expect_drives_own_shard(*c);
+    c.reset();
+    expect_drives_own_shard(a);
+  }
 }
 
 TEST(Runtime, ReadyThrottleMakesProducerHelp) {
