@@ -120,6 +120,16 @@ for san in "${sanitizers[@]}"; do
           --gtest_filter='ErrorPropagation.HandedOffSuccessorOfFailedTaskIsCancelled' \
           --gtest_repeat=3
 
+  echo "=== [$san] message numbering under fault injection ==="
+  # A receive's stream number is written by whichever thread delivers its
+  # message (the sender's isend or a mailbox match), before the request's
+  # done release store; traced streams under loss and duplication.
+  TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+  ASAN_OPTIONS="detect_leaks=1" \
+  UBSAN_OPTIONS="print_stacktrace=1 halt_on_error=1" \
+    "$dir"/tests/test_distributed_trace --gtest_filter='DistributedTrace.*' \
+          --gtest_repeat=3
+
   echo "=== [$san] task body storage and deferred retries ==="
   # A spilled capture keeps its heap pointer inside the body's inline
   # bytes: a use-after-free or a leaked spill shows here first. Deferred

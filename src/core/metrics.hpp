@@ -131,10 +131,7 @@ class MetricsRegistry {
   Id gauge(std::string_view name);
   Id histogram(std::string_view name);
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
+  bool enabled() const { return enabled_; }
 
   /// Increment a counter. `shard` is the calling thread's own slot: a
   /// shard below num_shards() must be written by one thread only, and any
@@ -227,7 +224,7 @@ class MetricsRegistry {
     return total;
   }
 
-  std::atomic<bool> enabled_;
+  const bool enabled_;
   std::vector<Shard> shards_;  ///< the thread shards, then the shared one
   mutable SpinLock reg_lock_;  // guards the members below
   std::vector<Info> infos_;

@@ -105,16 +105,9 @@ class Profiler {
   explicit Profiler(MetricsRegistry& metrics, bool trace_enabled = false,
                     bool capture = false);
 
-  bool trace_enabled() const {
-    return trace_enabled_.load(std::memory_order_relaxed);
-  }
+  bool trace_enabled() const { return trace_enabled_; }
   /// Are the access/edge/barrier/scope-clear streams being recorded?
-  bool capturing() const { return capture_ || trace_enabled(); }
-  /// Safe while workers run: the flag is atomic, so toggling mid-flight
-  /// merely starts/stops recording at the next task boundary.
-  void set_trace_enabled(bool on) {
-    trace_enabled_.store(on, std::memory_order_relaxed);
-  }
+  bool capturing() const { return capture_ || trace_enabled_; }
 
   // --- accumulators, called from worker loops ----------------------------
   // `thread` is the calling thread's slot and registry shard: 0 is the
@@ -215,7 +208,7 @@ class Profiler {
   /// Registry totals of one thread slot.
   TimeNs time_ns(unsigned thread) const;
 
-  std::atomic<bool> trace_enabled_;
+  const bool trace_enabled_;
   const bool capture_;
   std::atomic<int> rank_{0};
   MetricsRegistry& metrics_;

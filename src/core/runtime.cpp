@@ -795,16 +795,7 @@ bool Runtime::try_execute_one(unsigned slot, bool handoff) {
     }
   }
   if (t == nullptr) {
-    // Work existed somewhere but every probe came up empty.
-    if (work_existed) metrics_->add(m_.steal_failures, 1, slot);
-    if (timed_) {
-      const std::uint64_t t1 = now_ns();
-      if (work_existed) {
-        profiler_->add_overhead(slot, t1 - t0);
-      } else {
-        profiler_->add_idle(slot, t1 - t0);
-      }
-    }
+    charge_non_task(slot, t0, work_existed, /*miss=*/true);
     return false;
   }
   run_acquired(t, slot, stole, deferred, t0,
@@ -834,12 +825,14 @@ void Runtime::drain() {
     if (try_execute_one(slot, /*handoff=*/true)) {
       bo.reset();
     } else {
-      poll();
-      ws.poll();
       // Spin-then-yield-then-sleep: the sleep tail is capped well below
       // the watchdog/poll cadence, so hooks stay serviced while an empty
       // wait stops burning the core the workers need.
-      bo.pause();
+      charged_wait(slot, [&] {
+        poll();
+        ws.poll();
+        bo.pause();
+      });
     }
   }
   // Everything submitted so far has completed: tasks on either side of
@@ -930,9 +923,11 @@ void Runtime::throttle(unsigned slot) {
     if (try_execute_one(slot, /*handoff=*/false)) {
       bo.reset();
     } else {
-      poll();
-      ws.poll();
-      bo.pause();
+      charged_wait(slot, [&] {
+        poll();
+        ws.poll();
+        bo.pause();
+      });
       if (live_sum() <= 0) break;
     }
   }

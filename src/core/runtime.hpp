@@ -457,6 +457,31 @@ class Runtime {
   /// runs is charged to this tenant (WorkerPool::note_served).
   void run_acquired(Task* t, unsigned slot, bool stole, bool deferred,
                     std::uint64_t t0, bool handoff);
+  /// The one rule for time spent outside task bodies on slot `slot`,
+  /// from `t0` (read when timed_) to now: overhead when ready work
+  /// existed as the span began (`work_existed`), idle otherwise. A
+  /// `miss` — probes that came up empty — that saw work also counts a
+  /// steal failure.
+  void charge_non_task(unsigned slot, std::uint64_t t0, bool work_existed,
+                       bool miss) {
+    if (miss && work_existed) metrics_->add(m_.steal_failures, 1, slot);
+    if (!timed_) return;
+    const std::uint64_t dt = now_ns() - t0;
+    if (work_existed) {
+      profiler_->add_overhead(slot, dt);
+    } else {
+      profiler_->add_idle(slot, dt);
+    }
+  }
+  /// One wait step of an empty-handed thread (`wait`: poll the hooks,
+  /// back off or park), charged by charge_non_task.
+  template <class Wait>
+  void charged_wait(unsigned slot, Wait&& wait) {
+    const std::uint64_t t0 = timed_ ? now_ns() : 0;
+    const bool work_existed = timed_ && ready_tasks() > 0;
+    wait();
+    charge_non_task(slot, t0, work_existed, /*miss=*/false);
+  }
   void record_failure(Task* t, std::exception_ptr err, std::uint32_t tries);
   void record_cancelled(Task* t);
   /// taskwait minus the failure rethrow (used by destructors, which must

@@ -216,8 +216,10 @@ struct TaskOpts {
   bool idempotent = false;
   /// Transient-failure policy: a body that throws is re-run up to
   /// `max_retries` times before the task is declared failed and its
-  /// dependents cancelled. Retries sleep `retry_backoff_seconds * 2^k`
-  /// (k = 0, 1, ...) between attempts, on the executing worker.
+  /// dependents cancelled. With a backoff, attempt k (k = 0, 1, ...) is
+  /// retried no sooner than `retry_backoff_seconds * 2^k` after it failed:
+  /// the task waits on the deferred queue, and no thread sleeps for it.
+  /// Without one, the failed body re-runs at once on the same thread.
   std::uint32_t max_retries = 0;
   double retry_backoff_seconds = 0.0;
 };

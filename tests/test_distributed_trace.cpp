@@ -234,8 +234,7 @@ TEST(DistributedTrace, FlowMatchingSurvivesDuplicateInjection) {
   TelemetryHub::instance().drain();  // isolate from other tests
   std::vector<std::vector<CommRecord>> per_rank(2);
   mpi::Universe::run(2, [&](mpi::Comm& comm) {
-    Runtime rt({.num_threads = 2});
-    rt.profiler().set_trace_enabled(true);
+    Runtime rt({.num_threads = 2, .trace = true});
     mpi::RequestPoller poller(rt, comm);
     const int peer = 1 - comm.rank();
     constexpr int kRounds = 8;
@@ -295,6 +294,132 @@ TEST(DistributedTrace, FlowMatchingSurvivesDuplicateInjection) {
   const MergeResult res = merge_traces(std::move(inputs));
   EXPECT_EQ(res.matched_messages, 16u);
   EXPECT_EQ(res.unmatched_messages, 0u);
+}
+
+/// One stream of `kStreamSends` values 1..N from rank 0 to rank 1 on one
+/// tag under an unreliable fault plan, with comm tracing on. `prepost`
+/// posts every receive before the first send (sends match directly);
+/// otherwise the receives are posted after every send is queued (they
+/// match in the mailbox). Returns one send record per send and one
+/// receive record per completed receive, each carrying the request's
+/// trace_seq; a record's task id is the value its buffer held.
+constexpr int kStreamSends = 200;
+std::vector<CommRecord> traced_stream(const mpi::FaultPlan& faults,
+                                      bool prepost) {
+  mpi::Universe::Options opts;
+  opts.comm_trace = true;
+  opts.faults = faults;
+  constexpr int kTag = 3;
+  std::vector<CommRecord> per_rank[2];
+  mpi::Universe::run(2, [&](mpi::Comm& comm) {
+    std::vector<CommRecord>& mine = per_rank[comm.rank()];
+    if (comm.rank() == 0) {
+      std::vector<double> vals(kStreamSends);
+      std::vector<mpi::Request> sends;
+      if (prepost) comm.barrier();
+      for (int v = 1; v <= kStreamSends; ++v) {
+        vals[v - 1] = v;
+        sends.push_back(comm.isend(&vals[v - 1], sizeof(double), 1, kTag));
+      }
+      comm.waitall(sends);
+      comm.barrier();
+      for (int v = 1; v <= kStreamSends; ++v) {
+        mine.push_back(make_comm(CommRecord::Kind::Send, 0, 1, kTag,
+                                 sends[v - 1].trace_seq(), 0, 1,
+                                 static_cast<std::uint64_t>(v)));
+      }
+      return;
+    }
+    std::vector<double> got(kStreamSends, 0.0);
+    std::vector<mpi::Request> recvs;
+    auto post = [&] {
+      for (double& g : got) {
+        recvs.push_back(comm.irecv(&g, sizeof(double), 0, kTag));
+      }
+    };
+    if (prepost) {
+      post();
+      comm.barrier();
+      comm.barrier();
+    } else {
+      comm.barrier();
+      post();
+    }
+    for (int i = 0; i < kStreamSends; ++i) {
+      if (!mpi::Comm::test(recvs[i])) continue;  // its message was lost
+      mine.push_back(make_comm(CommRecord::Kind::Recv, 1, 0, kTag,
+                               recvs[i].trace_seq(), 2, 3,
+                               static_cast<std::uint64_t>(got[i])));
+    }
+  }, opts);
+  per_rank[0].insert(per_rank[0].end(), per_rank[1].begin(),
+                     per_rank[1].end());
+  return per_rank[0];
+}
+
+struct StreamCase {
+  const char* name;
+  double duplicate;
+  double loss;
+  bool prepost;
+};
+
+const StreamCase kStreamCases[] = {
+    {"duplicates", 0.3, 0.0, false},
+    {"loss", 0.0, 0.2, false},
+    {"loss, receives posted first", 0.0, 0.2, true},
+};
+
+/// A receive's trace_seq is the number of the message it received, not
+/// the count of its own posts: under loss and duplication the nth receive
+/// often holds another message than the nth send.
+TEST(DistributedTrace, ReceiveSeqNamesTheSendItHolds) {
+  for (const StreamCase& sc : kStreamCases) {
+    SCOPED_TRACE(sc.name);
+    mpi::FaultPlan faults;
+    faults.seed = 7;
+    faults.duplicate_probability = sc.duplicate;
+    faults.loss_probability = sc.loss;
+    std::size_t recvs = 0, mislabelled = 0, off_position = 0;
+    for (const CommRecord& c : traced_stream(faults, sc.prepost)) {
+      if (c.kind == CommRecord::Kind::Send) {
+        EXPECT_EQ(c.seq, c.task_id) << "send numbered out of post order";
+        continue;
+      }
+      ++recvs;
+      if (c.seq != c.task_id) ++mislabelled;
+      if (c.task_id != recvs) ++off_position;
+    }
+    EXPECT_GT(recvs, 0u);
+    EXPECT_EQ(mislabelled, 0u) << "of " << recvs << " receives";
+    // The plan really displaced messages, or the case shows nothing.
+    EXPECT_GT(off_position, 0u);
+  }
+}
+
+/// The same streams through merge_traces: every pair it reports joins a
+/// receive to the send whose payload that receive holds, and the flow and
+/// edge it derives from the pair agree.
+TEST(DistributedTrace, MergePairsEachReceiveWithTheSendItHolds) {
+  for (const StreamCase& sc : kStreamCases) {
+    SCOPED_TRACE(sc.name);
+    mpi::FaultPlan faults;
+    faults.seed = 7;
+    faults.duplicate_probability = sc.duplicate;
+    faults.loss_probability = sc.loss;
+    std::vector<ParsedTrace> inputs(2);
+    for (const CommRecord& c : traced_stream(faults, sc.prepost)) {
+      inputs[static_cast<std::size_t>(c.self)].comms.push_back(c);
+    }
+    const MergeResult res = merge_traces(std::move(inputs));
+    EXPECT_GT(res.matched_messages, 0u);
+    EXPECT_GT(res.unmatched_messages, 0u);  // lost sends, duplicate recvs
+    ASSERT_EQ(res.cross_rank_edges.size(), res.matched_messages);
+    for (const TraceEdge& e : res.cross_rank_edges) {
+      EXPECT_EQ(e.pred % kMergeRankStride, e.succ % kMergeRankStride)
+          << "receive paired with another send's message";
+    }
+  }
 }
 
 /// Regression: Profiler::reset() between persistent-graph iterations must

@@ -195,18 +195,15 @@ TEST(MetricsRegistryTest, KindMismatchOnReregistrationThrows) {
 
 TEST(MetricsRegistryTest, DisabledRegistryDropsWrites) {
   // Disabling drops histogram samples only; counters always count.
-  MetricsRegistry reg(1, /*enabled=*/false);
-  const auto id = reg.counter("test.counter");
-  const auto hist = reg.histogram("test.hist");
-  reg.add(id, 100);
-  reg.observe(hist, 5);
-  EXPECT_EQ(reg.snapshot().value("test.counter"), 100u);
-  EXPECT_EQ(reg.snapshot().value("test.hist"), 0u);
-  reg.set_enabled(true);
-  reg.add(id, 1);
-  reg.observe(hist, 5);
-  EXPECT_EQ(reg.snapshot().value("test.counter"), 101u);
-  EXPECT_EQ(reg.snapshot().value("test.hist"), 1u);
+  for (const bool enabled : {false, true}) {
+    MetricsRegistry reg(1, enabled);
+    const auto id = reg.counter("test.counter");
+    const auto hist = reg.histogram("test.hist");
+    reg.add(id, 100);
+    reg.observe(hist, 5);
+    EXPECT_EQ(reg.snapshot().value("test.counter"), 100u);
+    EXPECT_EQ(reg.snapshot().value("test.hist"), enabled ? 1u : 0u);
+  }
 }
 
 TEST(MetricsRegistryTest, SampleReadsCountersAndGaugesByName) {
