@@ -169,6 +169,34 @@ void BM_MetricsOverheadDiscovery(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsOverheadDiscovery)->Arg(0)->Arg(1);
 
+void BM_MetricsOverheadExecute(benchmark::State& state) {
+  // Cost of the default timing on the execution path: one thread spawns
+  // independent tasks and runs them in taskwait, metrics disabled (Arg 0)
+  // vs enabled (Arg 1, the Config default). BM_MetricsOverheadDiscovery
+  // leaves taskwait out of its timing and BM_SpawnExecuteThroughput runs
+  // with metrics off, so this is the bench of the default path.
+  constexpr int kTasks = 20000;
+  long sink = 0;
+  const bool metrics = state.range(0) != 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Runtime::Config cfg = solo();
+    cfg.metrics = metrics;
+    std::optional<Runtime> rt(std::in_place, cfg);
+    state.ResumeTiming();
+    for (int i = 0; i < kTasks; ++i) {
+      rt->submit([&sink] { ++sink; }, {});
+    }
+    rt->taskwait();
+    state.PauseTiming();
+    rt.reset();  // teardown outside the timed region
+    state.ResumeTiming();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * kTasks);
+}
+BENCHMARK(BM_MetricsOverheadExecute)->Arg(0)->Arg(1);
+
 void BM_SpawnExecuteThroughput(benchmark::State& state) {
   // End-to-end spawn+execute rate with a worker team: one producer
   // submitting independent tasks while range(0)-1 workers execute them.

@@ -15,9 +15,10 @@
 #   rm scripts/bench_baseline.txt && scripts/ci_bench_smoke.sh
 #
 # Besides the gate, each run appends one record per benchmark to the
-# trajectory files BENCH_runtime.json and BENCH_discovery.json (the
-# latter also gets BM_DiscoveryLogicalAddresses, ungated; JSON
-# arrays of {name, median_items_per_second, threads, git_sha, date}),
+# trajectory files BENCH_runtime.json and BENCH_discovery.json (JSON
+# arrays of {name, median_items_per_second, threads, git_sha, date};
+# BM_MetricsOverheadExecute/0 and /1 and BM_DiscoveryLogicalAddresses
+# are recorded there ungated),
 # and runs the strict-verified taskbench METG smoke sweep, bulk-recording
 # its pattern x engine x config frontier into BENCH_metg.json
 # ({name, value, unit, threads, git_sha, date}), so successive CI runs
@@ -124,7 +125,17 @@ echo "=== [bench-smoke] running $logical/striped:{0,1} ==="
 logical_ints=$(measure bench_micro_discovery "$logical/striped:0\$")
 logical_striped=$(measure bench_micro_discovery "$logical/striped:1\$")
 
+# The default (metrics on) execution path next to metrics off, one
+# thread: recorded only, not gated.
+echo "=== [bench-smoke] running BM_MetricsOverheadExecute/{0,1} ==="
+execute_off=$(measure bench_micro_runtime 'BM_MetricsOverheadExecute/0$')
+execute_on=$(measure bench_micro_runtime 'BM_MetricsOverheadExecute/1$')
+
 record_trajectory BENCH_runtime.json BM_SpawnExecuteThroughput/1 1 "$spawn"
+record_trajectory BENCH_runtime.json BM_MetricsOverheadExecute/0 1 \
+                  "$execute_off"
+record_trajectory BENCH_runtime.json BM_MetricsOverheadExecute/1 1 \
+                  "$execute_on"
 record_trajectory BENCH_discovery.json BM_DiscoveryMixed/10000/1 1 \
                   "$discovery"
 record_trajectory BENCH_discovery.json "$logical/striped:0" 1 "$logical_ints"

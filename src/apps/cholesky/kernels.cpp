@@ -16,8 +16,12 @@ inline double at(const std::vector<double>& t, int b, int r, int c) {
 }
 }  // namespace
 
+// The four tile kernels start on a cache line of their own: their speed
+// moved by up to a quarter with their offset in the binary, which any
+// change elsewhere in the library shifts.
+
 // In-place lower Cholesky of a diagonal tile; the upper triangle is zeroed.
-void potrf(std::vector<double>& a, int b) {
+[[gnu::aligned(64)]] void potrf(std::vector<double>& a, int b) {
   for (int j = 0; j < b; ++j) {
     double d = at(a, b, j, j);
     for (int k = 0; k < j; ++k) d -= at(a, b, j, k) * at(a, b, j, k);
@@ -34,7 +38,8 @@ void potrf(std::vector<double>& a, int b) {
 }
 
 // Solve X * L^T = B in place (B := X), L the factorized diagonal tile.
-void trsm(const std::vector<double>& l, std::vector<double>& x, int b) {
+[[gnu::aligned(64)]] void trsm(const std::vector<double>& l,
+                               std::vector<double>& x, int b) {
   for (int r = 0; r < b; ++r) {
     for (int j = 0; j < b; ++j) {
       double s = at(x, b, r, j);
@@ -45,7 +50,8 @@ void trsm(const std::vector<double>& l, std::vector<double>& x, int b) {
 }
 
 // C -= A * A^T (trailing symmetric update of a diagonal tile).
-void syrk(const std::vector<double>& a, std::vector<double>& c, int b) {
+[[gnu::aligned(64)]] void syrk(const std::vector<double>& a,
+                               std::vector<double>& c, int b) {
   for (int r = 0; r < b; ++r) {
     for (int j = 0; j < b; ++j) {
       double s = 0;
@@ -56,8 +62,9 @@ void syrk(const std::vector<double>& a, std::vector<double>& c, int b) {
 }
 
 // C -= A * B^T (trailing update of an off-diagonal tile).
-void gemm(const std::vector<double>& a, const std::vector<double>& bm,
-          std::vector<double>& c, int b) {
+[[gnu::aligned(64)]] void gemm(const std::vector<double>& a,
+                               const std::vector<double>& bm,
+                               std::vector<double>& c, int b) {
   for (int r = 0; r < b; ++r) {
     for (int j = 0; j < b; ++j) {
       double s = 0;

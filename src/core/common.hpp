@@ -27,6 +27,16 @@ inline std::uint64_t now_ns() {
           .count());
 }
 
+/// splitmix64 finalizer: bijective and well mixed, so `mix64(id) % n == 0`
+/// picks a uniform pseudo-random one-in-n subset of ids that is a pure
+/// function of the id.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 /// Test-and-set spin lock. Used to guard tiny critical sections
 /// (per-task successor lists); never held across user code.
 class SpinLock {

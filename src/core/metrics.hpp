@@ -22,7 +22,9 @@
 // racy-by-design against concurrent writers, which is fine for monitoring.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -158,12 +160,8 @@ class MetricsRegistry {
   /// Bucket index for a sample: its bit width, clamped to the last bucket
   /// (bucket 0 = zeros, bucket i = [2^(i-1), 2^i)).
   static std::uint32_t bucket_of(std::uint64_t value) {
-    std::uint32_t w = 0;
-    while (value != 0) {
-      ++w;
-      value >>= 1;
-    }
-    return w < kHistBuckets ? w : kHistBuckets - 1;
+    return std::min<std::uint32_t>(
+        static_cast<std::uint32_t>(std::bit_width(value)), kHistBuckets - 1);
   }
 
   /// Sum one registered counter/gauge slot across shards — a cheap

@@ -1,28 +1,86 @@
 #include "core/profiler.hpp"
 
 #include <algorithm>
+#include <memory>
 
 namespace tdg {
+
+namespace {
+/// The seqlock's fences. ThreadSanitizer does not model standalone fences
+/// (GCC warns, -Wtsan) but still executes them; every access they order
+/// is atomic, so no data race can hide behind them.
+void seqlock_fence(std::memory_order order) {
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wtsan"
+#endif
+  std::atomic_thread_fence(order);
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+}
+}  // namespace
 
 Profiler::Profiler(MetricsRegistry& metrics, bool trace_enabled,
                    bool capture)
     : trace_enabled_(trace_enabled),
       capture_(capture),
       metrics_(metrics),
-      time_{metrics.counter("time.work_ns"),
-            metrics.counter("time.overhead_ns"),
-            metrics.counter("time.idle_ns")},
+      time_{metrics.counter("time.busy_ns"), metrics.counter("time.idle_ns"),
+            metrics.counter("time.tasks"),
+            metrics.counter("time.sampled_tasks"),
+            metrics.counter("time.sampled_work_ns")},
       time_base_(metrics.num_shards() + 1),
+      num_slots_(metrics.num_shards()),
+      open_(std::make_unique<OpenSpan[]>(num_slots_)),
       trace_(metrics.num_shards() + 1) {
   for (auto& tb : trace_) tb.records.reserve(1024);
   edges_.reserve(1024);
   if (capturing()) accesses_.reserve(1024);
 }
 
+void Profiler::charge(unsigned thread, Span kind, std::uint64_t from,
+                      std::uint64_t to, bool open) {
+  const MetricsRegistry::Id id = time_[kind == Span::Busy ? kBusy : kIdle];
+  if (thread >= num_slots_) {
+    metrics_.add(id, to - from, thread);  // shared slot: charged whole
+    return;
+  }
+  // Seqlock writer (one thread per slot): odd while the total and the
+  // open span move together.
+  OpenSpan& o = open_[thread];
+  const std::uint64_t seq = o.seq.load(std::memory_order_relaxed);
+  o.seq.store(seq + 1, std::memory_order_relaxed);
+  seqlock_fence(std::memory_order_release);
+  metrics_.add(id, to - from, thread);
+  o.since.store(open ? to : 0, std::memory_order_relaxed);
+  o.idle.store(kind == Span::Idle, std::memory_order_relaxed);
+  o.seq.store(seq + 2, std::memory_order_release);
+}
+
 Profiler::TimeNs Profiler::time_ns(unsigned thread) const {
-  return {metrics_.read(time_[kWork], thread),
-          metrics_.read(time_[kOverhead], thread),
-          metrics_.read(time_[kIdle], thread)};
+  auto totals = [&] {
+    TimeNs t{};
+    for (std::size_t k = 0; k < kNum; ++k) {
+      t[k] = metrics_.read(time_[k], thread);
+    }
+    return t;
+  };
+  if (thread >= num_slots_) return totals();
+  const OpenSpan& o = open_[thread];
+  for (Backoff bo;; bo.pause()) {
+    const std::uint64_t seq = o.seq.load(std::memory_order_acquire);
+    if ((seq & 1) != 0) continue;  // a charge is in flight
+    TimeNs t = totals();
+    const std::uint64_t since = o.since.load(std::memory_order_relaxed);
+    const bool idle = o.idle.load(std::memory_order_relaxed);
+    seqlock_fence(std::memory_order_acquire);
+    if (o.seq.load(std::memory_order_relaxed) != seq) continue;
+    // The open span counts up to now: a later read counts the rest, so
+    // the difference of two reads clips every span to their window.
+    if (since != 0) t[idle ? kIdle : kBusy] += now_ns() - since;
+    return t;
+  }
 }
 
 void Profiler::record(unsigned thread, const TaskRecord& rec) {
@@ -98,22 +156,45 @@ void Profiler::mark_checked(bool drop) {
 }
 
 Breakdown Profiler::breakdown() const {
-  Breakdown b;
   const unsigned shared = static_cast<unsigned>(time_base_.size()) - 1;
-  b.per_thread.resize(shared);
+  std::vector<TimeNs> d(shared + 1);
+  std::uint64_t sampled = 0;
+  std::uint64_t sampled_ns = 0;
   for (unsigned i = 0; i <= shared; ++i) {
     const TimeNs now = time_ns(i);
-    auto secs = [&](std::size_t k) {
-      return static_cast<double>(now[k] - time_base_[i][k]) * 1e-9;
-    };
+    // An open span's kind can change before it is charged (a probe
+    // after a streak finds no work), moving a few microseconds from busy
+    // to idle since the baseline: clamp rather than wrap.
+    for (std::size_t k = 0; k < kNum; ++k) {
+      d[i][k] = now[k] > time_base_[i][k] ? now[k] - time_base_[i][k] : 0;
+    }
+    sampled += d[i][kSampled];
+    sampled_ns += d[i][kSampledWork];
+  }
+  Breakdown b;
+  b.per_thread.resize(shared);
+  for (unsigned i = 0; i <= shared; ++i) {
+    const TimeNs& t = d[i];
+    // Work: the slot's mean timed body times the bodies it ran — the
+    // runtime-wide mean when the slot timed none — and never more than
+    // the slot was busy. Exact when every body is timed.
+    const std::uint64_t n = t[kSampled] > 0 ? t[kSampled] : sampled;
+    const std::uint64_t ns = t[kSampled] > 0 ? t[kSampledWork] : sampled_ns;
+    const double busy = static_cast<double>(t[kBusy]) * 1e-9;
+    const double est =
+        n > 0 ? static_cast<double>(ns) * 1e-9 *
+                    (static_cast<double>(t[kTasks]) / static_cast<double>(n))
+              : 0.0;
+    const double work = std::min(est, busy);
+    const double idle = static_cast<double>(t[kIdle]) * 1e-9;
     // Threads without a slot are reported under slot 0.
-    ThreadBreakdown& t = b.per_thread[i < shared ? i : 0];
-    t.work += secs(kWork);
-    t.overhead += secs(kOverhead);
-    t.idle += secs(kIdle);
-    b.work += secs(kWork);
-    b.overhead += secs(kOverhead);
-    b.idle += secs(kIdle);
+    ThreadBreakdown& tb = b.per_thread[i < shared ? i : 0];
+    tb.work += work;
+    tb.overhead += busy - work;
+    tb.idle += idle;
+    b.work += work;
+    b.overhead += busy - work;
+    b.idle += idle;
   }
   const double n = static_cast<double>(shared);
   b.avg_work = b.work / n;

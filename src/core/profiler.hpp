@@ -8,6 +8,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -86,13 +87,44 @@ struct Breakdown {
   double avg_idle = 0;
 };
 
-/// Event collector. The breakdown accumulates into the metrics registry's
-/// `time.work_ns` / `time.overhead_ns` / `time.idle_ns` counters, one
-/// shard per thread slot (a single-writer add per scheduling decision);
-/// full task tracing is opt-in, as in the paper where tracing costs 0-5%
-/// and is bounded by DRAM capacity. Each thread slot records into its own
-/// trace buffer; threads without a slot (external threads fulfilling a
-/// detach event) share one more buffer behind a spin lock.
+/// Timing sample: the task instances whose boundaries a timed runtime
+/// stamps when it is not tracing (a trace stamps every task). One in
+/// kTimingSampleRate, picked by a hash of the id so the sample does not
+/// alias with periodic task patterns, plus id 1 — a runtime's first task —
+/// so that even a tiny graph has one timed body. A persistent task's
+/// replay in `iteration` k > 0 is drawn again with k in the key: a replayed
+/// graph keeps its ids, and a fixed subset of it would bias the work
+/// estimate for the whole run (LULESH's first task is its one heavy
+/// reduction). A pure function of the instance, so two runs time the same
+/// tasks.
+inline constexpr std::uint64_t kTimingSampleRate = 16;
+inline bool timing_samples_task(std::uint64_t id,
+                                std::uint32_t iteration = 0) {
+  if (iteration == 0 && id == 1) return true;
+  const std::uint64_t key = id ^ (std::uint64_t{iteration} << 40);
+  return mix64(key) % kTimingSampleRate == 0;
+}
+
+/// A thread's running mark: the stamp that ended its last charged span
+/// (0: none, so its next probe starts one); whether tasks ran since, so
+/// the span so far is busy; and the ready sample of its last missed
+/// probe, which also classifies the wait that follows it.
+struct RunningMark {
+  std::uint64_t ns = 0;
+  bool busy = false;
+  bool work_existed = false;
+};
+
+/// Event collector. The breakdown is a ledger of per-thread spans in the
+/// metrics registry, one shard per thread slot (a single-writer add per
+/// span): `time.busy_ns` (work plus overhead) and `time.idle_ns` are
+/// exact; work is estimated from the timed bodies (`time.sampled_work_ns`
+/// over `time.sampled_tasks`, of `time.tasks` bodies run), and is exact
+/// when tracing, where every body is timed. Full task tracing is opt-in,
+/// as in the paper where tracing costs 0-5% and is bounded by DRAM
+/// capacity. Each thread slot records into its own trace buffer; threads
+/// without a slot (external threads fulfilling a detach event) share one
+/// more buffer behind a spin lock.
 ///
 /// Two levels of recording: trace mode keeps per-task timing records and
 /// comm records; capture keeps only the discovery streams the verifier
@@ -109,19 +141,46 @@ class Profiler {
   /// Are the access/edge/barrier/scope-clear streams being recorded?
   bool capturing() const { return capture_ || trace_enabled_; }
 
-  // --- accumulators, called from worker loops ----------------------------
+  // --- the ledger, written by the executing threads ----------------------
   // `thread` is the calling thread's slot and registry shard: 0 is the
   // producer, 1..n-1 the pool workers, and n (any slot past the registry's
   // shards) every other thread. The breakdown reports slot n's time under
   // slot 0, where those threads were counted before they had a slot.
-  void add_work(unsigned thread, std::uint64_t ns) {
-    metrics_.add(time_[kWork], ns, thread);
+  //
+  // A single-writer slot also publishes its open span — where its running
+  // mark stands — behind a per-slot sequence counter, so breakdown()
+  // counts every span up to the moment of the read, and the difference of
+  // two reads covers exactly the window between them.
+
+  /// What a span is: busy (running tasks, or probing while ready work
+  /// existed — work plus overhead) or idle.
+  enum class Span : std::uint8_t { Busy, Idle };
+  /// Charge [from, to) on `thread` as `kind`. With `open` the thread goes
+  /// on charging here (a solo runtime's worker, a producer inside a wait):
+  /// `to` starts its open span, of the same kind until set_open_kind says
+  /// otherwise. Without, it has no open span.
+  void charge(unsigned thread, Span kind, std::uint64_t from,
+              std::uint64_t to, bool open);
+  /// Open a span at `at` without charging (a producer entering a wait).
+  void open(unsigned thread, std::uint64_t at) {
+    charge(thread, Span::Busy, at, at, /*open=*/true);
   }
-  void add_overhead(unsigned thread, std::uint64_t ns) {
-    metrics_.add(time_[kOverhead], ns, thread);
+  /// Close `thread`'s open span without charging more (a producer
+  /// returning to discovery, whose last span ended at its last charge).
+  void close(unsigned thread) { charge(thread, Span::Busy, 0, 0, false); }
+  /// The kind of `thread`'s open span once it is known (a streak of tasks
+  /// starts); breakdown() reads it for a span still open.
+  void set_open_kind(unsigned thread, Span kind) {
+    if (thread < num_slots_) {
+      open_[thread].idle.store(kind == Span::Idle, std::memory_order_relaxed);
+    }
   }
-  void add_idle(unsigned thread, std::uint64_t ns) {
-    metrics_.add(time_[kIdle], ns, thread);
+  /// One task body run on `thread`; `body_ns` is its length when `timed`.
+  void note_body(unsigned thread, bool timed, std::uint64_t body_ns) {
+    metrics_.add(time_[kTasks], 1, thread);
+    if (!timed) return;
+    metrics_.add(time_[kSampled], 1, thread);
+    metrics_.add(time_[kSampledWork], body_ns, thread);
   }
 
   /// Record a completed task instance (trace mode only). `thread` is the
@@ -199,21 +258,34 @@ class Profiler {
   void reset();
 
  private:
-  enum : std::size_t { kWork, kOverhead, kIdle };
-  using TimeNs = std::array<std::uint64_t, 3>;
+  enum : std::size_t { kBusy, kIdle, kTasks, kSampled, kSampledWork, kNum };
+  /// A slot's ledger totals, its open span counted up to the read.
+  using TimeNs = std::array<std::uint64_t, kNum>;
   struct alignas(kCacheLine) TraceBuf {
     std::vector<TaskRecord> records;
     SpinLock lock;  ///< taken on the shared buffer only
   };
-  /// Registry totals of one thread slot.
+  /// A single-writer slot's open span. `seq` is odd while its writer
+  /// charges a span, so a reader that sees it even and unchanged around
+  /// its reads saw the busy/idle totals and `since` of one instant.
+  struct alignas(kCacheLine) OpenSpan {
+    std::atomic<std::uint64_t> seq{0};
+    std::atomic<std::uint64_t> since{0};  ///< 0: no open span
+    std::atomic<bool> idle{false};
+  };
+  /// Registry totals of one thread slot plus its open span up to now.
   TimeNs time_ns(unsigned thread) const;
 
   const bool trace_enabled_;
   const bool capture_;
   std::atomic<int> rank_{0};
   MetricsRegistry& metrics_;
-  std::array<MetricsRegistry::Id, 3> time_;
+  std::array<MetricsRegistry::Id, kNum> time_;
   std::vector<TimeNs> time_base_;  ///< per-slot totals at the last reset()
+  /// The single-writer slots (the registry's shards), whose spans are
+  /// published; the shared slot's are charged whole.
+  const unsigned num_slots_;
+  std::unique_ptr<OpenSpan[]> open_;
   /// One buffer per thread slot, then the shared one.
   std::vector<TraceBuf> trace_;
   std::vector<TraceEdge> edges_;

@@ -1,6 +1,7 @@
 #include "core/runtime.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -52,8 +53,7 @@ void Event::fulfill() {
   if (t == nullptr) return;
   if (t->completion_latch.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     runtime_->complete_task(t, runtime_->current_slot(),
-                            runtime_->timed_ ? now_ns() : 0,
-                            /*handoff=*/false);
+                            t->timed ? now_ns() : 0, /*handoff=*/false);
   }
 }
 
@@ -68,8 +68,7 @@ void Event::poison(std::exception_ptr err) {
                            std::max(1u, t->retry_attempts));
   if (t->completion_latch.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     runtime_->complete_task(t, runtime_->current_slot(),
-                            runtime_->timed_ ? now_ns() : 0,
-                            /*handoff=*/false);
+                            t->timed ? now_ns() : 0, /*handoff=*/false);
   }
 }
 
@@ -294,6 +293,8 @@ Task* Runtime::allocate_task(const TaskOpts& opts) {
   t->internal = opts.internal;
   t->max_retries = opts.max_retries;
   t->retry_backoff_seconds = opts.retry_backoff_seconds;
+  t->timed = timed_ && (profiler_->trace_enabled() ||
+                        timing_samples_task(t->id()));
   if (profiler_->trace_enabled()) t->t_create = now_ns();
   // Redirect nodes are counted by the rules.
   if (!opts.internal) metrics_->add(m_.tasks_submitted, 1, slot);
@@ -343,9 +344,15 @@ void Runtime::finish_submission(Task* t, std::span<const Depend> deps) {
   dep_map_.apply(*this, t, deps, cfg_.discovery);
   const bool in_batch = slot == 0 && batch_active_;
   if (!in_batch) {
-    const std::uint64_t ts = now_ns();
-    if (discovery_begin_ns_ == 0) discovery_begin_ns_ = ts;
-    discovery_end_ns_ = ts;
+    // The window's stamps thin out to one per kDiscoveryStride
+    // submissions: 1, 2, 4, ..., 32, then every multiple of the stride.
+    if (discovery_begin_ns_ == 0) window_submits_ = 0;
+    const std::uint64_t n = ++window_submits_;
+    if (n % kDiscoveryStride == 0 || std::has_single_bit(n)) {
+      const std::uint64_t ts = now_ns();
+      if (discovery_begin_ns_ == 0) discovery_begin_ns_ = ts;
+      discovery_end_ns_ = ts;
+    }
   } else if (!batch_stamped_) {
     // One discovery-window stamp per batch instead of one per submit;
     // end_batch refreshes the end of the window.
@@ -416,6 +423,9 @@ Task* Runtime::next_replay_task() {
 }
 
 std::uint64_t Runtime::release_replayed(Task* t) {
+  if (timed_ && !profiler_->trace_enabled()) {
+    t->timed = timing_samples_task(t->id(), t->iteration);
+  }
   if (profiler_->trace_enabled()) t->t_create = now_ns();
   // As in submit: the id is read before the guard drops.
   const std::uint64_t id = t->id();
@@ -445,7 +455,7 @@ void Runtime::clear_dependency_scope() {
 // Execution
 // ---------------------------------------------------------------------------
 
-void Runtime::enqueue_ready(Task* t, unsigned slot) {
+void Runtime::enqueue_ready(Task* t, unsigned slot, std::uint64_t stamp) {
   TDG_DCHECK(slot == current_slot(),
              "enqueue_ready on another thread's slot");
   if (t->body.empty()) {
@@ -453,7 +463,7 @@ void Runtime::enqueue_ready(Task* t, unsigned slot) {
     // carry no user work, no detach event and no timing of their own (the
     // caller's window covers them), and queueing them would only add
     // latency. A cancelled node still propagates the cancellation.
-    complete_task(t, slot, 0, /*handoff=*/false);
+    complete_task(t, slot, stamp, /*handoff=*/false);
     return;
   }
   // Open batch (producer only — slot 0 keeps other threads off the plain
@@ -463,7 +473,7 @@ void Runtime::enqueue_ready(Task* t, unsigned slot) {
     batch_ready_.push_back(t);
     return;
   }
-  if (timed_) t->t_ready = now_ns();
+  if (t->timed) t->t_ready = stamp != 0 ? stamp : now_ns();
   metrics_->add(m_.spawns, 1, slot);
   metrics_->gauge_add(m_.ready_depth, +1, slot);
   // Depth-first heuristic: a newly-ready successor goes to the head of the
@@ -515,7 +525,7 @@ void Runtime::end_batch() {
     metrics_->add(m_.spawns, k, 0);
     metrics_->gauge_add(m_.ready_depth, static_cast<std::int64_t>(k), 0);
     for (Task* t : batch_ready_) {
-      if (timed_) t->t_ready = ts;
+      if (t->timed) t->t_ready = ts;
       shard_.push_front(t);
     }
     batch_ready_.clear();
@@ -524,10 +534,10 @@ void Runtime::end_batch() {
   throttle(current_slot());
 }
 
-Task* Runtime::run_task(Task* t, unsigned thread, std::uint64_t& stamp,
-                        bool handoff) {
+Task* Runtime::run_task(Task* t, unsigned thread, bool handoff) {
   TDG_DCHECK(!t->body.empty(), "run_task on a bodiless node");
-  t->t_start = stamp;
+  const bool timed = t->timed;
+  if (timed) t->t_start = now_ns();
   // Graph poisoning: a task whose (transitive) predecessor failed reaches
   // readiness normally but its body is skipped; completing it propagates
   // cancellation to its own successors.
@@ -548,37 +558,29 @@ Task* Runtime::run_task(Task* t, unsigned thread, std::uint64_t& stamp,
       // completion latch is untouched — the task is still pending and
       // comes back through run_task once the deadline passes.
       if (timed_) {
-        stamp = now_ns();
-        profiler_->add_work(thread, stamp - t->t_start);
+        profiler_->note_body(thread, timed, timed ? now_ns() - t->t_start : 0);
       }
       schedule_retry(t, retry_not_before_ns);
       return nullptr;
     }
     ok = oc == BodyOutcome::Success;
   }
-  const std::uint64_t t_body_end = timed_ ? now_ns() : 0;
-  if (timed_) {
-    profiler_->add_work(thread, t_body_end - t->t_start);
-    if (ok) {
-      metrics_->observe(m_.body_ns, t_body_end - t->t_start, thread);
-      metrics_->observe(
-          m_.queue_ns,
-          t->t_start >= t->t_ready ? t->t_start - t->t_ready : 0, thread);
-    }
+  const std::uint64_t t_body_end = timed ? now_ns() : 0;
+  if (timed_) profiler_->note_body(thread, timed, t_body_end - t->t_start);
+  if (timed && ok) {
+    metrics_->observe(m_.body_ns, t_body_end - t->t_start, thread);
+    metrics_->observe(
+        m_.queue_ns, t->t_start >= t->t_ready ? t->t_start - t->t_ready : 0,
+        thread);
   }
   // A failed or cancelled task never posts the operation that would
   // fulfill its detach event; force-fulfill so the latch resolves instead
   // of wedging taskwait (idempotent if the body got far enough to post).
   if (!ok && t->detach_event != nullptr) t->detach_event->fulfill();
-  Task* next = nullptr;
   if (t->completion_latch.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    next = complete_task(t, thread, t_body_end, handoff);
+    return complete_task(t, thread, t_body_end, handoff);
   }
-  if (timed_) {
-    stamp = now_ns();
-    profiler_->add_overhead(thread, stamp - t_body_end);
-  }
-  return next;
+  return nullptr;
 }
 
 Runtime::BodyOutcome Runtime::run_body_with_retries(
@@ -707,10 +709,10 @@ Task* Runtime::complete_task(Task* t, unsigned thread, std::uint64_t t_end,
     if (poisoned) s->cancelled.store(true, std::memory_order_release);
     if (s->npredecessors.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
     if (!handoff || s->body.empty()) {
-      enqueue_ready(s, thread);
+      enqueue_ready(s, thread, t_end);
       return;
     }
-    if (next != nullptr) enqueue_ready(next, thread);
+    if (next != nullptr) enqueue_ready(next, thread, t_end);
     next = s;
   };
   const bool frozen = t->successors_frozen();
@@ -724,7 +726,7 @@ Task* Runtime::complete_task(Task* t, unsigned thread, std::uint64_t t_end,
     for (Task* s : succs) release(s);
   }
   if (next != nullptr) {
-    next->t_ready = t_end;
+    if (next->timed) next->t_ready = t_end != 0 ? t_end : now_ns();
     metrics_->add(m_.spawns, 1, thread);
   }
   const bool keep = t->persistent;
@@ -739,33 +741,42 @@ Task* Runtime::complete_task(Task* t, unsigned thread, std::uint64_t t_end,
 }
 
 void Runtime::run_acquired(Task* t, unsigned slot, bool stole, bool deferred,
-                           std::uint64_t t0, bool handoff) {
+                           RunningMark& mark, bool handoff) {
   if (stole) metrics_->add(m_.steals, 1, slot);
   if (!deferred) {
     // Deferred retries left the ready count when they were first taken;
     // don't decrement twice.
     metrics_->gauge_add(m_.ready_depth, -1, slot);
   }
-  // t0 is nonzero when the caller timed its probe (a shared pool samples
-  // it when ANY attached tenant is timed); only charge it if this tenant
-  // is. The probe's end stamp starts the task.
-  std::uint64_t stamp = 0;
-  if (timed_) {
-    stamp = now_ns();
-    if (t0 != 0) profiler_->add_overhead(slot, stamp - t0);
-  }
   // Slots 1..num_threads()-1 are this pool's workers (current_slot), which
   // charge every task they run, handed-off successors included, to this
-  // tenant; the foreign slot is not a worker.
+  // tenant; the foreign slot is not a worker. A shared pool's worker moves
+  // on to other tenants, so it leaves no open span here.
   const bool worker = slot != 0 && slot != foreign_slot_;
+  const bool stays = !worker || owned_pool_ != nullptr;
+  if (timed_ && stays) profiler_->set_open_kind(slot, Profiler::Span::Busy);
   do {
     if (worker) pool_->note_served(slot - 1, tenant_id_);
-    t = run_task(t, slot, stamp, handoff);
+    t = run_task(t, slot, handoff);
   } while (t != nullptr);
+  // A shared pool reads the probe's start when ANY attached tenant is
+  // timed, so the streak is only charged if this one is.
+  if (!timed_ || mark.ns == 0) {
+    mark.ns = 0;
+    return;
+  }
+  if (stays) {
+    mark.busy = true;
+    return;
+  }
+  // One clock read charges the streak and starts the worker's next probe.
+  const std::uint64_t now = now_ns();
+  profiler_->charge(slot, Profiler::Span::Busy, mark.ns, now, /*open=*/false);
+  mark.ns = now;
 }
 
-bool Runtime::try_execute_one(unsigned slot, bool handoff) {
-  const std::uint64_t t0 = timed_ ? now_ns() : 0;
+bool Runtime::try_execute_one(unsigned slot, bool handoff, RunningMark& mark) {
+  if (timed_ && mark.ns == 0) open_mark(slot, mark);
   // Attribution sample, taken once up front: reading it after the failed
   // probes would flip genuine idle time into "overhead + steal failure"
   // whenever a task was enqueued and taken elsewhere mid-scan.
@@ -795,10 +806,10 @@ bool Runtime::try_execute_one(unsigned slot, bool handoff) {
     }
   }
   if (t == nullptr) {
-    charge_non_task(slot, t0, work_existed, /*miss=*/true);
+    note_miss(slot, mark, work_existed);
     return false;
   }
-  run_acquired(t, slot, stole, deferred, t0,
+  run_acquired(t, slot, stole, deferred, mark,
                handoff && cfg_.policy == SchedulePolicy::DepthFirstLifo);
   return true;
 }
@@ -821,20 +832,22 @@ void Runtime::drain() {
   arm_watchdog_baseline();
   Watchdog::Scope ws(&watchdog_, "taskwait");
   Backoff bo;
+  RunningMark mark;
   while (live_sum() > 0) {
-    if (try_execute_one(slot, /*handoff=*/true)) {
+    if (try_execute_one(slot, /*handoff=*/true, mark)) {
       bo.reset();
     } else {
       // Spin-then-yield-then-sleep: the sleep tail is capped well below
       // the watchdog/poll cadence, so hooks stay serviced while an empty
       // wait stops burning the core the workers need.
-      charged_wait(slot, [&] {
+      charged_wait(slot, mark, [&] {
         poll();
         ws.poll();
         bo.pause();
       });
     }
   }
+  close_mark(slot, mark);  // back to the caller's own time
   // Everything submitted so far has completed: tasks on either side of
   // this point are ordered without an edge. The cutoff feeds the verifier
   // (taskwait separation) — dedup in the profiler keeps idle re-drains
@@ -919,11 +932,12 @@ void Runtime::throttle(unsigned slot) {
   arm_watchdog_baseline();
   Watchdog::Scope ws(&watchdog_, "throttle");
   Backoff bo;
+  RunningMark mark;
   while (throttled()) {
-    if (try_execute_one(slot, /*handoff=*/false)) {
+    if (try_execute_one(slot, /*handoff=*/false, mark)) {
       bo.reset();
     } else {
-      charged_wait(slot, [&] {
+      charged_wait(slot, mark, [&] {
         poll();
         ws.poll();
         bo.pause();
@@ -931,6 +945,7 @@ void Runtime::throttle(unsigned slot) {
       if (live_sum() <= 0) break;
     }
   }
+  close_mark(slot, mark);  // back to discovery
 }
 
 void Runtime::poll() {

@@ -143,9 +143,12 @@ class Runtime {
     DiscoveryOptions discovery;
     ThrottleConfig throttle;
     WatchdogConfig watchdog;  ///< hang detection; disabled by default
-    bool trace = false;  ///< record full task traces (Gantt etc.)
-    /// Collect the timing metrics: histograms, and the clock stamps behind
-    /// them and the work/overhead/idle breakdown. Counters and gauges
+    /// Record full task traces (Gantt etc.): every task is stamped.
+    bool trace = false;
+    /// Collect the timing metrics: histograms, the work/overhead/idle
+    /// breakdown, and the clock stamps behind them — the bodies and ready
+    /// times of a 1-in-16 sample of tasks (all of them when tracing) and
+    /// one stamp per span boundary of each thread. Counters and gauges
     /// always count. TDG_METRICS overrides it, and TDG_TRACE force-enables
     /// `trace` (see core/env.hpp).
     bool metrics = true;
@@ -402,24 +405,23 @@ class Runtime {
   void finish_submission(Task* t, std::span<const Depend> deps);
   /// The cached task of the next replay slot (aborts past the plan's end).
   Task* next_replay_task();
-  /// Finish a replay submission whose capture is updated: drop the
-  /// discovery guard. Replay writes nothing else per task — no clock read
-  /// unless tracing, no counter (the region adds the iteration's totals at
-  /// its end) and no throttle.
+  /// Finish a replay submission whose capture is updated: draw the
+  /// instance's timing sample and drop the discovery guard. Replay writes
+  /// nothing else per task — no clock read unless tracing or sampled, no
+  /// counter (the region adds the iteration's totals at its end) and no
+  /// throttle.
   std::uint64_t release_replayed(Task* t);
 
   /// Publish a task that just became ready. `slot` is the calling
   /// thread's (current_slot): the spawn and ready-depth writes go to its
-  /// single-writer metrics shard.
-  void enqueue_ready(Task* t, unsigned slot);
-  /// Run the body of a user task on `thread`. `stamp` is the last clock
-  /// read of the calling thread (0 when untimed): it becomes the task's
-  /// t_start, and on return holds the end of the completion epilogue, so
-  /// consecutive tasks share their boundary stamps and the work/overhead
-  /// split stays a partition. With `handoff`, returns the successor that
+  /// single-writer metrics shard. `stamp` is a clock read the caller
+  /// already holds (a completer's body end; 0 if none): a timed task takes
+  /// it as its t_ready instead of reading the clock again.
+  void enqueue_ready(Task* t, unsigned slot, std::uint64_t stamp = 0);
+  /// Run the body of a user task on `thread`; a timed task stamps its
+  /// body's start and end. With `handoff`, returns the successor that
   /// complete_task handed to this thread (nullptr if none).
-  Task* run_task(Task* t, unsigned thread, std::uint64_t& stamp,
-                 bool handoff);
+  Task* run_task(Task* t, unsigned thread, bool handoff);
   /// Finish `t` (`t_end` is its body-end stamp, 0 when untimed) on the
   /// calling thread's slot `thread`: count, trace, release its successors.
   /// With `handoff`, the last successor that becomes ready and has a body
@@ -451,36 +453,64 @@ class Runtime {
   Task* pop_inject();
   /// The one acquisition path, for the producer and pool workers alike:
   /// account for a task just taken from a queue (steal counter,
-  /// ready-depth gauge, probe overhead since `t0`, whose end stamp is the
-  /// task's t_start), run it on slot `slot`, then run every successor
-  /// handed back (`handoff`). Each task a pool worker
-  /// runs is charged to this tenant (WorkerPool::note_served).
+  /// ready-depth gauge), run it on slot `slot`, then run every successor
+  /// handed back (`handoff`). The streak is busy time from the thread's
+  /// running `mark` (the probe's start). A thread that goes on charging
+  /// here keeps the busy span open across streaks, to be charged by its
+  /// next miss or the end of its wait; a shared pool's worker charges it
+  /// to this tenant with one clock read now. Each task a pool worker runs
+  /// is charged to this tenant (WorkerPool::note_served).
   void run_acquired(Task* t, unsigned slot, bool stole, bool deferred,
-                    std::uint64_t t0, bool handoff);
-  /// The one rule for time spent outside task bodies on slot `slot`,
-  /// from `t0` (read when timed_) to now: overhead when ready work
-  /// existed as the span began (`work_existed`), idle otherwise. A
-  /// `miss` — probes that came up empty — that saw work also counts a
-  /// steal failure.
-  void charge_non_task(unsigned slot, std::uint64_t t0, bool work_existed,
-                       bool miss) {
-    if (miss && work_existed) metrics_->add(m_.steal_failures, 1, slot);
-    if (!timed_) return;
-    const std::uint64_t dt = now_ns() - t0;
-    if (work_existed) {
-      profiler_->add_overhead(slot, dt);
+                    RunningMark& mark, bool handoff);
+  /// Start `slot`'s running mark, published as its open span.
+  void open_mark(unsigned slot, RunningMark& mark) {
+    mark.ns = now_ns();
+    profiler_->open(slot, mark.ns);
+  }
+  /// A probe on slot `slot` came up empty: one clock read ends the busy
+  /// span of the streaks run since the mark, if any. `work_existed`,
+  /// sampled as the probe began, classifies the span from there until the
+  /// wait step after it ends; a miss that saw work counts a steal failure.
+  void note_miss(unsigned slot, RunningMark& mark, bool work_existed) {
+    if (work_existed) metrics_->add(m_.steal_failures, 1, slot);
+    mark.work_existed = work_existed;
+    if (!timed_ || mark.ns == 0) return;
+    if (mark.busy) {
+      const std::uint64_t now = now_ns();
+      profiler_->charge(slot, Profiler::Span::Busy, mark.ns, now,
+                        /*open=*/true);
+      mark.ns = now;
+      mark.busy = false;
+    }
+    profiler_->set_open_kind(slot, miss_kind(work_existed));
+  }
+  /// The end of a producer's wait: charge the streaks still open, or just
+  /// close the span (the last wait step charged it).
+  void close_mark(unsigned slot, RunningMark& mark) {
+    if (mark.ns == 0) return;
+    if (mark.busy) {
+      profiler_->charge(slot, Profiler::Span::Busy, mark.ns, now_ns(),
+                        /*open=*/false);
     } else {
-      profiler_->add_idle(slot, dt);
+      profiler_->close(slot);
     }
   }
-  /// One wait step of an empty-handed thread (`wait`: poll the hooks,
-  /// back off or park), charged by charge_non_task.
+  static Profiler::Span miss_kind(bool work_existed) {
+    return work_existed ? Profiler::Span::Busy : Profiler::Span::Idle;
+  }
+  /// The one rule for time spent outside tasks: one wait step of an
+  /// empty-handed thread after a missed probe (`wait`: poll the hooks,
+  /// back off or park). One clock read charges the miss and the wait, from
+  /// the running mark to now: busy (overhead) when ready work existed as
+  /// the probe began, idle otherwise.
   template <class Wait>
-  void charged_wait(unsigned slot, Wait&& wait) {
-    const std::uint64_t t0 = timed_ ? now_ns() : 0;
-    const bool work_existed = timed_ && ready_tasks() > 0;
+  void charged_wait(unsigned slot, RunningMark& mark, Wait&& wait) {
     wait();
-    charge_non_task(slot, t0, work_existed, /*miss=*/false);
+    if (!timed_ || mark.ns == 0) return;
+    const std::uint64_t now = now_ns();
+    profiler_->charge(slot, miss_kind(mark.work_existed), mark.ns, now,
+                      /*open=*/true);
+    mark.ns = now;
   }
   void record_failure(Task* t, std::exception_ptr err, std::uint32_t tries);
   void record_cancelled(Task* t);
@@ -495,8 +525,9 @@ class Runtime {
   /// tasks from the calling thread; returns false if none was available
   /// (pool workers use WorkerPool::try_execute_one instead). `handoff`
   /// lets the thread chain into successors (drain, not throttle: a
-  /// throttled producer must get back to discovery).
-  bool try_execute_one(unsigned thread, bool handoff);
+  /// throttled producer must get back to discovery). `mark` is the
+  /// thread's running mark within this wait; the first probe starts it.
+  bool try_execute_one(unsigned thread, bool handoff, RunningMark& mark);
   void throttle(unsigned thread);
   /// True while a throttle bound is exceeded. The ready bound reads the
   /// gauge only when it is bounded; the total bound is checked against
@@ -570,18 +601,21 @@ class Runtime {
   std::unique_ptr<MetricsRegistry> metrics_;
   RuntimeMetricIds m_;
   EnvConfig env_;  ///< read once, at construction
-  /// Timeline stamps (t_ready/t_start/t_end and the profiler's
-  /// work/overhead/idle attribution) cost a clock read each. They are only
-  /// consumed by metrics, traces and the teardown reports, so when both
-  /// are off the stamps are skipped wholesale. When on, a task pays at
-  /// most four reads at its boundaries — probe start, probe end (its
-  /// t_start), body end (also its t_end when completion is inline) and
-  /// epilogue end — and two along a handoff chain, where the epilogue end
-  /// starts the next task. t_create is read by traces alone and stamped
-  /// only when tracing. The per-episode discovery window
-  /// (discovery_seconds) is always maintained: one clock read per
-  /// submission (per batch; a replay iteration reads at its first and last
-  /// replay), it is the paper's headline statistic.
+  /// Timeline stamps (t_ready/t_start/t_end and the profiler's ledger)
+  /// cost a clock read each. They are only consumed by metrics, traces and
+  /// the teardown reports, so when both are off the stamps are skipped
+  /// wholesale. When on, only timed tasks (Task::timed: all of them when
+  /// tracing, the 1-in-16 timing sample otherwise) read the clock for
+  /// themselves — t_ready at publication unless the completer hands over
+  /// its body-end stamp, body start and body end — and each thread reads
+  /// it once per span boundary of its ledger: at the end of each streak of
+  /// tasks, and after each missed probe and each wait step. t_create is
+  /// read by traces alone and stamped only when tracing. The per-episode
+  /// discovery window (discovery_seconds) is always maintained: it is the
+  /// paper's headline statistic, stamped at an episode's first submission
+  /// and then at a stride of at most kDiscoveryStride submissions (one
+  /// stamp per batch; a replay iteration reads at its first and last
+  /// replay).
   bool timed_ = true;
   /// Baseline snapshot for "counters since arming" watchdog diagnostics.
   mutable SpinLock wd_baseline_lock_;
@@ -675,6 +709,12 @@ class Runtime {
   // discovery span (producer-written)
   std::uint64_t discovery_begin_ns_ = 0;
   std::uint64_t discovery_end_ns_ = 0;
+  /// Unbatched submissions since the window opened: submission n is
+  /// stamped when n is a power of two below kDiscoveryStride or a multiple
+  /// of it, so the window's end falls at most kDiscoveryStride - 1
+  /// submissions before the last one.
+  std::uint64_t window_submits_ = 0;
+  static constexpr std::uint64_t kDiscoveryStride = 64;
   /// Registry task counts at the last reset_stats(), subtracted by stats().
   RuntimeStats stats_base_;
   std::atomic<std::uint64_t> next_task_id_{1};

@@ -441,6 +441,10 @@ class Task {
   bool failed = false;
   /// Runtime-inserted node (e.g. inoutset R): TaskOpts::internal.
   bool internal = false;
+  /// The runtime stamps this task's boundaries (t_ready, t_start, t_end):
+  /// every task when tracing, the timing sample otherwise (see
+  /// timing_samples_task), none when the runtime is untimed.
+  bool timed = false;
   /// TaskOpts::detach. The event itself carries the label, id and
   /// idempotency snapshot the recovery layer reads.
   Event* detach_event = nullptr;

@@ -472,13 +472,7 @@ std::string VerifyReport::summary() const {
 }
 
 bool verify_samples_task(std::uint64_t id) {
-  // splitmix64 finalizer: bijective and well mixed, so "one in N" is a
-  // uniform pseudo-random subset of the ids.
-  std::uint64_t x = id + 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x % kVerifySampleRate == 0;
+  return mix64(id) % kVerifySampleRate == 0;
 }
 
 namespace {

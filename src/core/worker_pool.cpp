@@ -328,17 +328,17 @@ std::uint64_t WorkerPool::served(unsigned id) const {
   return total;
 }
 
-bool WorkerPool::try_execute_one(unsigned slot) {
+bool WorkerPool::try_execute_one(unsigned slot, RunningMark& mark) {
   Runtime* const s = solo_;
-  // The probe-overhead clock reads are only paid when some attached tenant
-  // consumes them (metrics or tracing enabled). A private pool reads its
-  // runtime's flag, the one charge_non_task checks: its workers probe
-  // before the runtime attaches and after it detaches, while
-  // timed_tenants_ does not count it.
-  const bool timed = s != nullptr
-                         ? s->timed_
-                         : timed_tenants_.load(std::memory_order_relaxed) > 0;
-  const std::uint64_t t0 = timed ? now_ns() : 0;
+  // A private pool's worker charges every span to its runtime, so its
+  // running mark never lapses (worker_loop starts it). A shared pool's
+  // worker charges a tenant only the streaks it runs for it, from the
+  // probe's start: it reads one here after a miss or an untimed streak,
+  // and only when some attached tenant consumes it.
+  if (s == nullptr && mark.ns == 0 &&
+      timed_tenants_.load(std::memory_order_relaxed) > 0) {
+    mark.ns = now_ns();
+  }
   // Attribution sample, taken once up front: reading it after the failed
   // probes would flip genuine idle time into "overhead + steal failure"
   // whenever a task was enqueued and taken elsewhere mid-scan.
@@ -366,7 +366,9 @@ bool WorkerPool::try_execute_one(unsigned slot) {
   if (t == nullptr) {
     unpin(slot);
     if (s != nullptr) {
-      s->charge_non_task(1 + slot, t0, work_existed, /*miss=*/true);
+      s->note_miss(1 + slot, mark, work_existed);
+    } else {
+      mark.ns = 0;  // a shared pool charges no miss and no wait
     }
     return false;
   }
@@ -380,7 +382,7 @@ bool WorkerPool::try_execute_one(unsigned slot) {
   // detach between acquiring the task and this store — the un-completed
   // task keeps its drain from returning — so no rt re-check is needed.
   hold(slot, owner->tenant_id_);
-  owner->run_acquired(t, 1 + slot, stole, deferred, t0,
+  owner->run_acquired(t, 1 + slot, stole, deferred, mark,
                       cfg_.policy == SchedulePolicy::DepthFirstLifo);
   return true;
 }
@@ -441,8 +443,12 @@ void WorkerPool::worker_loop(unsigned slot) {
   tls_pool = this;
   tls_pool_slot = slot;
   Backoff bo;
+  // The worker's running mark. A private pool's runtime is timed or not
+  // for its whole life, set before the pool starts its workers.
+  RunningMark mark;
+  if (solo_ != nullptr && solo_->timed_) solo_->open_mark(1 + slot, mark);
   while (true) {
-    if (try_execute_one(slot)) {
+    if (try_execute_one(slot, mark)) {
       bo.reset();
       continue;
     }
@@ -456,7 +462,7 @@ void WorkerPool::worker_loop(unsigned slot) {
       }
     };
     if (Runtime* const s = solo_; s != nullptr) {
-      s->charged_wait(1 + slot, wait);
+      s->charged_wait(1 + slot, mark, wait);
     } else {
       wait();
     }

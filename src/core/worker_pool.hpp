@@ -41,6 +41,7 @@
 
 #include "core/common.hpp"
 #include "core/metrics.hpp"
+#include "core/profiler.hpp"
 #include "core/scheduler.hpp"
 #include "core/slab.hpp"
 
@@ -136,7 +137,8 @@ class WorkerPool {
   void wake_workers(std::size_t n, Runtime* waker);
 
   // --- execution (pool worker side) ---------------------------------------
-  bool try_execute_one(unsigned slot);
+  /// Find and run one task on worker `slot`, its running mark `mark`.
+  bool try_execute_one(unsigned slot, RunningMark& mark);
   /// Weighted-fair tenant scan: probe tenants in ascending vruntime order
   /// (shard steal, then inject, then due deferred retries). On success the
   /// worker's hazard names the owner (see pin), which stays safe to run:
@@ -226,8 +228,8 @@ class WorkerPool {
   /// Scan bound: one past the highest slot ever attached.
   std::atomic<unsigned> tenant_high_{0};
   SpinLock tenants_lock_;
-  /// Count of attached tenants with timing enabled: workers only pay the
-  /// probe-overhead clock reads when somebody consumes them.
+  /// Count of attached tenants with timing enabled: a shared pool's
+  /// workers only read a probe's start when somebody consumes it.
   std::atomic<int> timed_tenants_{0};
 
   std::vector<std::thread> workers_;

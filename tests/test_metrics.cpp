@@ -3,6 +3,7 @@
 // own instrumentation counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -10,10 +11,18 @@
 #include <vector>
 
 #include "core/metrics.hpp"
+#include "core/persistent.hpp"
 #include "core/runtime.hpp"
 
 namespace tdg {
 namespace {
+
+/// Ids 1..n that the timing sample picks.
+std::uint64_t sampled_ids(std::uint64_t n) {
+  std::uint64_t k = 0;
+  for (std::uint64_t id = 1; id <= n; ++id) k += timing_samples_task(id);
+  return k;
+}
 
 TEST(MetricsBucket, BucketOfIsBitWidth) {
   EXPECT_EQ(MetricsRegistry::bucket_of(0), 0u);
@@ -32,6 +41,25 @@ TEST(MetricsBucket, WideValuesClampToLastBucket) {
             MetricsRegistry::kHistBuckets - 1);
   EXPECT_EQ(MetricsRegistry::bucket_of(1ULL << 62),
             MetricsRegistry::kHistBuckets - 1);
+}
+
+// Every power-of-two boundary: 2^k - 1 has bit width k and 2^k has k + 1,
+// up to the last bucket, which absorbs everything wider.
+TEST(MetricsBucket, PowerOfTwoBoundariesAndClamp) {
+  constexpr std::uint32_t kLast = MetricsRegistry::kHistBuckets - 1;
+  EXPECT_EQ(MetricsRegistry::bucket_of(0), 0u);
+  EXPECT_EQ(MetricsRegistry::bucket_of(1), 1u);
+  for (std::uint32_t k = 1; k <= 63; ++k) {
+    const std::uint64_t p = std::uint64_t{1} << k;
+    EXPECT_EQ(MetricsRegistry::bucket_of(p - 1), std::min(k, kLast)) << k;
+    EXPECT_EQ(MetricsRegistry::bucket_of(p), std::min(k + 1, kLast)) << k;
+  }
+  EXPECT_EQ(MetricsRegistry::bucket_of(UINT64_MAX), kLast);
+  // The clamp starts exactly at the last bucket's lower edge.
+  EXPECT_EQ(MetricsRegistry::bucket_of((std::uint64_t{1} << (kLast - 1)) - 1),
+            kLast - 1);
+  EXPECT_EQ(MetricsRegistry::bucket_of(std::uint64_t{1} << (kLast - 1)),
+            kLast);
 }
 
 TEST(MetricsRegistryTest, CounterSumsAcrossShards) {
@@ -333,9 +361,63 @@ TEST(RuntimeMetricsTest, DiscoveryAndExecutionCountersMatchWorkload) {
   const auto* depth = s.find("sched.ready_depth");
   ASSERT_NE(depth, nullptr);
   EXPECT_EQ(depth->level, 0);  // all enqueues matched by dequeues
+  // Only the timing sample's bodies are observed (ids 1..20, no redirect
+  // nodes).
   const auto* body = s.find("exec.body_ns");
   ASSERT_NE(body, nullptr);
-  EXPECT_EQ(body->value, 20u);
+  EXPECT_EQ(body->value, sampled_ids(20));
+}
+
+// exec.body_ns observes the bodies of the timing sample — exactly the
+// sampled ids — and every body when tracing.
+TEST(RuntimeMetricsTest, BodyHistogramHoldsTheSample) {
+  constexpr std::uint64_t kTasks = 1000;
+  for (const bool trace : {false, true}) {
+    Runtime rt({.num_threads = 2, .trace = trace});
+    for (std::uint64_t i = 0; i < kTasks; ++i) rt.submit([] {}, {});
+    rt.taskwait();
+    const MetricsSnapshot s = rt.metrics().snapshot();
+    const auto* body = s.find("exec.body_ns");
+    const auto* queue = s.find("exec.queue_ns");
+    ASSERT_NE(body, nullptr);
+    ASSERT_NE(queue, nullptr);
+    const std::uint64_t want = trace ? kTasks : sampled_ids(kTasks);
+    EXPECT_EQ(body->value, want) << "trace " << trace;
+    EXPECT_EQ(queue->value, want) << "trace " << trace;
+    EXPECT_EQ(s.value("time.tasks"), kTasks);
+    EXPECT_EQ(s.value("time.sampled_tasks"), want);
+  }
+}
+
+// A replayed graph keeps its ids, so each replay draws its timing sample
+// again with the iteration in the key: the observed bodies are the sampled
+// instances, not one fixed subset of the tasks.
+TEST(RuntimeMetricsTest, ReplayRedrawsTheSampleEachIteration) {
+  constexpr std::uint64_t kTasks = 64;
+  constexpr std::uint32_t kIterations = 6;
+  Runtime rt({.num_threads = 2});
+  PersistentRegion region(rt);
+  double cell[kTasks] = {};
+  for (std::uint32_t it = 0; it < kIterations; ++it) {
+    region.begin_iteration();
+    for (std::uint64_t i = 0; i < kTasks; ++i) {
+      rt.submit([&cell, i] { cell[i] += 1; }, {Depend::inout(&cell[i])});
+    }
+    region.end_iteration();
+  }
+  std::uint64_t want = 0;
+  std::uint64_t fixed = 0;  // what a sample fixed at discovery would hold
+  for (std::uint32_t it = 0; it < kIterations; ++it) {
+    for (std::uint64_t id = 1; id <= kTasks; ++id) {
+      want += timing_samples_task(id, it);
+      fixed += timing_samples_task(id);
+    }
+  }
+  EXPECT_NE(want, fixed);
+  const MetricsSnapshot s = rt.metrics().snapshot();
+  EXPECT_EQ(s.value("exec.body_ns"), want);
+  EXPECT_EQ(s.value("time.tasks"), kTasks * kIterations);
+  EXPECT_EQ(cell[kTasks - 1], kIterations);
 }
 
 TEST(RuntimeMetricsTest, ConfigDisablesCollection) {

@@ -2,6 +2,7 @@
 // and task traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string_view>
@@ -36,6 +37,44 @@ TEST(Profiler, WorkTimeAccountedForBusyTasks) {
   EXPECT_GE(b.work, 0.9 * expected);
   EXPECT_LT(b.work, 5.0 * expected);  // loose upper bound (1-core machine)
   ASSERT_EQ(b.per_thread.size(), 2u);
+}
+
+// Untraced, work is estimated from the timed sample of bodies; busy and
+// idle time stay exact, so no slot is charged more than it lived.
+TEST(Profiler, SampledWorkEstimateTracksBodies) {
+  constexpr int kTasks = 256;
+  constexpr int kUsPerTask = 200;
+  std::vector<double> body_s(kTasks);
+  const auto t0 = std::chrono::steady_clock::now();
+  Runtime rt({.num_threads = 2});
+  for (int i = 0; i < kTasks; ++i) {
+    rt.submit(
+        [&body_s, i] {
+          const auto b0 = std::chrono::steady_clock::now();
+          busy_wait_us(kUsPerTask);
+          body_s[i] = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - b0)
+                          .count();
+        },
+        {});
+  }
+  rt.taskwait();
+  const auto b = rt.profiler().breakdown();
+  const std::chrono::duration<double> lived =
+      std::chrono::steady_clock::now() - t0;
+  const double expected = kTasks * kUsPerTask * 1e-6;
+  EXPECT_GE(b.work, 0.9 * expected);
+  ASSERT_EQ(b.per_thread.size(), 2u);
+  for (const auto& t : b.per_thread) {
+    EXPECT_GE(t.overhead, 0.0);
+    EXPECT_LE(t.work + t.overhead + t.idle, lived.count() + 1e-6);
+  }
+  // A body descheduled by a busy host runs long, and that is work too; a
+  // 1-in-16 sample only promises the mean of bodies that look alike.
+  const double longest = *std::max_element(body_s.begin(), body_s.end());
+  if (longest < 1.5 * kUsPerTask * 1e-6) {
+    EXPECT_LE(b.work, 1.1 * expected);
+  }
 }
 
 TEST(Profiler, IdleAccumulatesWhenNoTasksExist) {
@@ -85,6 +124,30 @@ TEST(Profiler, FreshRuntimeChargesNoMoreThanItsLifetime) {
         std::chrono::steady_clock::now() - t0;
     ASSERT_LE(b.work + b.overhead + b.idle, 4 * lived.count() + 1e-6)
         << "round " << round;
+  }
+}
+
+// Two breakdown() reads count every span up to the moment of each read,
+// so their difference never charges more time than the threads had
+// between them — even while parked workers charge 2 ms waits whole.
+TEST(Profiler, TwoReadsClipSpansToTheirWindow) {
+  constexpr unsigned kThreads = 4;
+  Runtime rt({.num_threads = kThreads});
+  rt.taskwait();
+  auto total = [](const tdg::Breakdown& b) {
+    return b.work + b.overhead + b.idle;
+  };
+  for (int i = 0; i < 40; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const double before = total(rt.profiler().breakdown());
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    const double after = total(rt.profiler().breakdown());
+    const std::chrono::duration<double> window =
+        std::chrono::steady_clock::now() - t0;
+    // A span whose kind changes before it is charged may move a few
+    // microseconds between busy and idle; the slack covers that.
+    ASSERT_LE(after - before, kThreads * window.count() + 1e-4)
+        << "read pair " << i;
   }
 }
 
